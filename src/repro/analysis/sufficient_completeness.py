@@ -261,7 +261,7 @@ def _sample_observations(
     try:
         outcomes = engine.normalize_many_outcomes(terms, workers=workers)
     finally:
-        engine.close_pools(wait=True)
+        engine.close_pools()
     for term, outcome in zip(terms, outcomes):
         if not outcome.ok:
             report.stuck.append(StuckObservation(term, term))

@@ -17,6 +17,14 @@ order — callers observe exactly the serial contract:
   *shard-locally* — a pathological term truncates its own outcome, not
   its neighbours, exactly as in-process.
 
+Transport: every worker is a persistent process that owns one duplex
+:func:`multiprocessing.Pipe`.  The thread running a batch checks idle
+workers out of the pool, writes each chunk straight down a worker's
+pipe, waits on the replies with :func:`multiprocessing.connection.wait`
+and hands each worker its next chunk as soon as that worker answers.
+Assignment stays dynamic, no helper thread stands between the caller
+and the workers, and two concurrent batches never share a pipe.
+
 Observability crosses the boundary too: every reply carries the
 worker's cumulative metrics snapshot (its engine counters, rule-firing
 family, and substrate intern/memo rates), the pool keeps the latest
@@ -26,10 +34,15 @@ snapshot per worker, and registers itself with
 ``--metrics-out`` — stays honest under sharding.
 
 Failure posture: losing the pool must never lose the batch.  A dead
-worker, an unpicklable payload, or a platform without multiprocessing
-degrades the affected chunks (and every later batch) to a parent-side
-serial engine, recorded under the ``parallel.degradations`` counter
-family.
+worker (its pipe reads EOF), an exception inside a worker, an
+unpicklable payload, or a platform without multiprocessing degrades
+the affected chunks (and every later batch) to a parent-side serial
+engine, recorded under the ``parallel.degradations`` counter family.
+
+Shutdown: :meth:`ShardPool.close` sends every worker a stop message
+and joins it, bounded — a worker still running after the timeout is
+killed.  An :mod:`atexit` sweep closes every live pool the same way,
+so no worker outlives its parent.
 """
 
 from __future__ import annotations
@@ -37,13 +50,13 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Optional
-
 from contextlib import nullcontext
+from multiprocessing.connection import wait as _wait_readable
+from typing import Iterable, Optional
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -56,22 +69,29 @@ from repro.runtime.outcome import Outcome
 
 __all__ = ["ShardPool", "close_all_pools"]
 
+#: How long :meth:`ShardPool.close` waits for batches in flight to hand
+#: their workers back, and then for stopped workers to exit, before it
+#: kills what is still running.
+_CLOSE_TIMEOUT = 2.0
+#: How long a starting worker may take to build its engine and report.
+_START_TIMEOUT = 60.0
+
 #: Every live pool, so interpreter exit can reap worker processes even
 #: when a caller forgot ``close()``.  Weak references: a pool's own
 #: ``__del__`` stays the normal cleanup path.
 _LIVE_POOLS: "weakref.WeakSet[ShardPool]" = weakref.WeakSet()
 
 
-def close_all_pools(wait: bool = True) -> None:
+def close_all_pools() -> None:
     """Close every live :class:`ShardPool` in the process.
 
     Registered with :mod:`atexit`, so no worker process outlives its
     parent — a daemon that dies without running its shutdown path must
-    not leave orphaned shard workers behind.  ``wait=True`` joins the
+    not leave orphaned shard workers behind.  Each close joins its
     workers, making "they are gone" observable rather than eventual.
     """
     for pool in list(_LIVE_POOLS):
-        pool.close(wait=wait)
+        pool.close()
 
 
 atexit.register(close_all_pools)
@@ -108,18 +128,42 @@ def _decode_limit(payload: dict) -> RewriteLimitError:
     )
 
 
+class _Worker:
+    """One shard worker: its process and the parent's end of its pipe."""
+
+    __slots__ = ("process", "conn")
+
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+
+
+def _send_stop(workers: list[_Worker]) -> None:
+    """Ask idle workers to exit; a dead one is left for the join."""
+    for worker in workers:
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass  # already dead
+
+
 class ShardPool:
     """Worker-process evaluation for one rule set + engine configuration.
 
     The pool is bound at construction: rules, backend, fuel, default
-    budget, memo size/policy, index mode.  Workers warm an engine for
-    that configuration once (keyed by the rule set's structural
-    fingerprint) and reuse it across batches.  The executor itself is
-    lazy — no processes exist until the first batch (or :meth:`warm`).
+    budget, memo size/policy, index mode.  Each worker builds an engine
+    for that configuration once (keyed by the rule set's structural
+    fingerprint) and reuses it across batches.  Workers are lazy — no
+    processes exist until the first batch (or :meth:`warm`) — and
+    persistent: each owns one duplex pipe to the parent, and a batch
+    checks idle workers out, feeds them chunks over their pipes, and
+    checks them back in, so concurrent batches from several threads
+    share the workers but never a pipe.  :meth:`close` stops and joins
+    them, bounded.
 
     ``fault_injector`` is for the chaos suite: a picklable
     :class:`~repro.runtime.faults.FaultInjector` installed in every
-    worker, so the PR-3 fault-isolation ladder can be exercised
+    worker, so the fault-isolation ladder can be exercised
     shard-locally.  Note that probabilistic injectors draw from a
     per-process seeded stream, so only ``probability=1.0`` plans are
     shard-invariant.
@@ -179,7 +223,19 @@ class ShardPool:
         }
         self._fault_injector = fault_injector
         self._mp_context = mp_context
-        self._executor: Optional[ProcessPoolExecutor] = None
+        # Worker bookkeeping.  ``_workers`` holds every started worker
+        # until close() reaps it; ``_idle`` those free to check out;
+        # ``_checked_out`` counts the ones batches hold right now.
+        # ``_cond`` guards the three and ``_broken``, and wakes batches
+        # waiting for a worker when one is checked in or the pool
+        # degrades.
+        self._owner_pid = os.getpid()
+        self._start_lock = threading.Lock()
+        self._started = False
+        self._cond = threading.Condition()
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []
+        self._checked_out = 0
         self._broken = False
         self._serial: Optional[RewriteEngine] = None
         # Engines are not thread-safe; a daemon's request threads can
@@ -209,53 +265,104 @@ class ShardPool:
         _LIVE_POOLS.add(self)
 
     # -- lifecycle ------------------------------------------------------
-    def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
-        if self._broken:
-            return None
-        if self._executor is None:
-            try:
-                methods = multiprocessing.get_all_start_methods()
-                method = self._mp_context or (
-                    "fork" if "fork" in methods else methods[0]
+    def _ensure_workers(self) -> bool:
+        """Start the workers on first use.  False once the pool is
+        broken (or closed): the caller evaluates serially."""
+        if not self._started and not self._broken:
+            with self._start_lock:
+                if not self._started and not self._broken:
+                    self._start_workers()
+                    self._started = True
+        return not self._broken
+
+    def _start_workers(self) -> None:
+        started: list[_Worker] = []
+        try:
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                self._mp_context or ("fork" if "fork" in methods else methods[0])
+            )
+            forked = context.get_start_method() == "fork"
+            for index in range(self.workers):
+                parent_end, child_end = context.Pipe()
+                process = context.Process(
+                    target=_worker_main,
+                    args=(
+                        child_end,
+                        parent_end if forked else None,
+                        self._spec_wire,
+                        self._fault_injector,
+                    ),
+                    name=f"repro-shard-{index}",
+                    daemon=True,
                 )
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context(method),
-                    initializer=_worker_init,
-                    initargs=(self._spec_wire, self._fault_injector),
-                )
-            except Exception:  # fault-boundary: no usable multiprocessing -> serial
-                self._degrade("pool_unavailable")
-                return None
-        return self._executor
+                process.start()
+                # Only the worker may hold the child end: once it dies,
+                # its pipe must read EOF here rather than stay open.
+                child_end.close()
+                started.append(_Worker(process, parent_end))
+        except Exception:  # fault-boundary: no usable multiprocessing -> serial
+            self._degrade("pool_unavailable")
+        else:
+            for worker in started:
+                # Each worker reports its pid once its engine is built.
+                try:
+                    ready = (
+                        worker.conn.poll(_START_TIMEOUT)
+                        and worker.conn.recv() == worker.process.pid
+                    )
+                except (EOFError, OSError):
+                    ready = False
+                if not ready:
+                    self._degrade("warm_failed")
+                    break
+        # Even after a failed start every worker goes on the books, so
+        # close() stops and reaps what did start; a broken pool checks
+        # nothing out.
+        with self._cond:
+            self._workers = started
+            self._idle.extend(started)
+            self._cond.notify_all()
 
     def warm(self) -> list[int]:
-        """Force every worker to spawn and build its engine; returns
-        the worker pids.  Benchmarks call this so measurements cover
-        evaluation and wire traffic, not process start-up."""
-        executor = self._ensure_executor()
-        if executor is None:
+        """Start every worker and wait until each has built its engine;
+        returns the worker pids.  Benchmarks call this so measurements
+        cover evaluation and wire traffic, not process start-up."""
+        if not self._ensure_workers():
             return []
-        try:
-            futures = [
-                executor.submit(_worker_ready, self.key)
-                for _ in range(self.workers)
-            ]
-            return sorted({future.result() for future in futures})
-        except Exception:  # fault-boundary: broken pool -> serial from now on
-            self._degrade("warm_failed")
-            return []
+        return sorted(worker.process.pid for worker in self._workers)
 
-    def close(self, wait: bool = False) -> None:
-        """Shut the worker processes down.  Later batches run serially
-        parent-side; the last shipped worker snapshots remain merged in
-        :meth:`metrics_snapshot`.  ``wait=True`` joins the workers
-        before returning — lifecycle tests and the atexit sweep use it
-        to assert no worker outlives the parent."""
-        executor, self._executor = self._executor, None
-        self._broken = True
-        if executor is not None:
-            executor.shutdown(wait=wait, cancel_futures=True)
+    def close(self) -> None:
+        """Stop and join the worker processes.  Later batches run
+        serially parent-side; the last shipped worker snapshots remain
+        merged in :meth:`metrics_snapshot`.
+
+        Bounded: batches still holding workers get ``_CLOSE_TIMEOUT``
+        seconds to hand them back, idle workers get a stop message and
+        as long again to exit, and whatever still runs is killed — so
+        every worker is gone when this returns, including ones a
+        degradation abandoned earlier.
+        """
+        if os.getpid() != self._owner_pid:
+            return  # a forked child's copy: the workers are the parent's
+        with self._cond:
+            self._broken = True
+            self._cond.notify_all()
+            self._cond.wait_for(
+                lambda: self._checked_out == 0, _CLOSE_TIMEOUT
+            )
+            workers, self._workers = self._workers, []
+            idle, self._idle = self._idle, []
+        _send_stop(idle)
+        deadline = time.monotonic() + _CLOSE_TIMEOUT
+        for worker in workers:
+            worker.process.join(max(0.0, deadline - time.monotonic()))
+        for worker in workers:
+            if worker.process.is_alive():
+                worker.process.kill()
+                worker.process.join(_CLOSE_TIMEOUT)
+        for worker in idle:
+            worker.conn.close()
 
     def __enter__(self) -> "ShardPool":
         return self
@@ -264,18 +371,28 @@ class ShardPool:
         self.close()
 
     def __del__(self) -> None:
+        # Never blocks: an unreachable pool has no batch in flight, so
+        # its idle workers just get their stop message; multiprocessing
+        # reaps the exited processes later.
         try:
-            self.close()
+            if os.getpid() != self._owner_pid:
+                return
+            self._broken = True
+            _send_stop(self._idle)
+            for worker in self._idle:
+                worker.conn.close()
         except Exception:  # fault-boundary: interpreter teardown order
             pass
 
     # -- degradation ----------------------------------------------------
     def _degrade(self, cause: str) -> None:
+        """Send this and every later batch to the serial engine.
+        Never blocks on workers: the ones it abandons are reaped by a
+        later :meth:`close`."""
         self.degradations.inc(cause)
-        self._broken = True
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        with self._cond:
+            self._broken = True
+            self._cond.notify_all()
 
     def _serial_engine(self) -> RewriteEngine:
         engine = self._serial
@@ -302,12 +419,36 @@ class ShardPool:
             return engine.normalize_many(terms, budget)
 
     # -- dispatch -------------------------------------------------------
+    def _checkout(self, wanted: int) -> list[_Worker]:
+        """Up to ``wanted`` idle workers, waiting for the first one;
+        empty once the pool is broken."""
+        with self._cond:
+            while not self._idle and not self._broken:
+                self._cond.wait()
+            if self._broken:
+                return []
+            taken = self._idle[-wanted:]
+            del self._idle[-wanted:]
+            self._checked_out += len(taken)
+            return taken
+
+    def _checkin(self, worker: _Worker, alive: bool = True) -> None:
+        """Hand a worker back.  A dead one (or one whose pipe still
+        holds an unread reply) never serves again."""
+        with self._cond:
+            self._checked_out -= 1
+            if alive:
+                self._idle.append(worker)
+            self._cond.notify_all()
+        if not alive:
+            worker.conn.close()
+
     def _chunk_size_for(self, total: int) -> int:
         if self.chunk_size is not None:
             return max(1, self.chunk_size)
-        # Four chunks per worker: small enough that the executor's
-        # dynamic assignment evens out unequal per-item costs, large
-        # enough to amortise wire encoding per chunk.
+        # Four chunks per worker: small enough that dynamic assignment
+        # evens out unequal per-item costs, large enough to amortise
+        # wire encoding per chunk.
         return max(1, -(-total // (self.workers * 4)))
 
     def _run_batch(self, terms: list, budget, mode: str) -> list:
@@ -336,42 +477,23 @@ class ShardPool:
         # recorded; then workers arm a child tracer per chunk and ship
         # their span batches home for merging under the batch span.
         traced = batch_span is not None
-        executor = self._ensure_executor()
-        if executor is None:
-            return self._serial_chunk(terms, budget, mode)
-        budget_wire = wire.encode_budget(budget)
+        if not terms:
+            return []
         spans = _chunk_spans(len(terms), self._chunk_size_for(len(terms)))
-        self.c_chunks.inc(len(spans))
-        try:
-            pending = [
-                (
-                    start,
-                    end,
-                    executor.submit(
-                        _worker_run,
-                        self.key,
-                        mode,
-                        wire.encode_terms(terms[start:end]),
-                        budget_wire,
-                        traced,
-                    ),
-                )
-                for start, end in spans
-            ]
-        except Exception:  # fault-boundary: submission failed -> whole batch serial
-            self._degrade("submit_failed")
+        workers = (
+            self._checkout(len(spans)) if self._ensure_workers() else []
+        )
+        if not workers:
             return self._serial_chunk(terms, budget, mode)
+        self.c_chunks.inc(len(spans))
+        replies = self._exchange(workers, terms, spans, budget, mode, traced)
         results: list = []
-        for start, end, future in pending:
-            try:
-                reply = future.result()
-            except Exception:  # fault-boundary: dead worker -> serial for this chunk on
-                self._degrade("worker_died")
+        for (start, end), reply in zip(spans, replies):
+            if reply is None:
                 results.extend(
                     self._serial_chunk(terms[start:end], budget, mode)
                 )
                 continue
-            self._worker_snapshots[reply["pid"]] = reply["snapshot"]
             if traced and reply.get("spans") is not None:
                 tracer.merge_remote_events(
                     wire.decode_span_events(reply["spans"]),
@@ -380,15 +502,95 @@ class ShardPool:
                 )
             if "limit" in reply:
                 # Serial normalize_many raises at the first failing
-                # item; chunks are ordered, workers stop at their first
-                # failure, and every earlier chunk completed — so this
-                # is that item.
+                # item; chunks are read in order, workers stop at their
+                # first failure, and every earlier chunk completed — so
+                # this is that item.
                 raise _decode_limit(reply["limit"])
             if mode == "outcomes":
                 results.extend(wire.decode_outcomes(reply["outcomes"]))
             else:
                 results.extend(wire.decode_terms(reply["results"]))
         return results
+
+    def _exchange(
+        self, workers: list, terms: list, spans: list, budget, mode, traced
+    ) -> list:
+        """Run the chunks on the checked-out ``workers``: each worker
+        takes the next chunk as soon as it answers, and goes back to the
+        pool once no chunk is left for it.
+
+        Returns one reply per span, in span order.  ``None`` marks a
+        chunk the caller must evaluate serially: its worker died or
+        raised, or it could not be shipped.  Once a chunk reports a
+        limit no later chunk is sent (its chunks all come after, and
+        the caller raises before reaching them).
+        """
+        budget_wire = wire.encode_budget(budget)
+        replies: list = [None] * len(spans)
+        free = list(workers)
+        running: dict = {}  # connection -> (worker, span index)
+        sent = 0
+        limited = False
+        try:
+            while True:
+                while free and sent < len(spans) and not limited:
+                    worker = free.pop()
+                    start, end = spans[sent]
+                    index, sent = sent, sent + 1
+                    try:
+                        worker.conn.send(
+                            (
+                                self.key,
+                                mode,
+                                wire.encode_terms(terms[start:end]),
+                                budget_wire,
+                                traced,
+                            )
+                        )
+                    except OSError:  # the worker is gone: a broken pipe
+                        self._degrade("worker_died")
+                        self._checkin(worker, alive=False)
+                        continue
+                    except Exception:  # fault-boundary: unshippable chunk -> serial for this chunk
+                        self._degrade("submit_failed")
+                        free.append(worker)
+                        continue
+                    running[worker.conn] = (worker, index)
+                if not running:
+                    break
+                for conn in _wait_readable(list(running)):
+                    worker, index = running.pop(conn)
+                    try:
+                        reply = conn.recv()
+                    except (EOFError, OSError):  # the worker died mid-chunk
+                        self._degrade("worker_died")
+                        self._checkin(worker, alive=False)
+                        continue
+                    if "error" in reply:
+                        # The worker raised; it is alive and its pipe
+                        # is clean, but the chunk runs serially.
+                        self._degrade("worker_died")
+                    else:
+                        replies[index] = reply
+                        self._worker_snapshots[reply["pid"]] = reply[
+                            "snapshot"
+                        ]
+                        limited = limited or "limit" in reply
+                    if sent < len(spans) and not limited:
+                        free.append(worker)
+                    else:
+                        self._checkin(worker)
+        finally:
+            for worker in free:
+                self._checkin(worker)
+            if running:
+                # Something escaped mid-exchange: these pipes still
+                # hold unread replies, so their workers cannot serve
+                # again, and the pool is short of them from now on.
+                self._degrade("worker_died")
+                for worker, _ in running.values():
+                    self._checkin(worker, alive=False)
+        return replies
 
     # -- the serial-contract entry points -------------------------------
     def normalize_many(
@@ -422,7 +624,7 @@ class ShardPool:
         snapshot source, so :func:`repro.obs.metrics.aggregate_snapshot`
         folds this in automatically.
         """
-        merged = _metrics.merge_snapshots(self._worker_snapshots.values())
+        merged = _metrics.merge_snapshots(list(self._worker_snapshots.values()))
         merged["gauges"] = {}
         return merged
 
@@ -430,16 +632,40 @@ class ShardPool:
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-# One engine per spec key, warmed in the initializer and reused across
-# every chunk the worker ever receives.  With the fork start method the
-# child inherits the parent's interned terms and module caches (the
-# codegen module cache is lock-guarded for exactly this reason); with
-# spawn it starts cold.  Either way the metrics registries are reset
-# after the engine is built, so shipped snapshots measure evaluation
-# work only — not inherited parent history, not engine construction.
+# One engine per spec key, built before the worker reports ready and
+# reused across every chunk the worker ever receives.  With the fork
+# start method the child inherits the parent's interned terms and
+# module caches (the codegen module cache is lock-guarded for exactly
+# this reason); with spawn it starts cold.  Either way the metrics
+# registries are reset after the engine is built, so shipped snapshots
+# measure evaluation work only — not inherited parent history, not
+# engine construction.
 
 _WORKER_SPECS: dict[str, dict] = {}
 _WORKER_ENGINES: dict[str, RewriteEngine] = {}
+
+
+def _worker_main(conn, parent_end, spec_wire: dict, fault_injector) -> None:
+    """A worker's life: build the engine, report the pid, then answer
+    chunks over ``conn`` until the stop message (``None``) or EOF."""
+    if parent_end is not None:
+        # The parent's end of this pipe, inherited through fork: holding
+        # it would keep the parent's death from reading as EOF here.
+        parent_end.close()
+    # Ctrl-C reaches the whole process group; stopping is the parent's
+    # decision, delivered by close() as a stop message.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_init(spec_wire, fault_injector)
+    try:
+        conn.send(os.getpid())
+        while (message := conn.recv()) is not None:
+            try:
+                reply = _worker_run(*message)
+            except Exception as exc:  # fault-boundary: the parent evaluates this chunk serially
+                reply = {"error": f"{type(exc).__name__}: {exc}"}
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the parent is gone
 
 
 def _worker_init(spec_wire: dict, fault_injector=None) -> None:
@@ -477,14 +703,6 @@ def _worker_engine(key: str) -> RewriteEngine:
             engine._delegate_engine()  # build closures/modules now
         _WORKER_ENGINES[key] = engine
     return engine
-
-
-def _worker_ready(key: str, pause: float = 0.05) -> int:
-    """Spawn/warm probe: block briefly so every pool worker takes one
-    probe, and report this worker's pid."""
-    _worker_engine(key)
-    time.sleep(pause)
-    return os.getpid()
 
 
 def _worker_chunk(engine, terms, budget, mode) -> dict:

@@ -655,11 +655,11 @@ class RewriteEngine:
             self._pools[workers] = pool
         return pool
 
-    def close_pools(self, wait: bool = False) -> None:
-        """Shut down any worker pools this engine spawned."""
+    def close_pools(self) -> None:
+        """Shut down (and join) any worker pools this engine spawned."""
         for pool in self._pools.values():
             if pool is not None:
-                pool.close(wait=wait)
+                pool.close()
         self._pools.clear()
 
     def __enter__(self) -> "RewriteEngine":
@@ -668,7 +668,7 @@ class RewriteEngine:
     def __exit__(self, *exc_info) -> None:
         # The context-manager form exists for the pools: an engine that
         # sharded batches must not leave worker processes behind.
-        self.close_pools(wait=True)
+        self.close_pools()
 
     def _compiled_engine(self):
         """The lazily-built compiled delegate, rebuilt if rules were

@@ -33,6 +33,7 @@ healing.  Counters land under ``serve.pool_respawns``,
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -122,24 +123,28 @@ class PoolSupervisor:
             self._next_retry = self._clock() + self._backoff()
         self._g_circuit.set(self._state)
 
-    def _maybe_respawn_locked(self) -> None:
+    def _maybe_respawn_locked(self) -> Optional[ShardPool]:
+        """Replace a broken pool once its backoff has elapsed.  Returns
+        the replaced pool for the caller to close after releasing the
+        lock: closing joins the old workers, which must not hold up
+        the other request threads."""
         if not self._pool._broken:
-            return
+            return None
         self._note_crash()
         now = self._clock()
         if self._next_retry is not None and now < self._next_retry:
-            return
+            return None
         if self._state == _OPEN:
             # Cooldown elapsed: one probe allowed.
             self._state = _HALF_OPEN
             self._g_circuit.set(self._state)
         old, self._pool = self._pool, self._factory()
-        old.close()
         self._c_respawns.inc()
         self._crash_seen = False
         self._pids = self._pool.warm()
         if self._pool._broken:
             self._note_crash()
+        return old
 
     def _after_batch(self) -> None:
         with self._lock:
@@ -164,14 +169,20 @@ class PoolSupervisor:
         around the call.
         """
         with self._lock:
-            self._maybe_respawn_locked()
+            retired = self._maybe_respawn_locked()
             pool = self._pool
+        if retired is not None:
+            retired.close()
         outcomes = pool.normalize_many_outcomes(terms, budget)
         self._after_batch()
         return outcomes
 
     # -- active healing -------------------------------------------------
     def _workers_alive_locked(self) -> bool:
+        # Reap exited children first: a SIGKILLed worker stays a
+        # zombie, which still answers kill(pid, 0), until its parent
+        # waits on it — and no thread waits on idle workers.
+        multiprocessing.active_children()
         for pid in self._pids:
             try:
                 os.kill(pid, 0)
@@ -182,11 +193,13 @@ class PoolSupervisor:
     def heal(self) -> bool:
         """Probe and heal *now*, without waiting for a batch.
 
-        ``/readyz`` calls this: a SIGKILLed worker is invisible to the
-        executor until the next submission, so readiness checks probe
-        pid liveness directly, mark the pool broken if a worker is
-        gone, and attempt the (backoff-gated) respawn.  Returns whether
-        the parallel path is healthy afterwards.
+        ``/readyz`` calls this: a SIGKILLed worker goes unnoticed by
+        the pool until a batch writes to its pipe and reads EOF, so
+        readiness checks probe pid liveness directly, mark the pool
+        broken if a worker is gone, and attempt the (backoff-gated)
+        respawn.  The replaced pool is closed — its surviving workers
+        stopped and joined — after the lock is released.  Returns
+        whether the parallel path is healthy afterwards.
         """
         with self._lock:
             if (
@@ -195,8 +208,11 @@ class PoolSupervisor:
                 and not self._workers_alive_locked()
             ):
                 self._pool._degrade("worker_died")
-            self._maybe_respawn_locked()
-            return not self._pool._broken
+            retired = self._maybe_respawn_locked()
+            healthy = not self._pool._broken
+        if retired is not None:
+            retired.close()
+        return healthy
 
     # -- introspection / lifecycle --------------------------------------
     @property

@@ -2,7 +2,7 @@
 
 Three layers of defence, each tested here:
 
-* ``ShardPool.close(wait=True)`` joins the workers synchronously;
+* ``ShardPool.close()`` joins the workers synchronously;
 * ``RewriteEngine`` is a context manager whose exit closes its pools;
 * the module-level ``atexit`` sweep (:func:`close_all_pools`) reaps
   pools whose owners forgot, so even an exiting interpreter leaves no
@@ -46,13 +46,13 @@ class TestExplicitClose:
     def test_close_wait_reaps_workers(self):
         pool = ShardPool(RULES, 2)
         pids = pool.warm()
-        pool.close(wait=True)
+        pool.close()
         _assert_all_dead(pids)
 
     def test_close_all_pools_sweeps_every_live_pool(self):
         pools = [ShardPool(RULES, 2) for _ in range(2)]
         pids = [pid for pool in pools for pid in pool.warm()]
-        close_all_pools(wait=True)
+        close_all_pools()
         _assert_all_dead(pids)
         assert all(pool._broken for pool in pools)
 
@@ -118,12 +118,12 @@ class TestAtexitSweep:
 class TestDegradedStragglers:
     def test_degrade_abandons_workers_but_close_reaps(self):
         # A SIGKILLed worker degrades the pool; its sibling must still
-        # be reaped by close(wait=True), not left running.
+        # be reaped by close(), not left running.
         pool = ShardPool(RULES, 2, chunk_size=1)
         pids = pool.warm()
         os.kill(pids[0], signal.SIGKILL)
         subjects = [App(FRONT, (queue_term(["x"]),))] * 4
         outcomes = pool.normalize_many_outcomes(subjects)
         assert all(outcome.ok for outcome in outcomes)
-        pool.close(wait=True)
+        pool.close()
         _assert_all_dead(pids)

@@ -10,8 +10,10 @@ real worker processes.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
+import time
 
 from repro.obs import metrics as _metrics
 from repro.serve import PoolSupervisor
@@ -31,7 +33,7 @@ class _StubPool:
     def warm(self):
         return [] if self._broken else list(self._pids)
 
-    def close(self, wait=False):
+    def close(self):
         self.closed = True
 
     def _degrade(self, cause):
@@ -237,6 +239,34 @@ class TestActiveHealing:
         assert supervisor.heal()  # respawn allowed now
         assert supervisor.worker_pids() == [os.getpid()]
         assert len(pools) == 2
+
+    def test_heal_detects_real_worker_killed_between_batches(self):
+        # Nothing reads an idle worker's pipe, so only the pid probe can
+        # notice this death — and the killed worker lingers as a zombie
+        # (still answering kill(pid, 0)) until the daemon reaps it.
+        from repro.adt.queue import QUEUE_SPEC
+        from repro.parallel import ShardPool
+        from repro.rewriting.rules import RuleSet
+
+        rules = RuleSet.from_specification(QUEUE_SPEC)
+        clock = _Clock()
+        supervisor = _supervisor(
+            lambda: ShardPool(rules, 2), clock, backoff_base=0.5
+        )
+        try:
+            victims = supervisor.worker_pids()
+            assert len(victims) == 2
+            os.kill(victims[0], signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while supervisor.heal() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not supervisor.healthy
+            clock.now += 0.6
+            assert supervisor.heal()  # respawned after the backoff
+            fresh = supervisor.worker_pids()
+            assert len(fresh) == 2 and not set(fresh) & set(victims)
+        finally:
+            supervisor.close()
 
     def test_heal_leaves_live_workers_alone(self):
         pool = _StubPool(pids=[os.getpid()])
