@@ -4,14 +4,16 @@ Hash consing and memo tables are per-process, so worker processes are
 naturally isolated *shards*: each worker owns its intern table, its
 discrimination-tree shape memo, and one warm
 :class:`~repro.rewriting.engine.RewriteEngine` per rule-set
-fingerprint.  A :class:`ShardPool` splits a batch into contiguous
-chunks, ships each chunk to a worker over the :mod:`repro.parallel.wire`
-format (terms re-intern on arrival), and reassembles replies in input
-order — callers observe exactly the serial contract:
+fingerprint.  A :class:`ShardPool` deals a batch out in strided
+shares — worker ``k`` of the ``n`` it holds gets ``terms[k::n]`` —
+ships each share over the :mod:`repro.parallel.wire` format (terms
+re-intern on arrival), and scatters the replies back into input order
+— callers observe exactly the serial contract:
 
 * ``normalize_many``: results in input order; the first limit (by item
   index) raises the same :class:`RewriteLimitError` serial evaluation
-  would have raised.
+  would have raised: each share stops at its first limit and reports
+  its index, and the one with the smallest input index is raised.
 * ``normalize_many_outcomes``: one :class:`Outcome` per term, in input
   order, with per-item budgets and the fault-isolation ladder applied
   *shard-locally* — a pathological term truncates its own outcome, not
@@ -19,11 +21,15 @@ order — callers observe exactly the serial contract:
 
 Transport: every worker is a persistent process that owns one duplex
 :func:`multiprocessing.Pipe`.  The thread running a batch checks idle
-workers out of the pool, writes each chunk straight down a worker's
-pipe, waits on the replies with :func:`multiprocessing.connection.wait`
-and hands each worker its next chunk as soon as that worker answers.
-Assignment stays dynamic, no helper thread stands between the caller
-and the workers, and two concurrent batches never share a pipe.
+workers out of the pool (at most one per item), writes each one its
+share straight down its pipe, and waits on the replies with
+:func:`multiprocessing.connection.wait`, handing each worker back as
+soon as it answers.  That is one round trip per worker per batch, no
+helper thread stands between the caller and the workers, and two
+concurrent batches never share a pipe: each takes whichever workers
+are free.  Striding rather than cutting contiguous blocks keeps the
+shares even when per-item cost grows along the batch (a drain whose
+item ``j`` costs about ``j`` splits 1:3 in halves, about 1:1 strided).
 
 Observability crosses the boundary too: every reply carries the
 worker's cumulative metrics snapshot (its engine counters, rule-firing
@@ -36,7 +42,7 @@ snapshot per worker, and registers itself with
 Failure posture: losing the pool must never lose the batch.  A dead
 worker (its pipe reads EOF), an exception inside a worker, an
 unpicklable payload, or a platform without multiprocessing degrades
-the affected chunks (and every later batch) to a parent-side serial
+the affected shares (and every later batch) to a parent-side serial
 engine, recorded under the ``parallel.degradations`` counter family.
 
 Shutdown: :meth:`ShardPool.close` sends every worker a stop message
@@ -97,12 +103,19 @@ def close_all_pools() -> None:
 atexit.register(close_all_pools)
 
 
-def _chunk_spans(total: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Contiguous ``(start, end)`` spans covering ``range(total)``."""
-    return [
-        (start, min(start + chunk_size, total))
-        for start in range(0, total, chunk_size)
-    ]
+def _evaluate_share(engine, terms: list, budget, mode: str) -> dict:
+    """One share, evaluated alike in a worker and parent-side:
+    ``{"values": [...]}``, or in ``normalize`` mode the first limit as
+    ``{"limit": exc, "at": i}`` with ``i`` its index in the share."""
+    if mode == "outcomes":
+        return {"values": engine.normalize_many_outcomes(terms, budget)}
+    values: list = []
+    try:
+        for term in terms:
+            values.append(engine.normalize(term, budget))
+    except RewriteLimitError as exc:
+        return {"limit": exc, "at": len(values)}
+    return {"values": values}
 
 
 def _encode_limit(exc: RewriteLimitError) -> dict:
@@ -156,10 +169,10 @@ class ShardPool:
     fingerprint) and reuses it across batches.  Workers are lazy — no
     processes exist until the first batch (or :meth:`warm`) — and
     persistent: each owns one duplex pipe to the parent, and a batch
-    checks idle workers out, feeds them chunks over their pipes, and
-    checks them back in, so concurrent batches from several threads
-    share the workers but never a pipe.  :meth:`close` stops and joins
-    them, bounded.
+    checks idle workers out, sends each one strided share over its
+    pipe, and checks each back in as it answers, so concurrent batches
+    from several threads share the workers but never a pipe.
+    :meth:`close` stops and joins them, bounded.
 
     ``fault_injector`` is for the chaos suite: a picklable
     :class:`~repro.runtime.faults.FaultInjector` installed in every
@@ -181,7 +194,6 @@ class ShardPool:
         cache_policy: str = "lru",
         use_index: "bool | str" = True,
         fusion=None,
-        chunk_size: Optional[int] = None,
         mp_context: Optional[str] = None,
         fault_injector=None,
     ) -> None:
@@ -196,7 +208,6 @@ class ShardPool:
         self.rules = rules
         self.rule_count = len(rules)
         self.fuel = fuel
-        self.chunk_size = chunk_size
         self._options = {
             "backend": backend,
             "fuel": fuel,
@@ -248,7 +259,7 @@ class ShardPool:
             "parallel.batches", "batches dispatched through the shard pool"
         )
         self.c_chunks = registry.counter(
-            "parallel.chunks", "chunks shipped to worker processes"
+            "parallel.chunks", "shares shipped to worker processes"
         )
         self.c_items = registry.counter(
             "parallel.items", "terms evaluated via the shard pool"
@@ -410,13 +421,10 @@ class ShardPool:
             )
         return engine
 
-    def _serial_chunk(self, terms, budget, mode):
+    def _serial_share(self, terms, budget, mode) -> dict:
         self.c_serial_items.inc(len(terms))
         with self._serial_lock:
-            engine = self._serial_engine()
-            if mode == "outcomes":
-                return engine.normalize_many_outcomes(terms, budget)
-            return engine.normalize_many(terms, budget)
+            return _evaluate_share(self._serial_engine(), terms, budget, mode)
 
     # -- dispatch -------------------------------------------------------
     def _checkout(self, wanted: int) -> list[_Worker]:
@@ -443,14 +451,6 @@ class ShardPool:
         if not alive:
             worker.conn.close()
 
-    def _chunk_size_for(self, total: int) -> int:
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        # Four chunks per worker: small enough that dynamic assignment
-        # evens out unequal per-item costs, large enough to amortise
-        # wire encoding per chunk.
-        return max(1, -(-total // (self.workers * 4)))
-
     def _run_batch(self, terms: list, budget, mode: str) -> list:
         self.c_batches.inc()
         self.c_items.inc(len(terms))
@@ -474,114 +474,106 @@ class ShardPool:
         self, terms: list, budget, mode: str, tracer, batch_span
     ) -> list:
         # ``batch_span`` is not None only when this batch is being
-        # recorded; then workers arm a child tracer per chunk and ship
+        # recorded; then workers arm a child tracer per share and ship
         # their span batches home for merging under the batch span.
         traced = batch_span is not None
         if not terms:
             return []
-        spans = _chunk_spans(len(terms), self._chunk_size_for(len(terms)))
         workers = (
-            self._checkout(len(spans)) if self._ensure_workers() else []
+            self._checkout(len(terms)) if self._ensure_workers() else []
         )
-        if not workers:
-            return self._serial_chunk(terms, budget, mode)
-        self.c_chunks.inc(len(spans))
-        replies = self._exchange(workers, terms, spans, budget, mode, traced)
-        results: list = []
-        for (start, end), reply in zip(spans, replies):
+        # No worker: the whole batch is one share, evaluated serially.
+        stride = max(1, len(workers))
+        replies = (
+            self._exchange(workers, terms, budget, mode, traced)
+            if workers
+            else [None]
+        )
+        results: list = [None] * len(terms)
+        first_limit = None  # (input index, exception)
+        for k, reply in enumerate(replies):
             if reply is None:
-                results.extend(
-                    self._serial_chunk(terms[start:end], budget, mode)
-                )
-                continue
-            if traced and reply.get("spans") is not None:
+                share = self._serial_share(terms[k::stride], budget, mode)
+            elif "limit" in reply:
+                share = {**reply, "limit": _decode_limit(reply["limit"])}
+            elif mode == "outcomes":
+                share = {"values": wire.decode_outcomes(reply["values"])}
+            else:
+                share = {"values": wire.decode_terms(reply["values"])}
+            if traced and reply is not None and reply.get("spans"):
                 tracer.merge_remote_events(
                     wire.decode_span_events(reply["spans"]),
                     parent=batch_span,
                     pid=reply["pid"],
                 )
-            if "limit" in reply:
-                # Serial normalize_many raises at the first failing
-                # item; chunks are read in order, workers stop at their
-                # first failure, and every earlier chunk completed — so
-                # this is that item.
-                raise _decode_limit(reply["limit"])
-            if mode == "outcomes":
-                results.extend(wire.decode_outcomes(reply["outcomes"]))
+            if "limit" in share:
+                # Each share stops at its first limit, so the smallest
+                # input index among them is where serial evaluation
+                # would have stopped.
+                index = k + share["at"] * stride
+                if first_limit is None or index < first_limit[0]:
+                    first_limit = (index, share["limit"])
             else:
-                results.extend(wire.decode_terms(reply["results"]))
+                results[k::stride] = share["values"]
+        if first_limit is not None:
+            raise first_limit[1]
         return results
 
     def _exchange(
-        self, workers: list, terms: list, spans: list, budget, mode, traced
+        self, workers: list, terms: list, budget, mode, traced
     ) -> list:
-        """Run the chunks on the checked-out ``workers``: each worker
-        takes the next chunk as soon as it answers, and goes back to the
-        pool once no chunk is left for it.
+        """Send worker ``k`` of the ``n`` checked out the share
+        ``terms[k::n]`` and wait for every reply, checking each worker
+        back in as soon as it answers.
 
-        Returns one reply per span, in span order.  ``None`` marks a
-        chunk the caller must evaluate serially: its worker died or
-        raised, or it could not be shipped.  Once a chunk reports a
-        limit no later chunk is sent (its chunks all come after, and
-        the caller raises before reaching them).
+        Returns one reply per worker, in worker order.  ``None`` marks a
+        share the caller must evaluate serially: its worker died or
+        raised, or it could not be shipped.
         """
+        n = len(workers)
         budget_wire = wire.encode_budget(budget)
-        replies: list = [None] * len(spans)
-        free = list(workers)
-        running: dict = {}  # connection -> (worker, span index)
+        replies: list = [None] * n
+        running: dict = {}  # connection -> (worker, share index)
         sent = 0
-        limited = False
         try:
-            while True:
-                while free and sent < len(spans) and not limited:
-                    worker = free.pop()
-                    start, end = spans[sent]
-                    index, sent = sent, sent + 1
-                    try:
-                        worker.conn.send(
-                            (
-                                self.key,
-                                mode,
-                                wire.encode_terms(terms[start:end]),
-                                budget_wire,
-                                traced,
-                            )
-                        )
-                    except OSError:  # the worker is gone: a broken pipe
-                        self._degrade("worker_died")
-                        self._checkin(worker, alive=False)
-                        continue
-                    except Exception:  # fault-boundary: unshippable chunk -> serial for this chunk
-                        self._degrade("submit_failed")
-                        free.append(worker)
-                        continue
-                    running[worker.conn] = (worker, index)
-                if not running:
-                    break
+            for k, worker in enumerate(workers):
+                sent = k + 1
+                try:
+                    payload = wire.encode_terms(terms[k::n])
+                    worker.conn.send(
+                        (self.key, mode, payload, budget_wire, traced)
+                    )
+                except OSError:  # the worker is gone: a broken pipe
+                    self._degrade("worker_died")
+                    self._checkin(worker, alive=False)
+                    continue
+                except Exception:  # fault-boundary: unshippable share -> serial for this share
+                    self._degrade("submit_failed")
+                    self._checkin(worker)
+                    continue
+                running[worker.conn] = (worker, k)
+            self.c_chunks.inc(len(running))
+            while running:
                 for conn in _wait_readable(list(running)):
-                    worker, index = running.pop(conn)
+                    worker, k = running.pop(conn)
                     try:
                         reply = conn.recv()
-                    except (EOFError, OSError):  # the worker died mid-chunk
+                    except (EOFError, OSError):  # the worker died mid-share
                         self._degrade("worker_died")
                         self._checkin(worker, alive=False)
                         continue
+                    self._checkin(worker)
                     if "error" in reply:
                         # The worker raised; it is alive and its pipe
-                        # is clean, but the chunk runs serially.
+                        # is clean, but the share runs serially.
                         self._degrade("worker_died")
                     else:
-                        replies[index] = reply
+                        replies[k] = reply
                         self._worker_snapshots[reply["pid"]] = reply[
                             "snapshot"
                         ]
-                        limited = limited or "limit" in reply
-                    if sent < len(spans) and not limited:
-                        free.append(worker)
-                    else:
-                        self._checkin(worker)
         finally:
-            for worker in free:
+            for worker in workers[sent:]:
                 self._checkin(worker)
             if running:
                 # Something escaped mid-exchange: these pipes still
@@ -633,7 +625,7 @@ class ShardPool:
 # Worker-process side
 # ----------------------------------------------------------------------
 # One engine per spec key, built before the worker reports ready and
-# reused across every chunk the worker ever receives.  With the fork
+# reused across every share the worker ever receives.  With the fork
 # start method the child inherits the parent's interned terms and
 # module caches (the codegen module cache is lock-guarded for exactly
 # this reason); with spawn it starts cold.  Either way the metrics
@@ -647,7 +639,7 @@ _WORKER_ENGINES: dict[str, RewriteEngine] = {}
 
 def _worker_main(conn, parent_end, spec_wire: dict, fault_injector) -> None:
     """A worker's life: build the engine, report the pid, then answer
-    chunks over ``conn`` until the stop message (``None``) or EOF."""
+    shares over ``conn`` until the stop message (``None``) or EOF."""
     if parent_end is not None:
         # The parent's end of this pipe, inherited through fork: holding
         # it would keep the parent's death from reading as EOF here.
@@ -661,7 +653,7 @@ def _worker_main(conn, parent_end, spec_wire: dict, fault_injector) -> None:
         while (message := conn.recv()) is not None:
             try:
                 reply = _worker_run(*message)
-            except Exception as exc:  # fault-boundary: the parent evaluates this chunk serially
+            except Exception as exc:  # fault-boundary: the parent evaluates this share serially
                 reply = {"error": f"{type(exc).__name__}: {exc}"}
             conn.send(reply)
     except (EOFError, OSError):
@@ -705,16 +697,15 @@ def _worker_engine(key: str) -> RewriteEngine:
     return engine
 
 
-def _worker_chunk(engine, terms, budget, mode) -> dict:
-    if mode == "outcomes":
-        outcomes = engine.normalize_many_outcomes(terms, budget)
-        return {"outcomes": wire.encode_outcomes(outcomes)}
-    try:
-        return {
-            "results": wire.encode_terms(engine.normalize_many(terms, budget))
-        }
-    except RewriteLimitError as exc:
-        return {"limit": _encode_limit(exc)}
+def _worker_share(engine, terms, budget, mode) -> dict:
+    reply = _evaluate_share(engine, terms, budget, mode)
+    if "limit" in reply:
+        reply["limit"] = _encode_limit(reply["limit"])
+    elif mode == "outcomes":
+        reply["values"] = wire.encode_outcomes(reply["values"])
+    else:
+        reply["values"] = wire.encode_terms(reply["values"])
+    return reply
 
 
 def _worker_run(
@@ -724,7 +715,7 @@ def _worker_run(
     terms = wire.decode_terms(payload)
     budget = wire.decode_budget(budget_wire)
     if traced:
-        # The parent recorded this batch, so re-arm a chunk-lifetime
+        # The parent recorded this batch, so re-arm a share-lifetime
         # child tracer (the initializer disarmed tracing: a forked
         # worker would otherwise write the parent's JSONL sink through
         # an inherited handle).  Its events ship home in the reply;
@@ -734,13 +725,13 @@ def _worker_run(
             with tracer.span(
                 "worker.chunk", pid=os.getpid(), mode=mode, items=len(terms)
             ):
-                reply = _worker_chunk(engine, terms, budget, mode)
+                reply = _worker_share(engine, terms, budget, mode)
         reply["spans"] = wire.encode_span_events(tracer.events)
     else:
-        reply = _worker_chunk(engine, terms, budget, mode)
+        reply = _worker_share(engine, terms, budget, mode)
     # Cumulative since worker start: the parent keeps the latest
     # snapshot per pid, so re-shipping the running total keeps the
-    # merge idempotent across chunks.
+    # merge idempotent across shares.
     reply["snapshot"] = _metrics.aggregate_snapshot()
     reply["pid"] = os.getpid()
     return reply

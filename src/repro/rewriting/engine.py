@@ -510,8 +510,8 @@ class RewriteEngine:
         order and serial semantics; each worker warms its own engine
         and memo, so cross-item memo sharing becomes shard-local.  If
         the pool cannot be built (unwireable rules, no multiprocessing)
-        the batch silently runs serially, recorded as a
-        ``pool_unavailable`` fallback.
+        the batch runs serially, recorded as a ``pool_unavailable``
+        fallback in ``stats.fallbacks``.
 
         The first limit aborts the whole batch; use
         :meth:`normalize_many_outcomes` for fault isolation.

@@ -52,7 +52,7 @@ def test_traced_firings_match_metrics_and_serial():
     assert expected and sum(expected.values()) > len(subjects)
 
     tracer = Tracer()
-    with ShardPool(rules, WORKERS, cache_size=0, chunk_size=3) as pool:
+    with ShardPool(rules, WORKERS, cache_size=0) as pool:
         with tracing(tracer):
             outcomes = pool.normalize_many_outcomes(subjects)
         shipped = pool.metrics_snapshot()["families"]["engine.rule_firings"]
@@ -65,12 +65,12 @@ def test_traced_firings_match_metrics_and_serial():
 def test_merged_worker_spans_nest_under_the_batch():
     rules = RuleSet.from_specification(QUEUE_SPEC)
     tracer = Tracer()
-    with ShardPool(rules, WORKERS, chunk_size=3) as pool:
+    with ShardPool(rules, WORKERS) as pool:
         with tracing(tracer):
             pool.normalize_many_outcomes(_subjects(12))
     (batch,) = _spans(tracer, "parallel.batch")
     chunks = _spans(tracer, "worker.chunk")
-    assert len(chunks) == 4  # 12 items / chunk_size=3
+    assert len(chunks) == WORKERS  # one strided share per worker
     for chunk in chunks:
         assert chunk["parent"] == batch["span"]
         assert chunk["pid"] > 0  # stamped as a merge root attr
@@ -89,7 +89,7 @@ def test_trace_and_metrics_agree_even_with_memoisation():
     # of engine configuration.
     rules = RuleSet.from_specification(QUEUE_SPEC)
     tracer = Tracer()
-    with ShardPool(rules, WORKERS, chunk_size=4) as pool:
+    with ShardPool(rules, WORKERS) as pool:
         with tracing(tracer):
             pool.normalize_many_outcomes(_subjects(8))
         shipped = pool.metrics_snapshot()["families"]["engine.rule_firings"]

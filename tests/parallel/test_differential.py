@@ -84,7 +84,7 @@ def test_merged_firing_counts_match_serial():
         str(rule): count
         for rule, count in serial.stats.firings.counts.items()
     }
-    with ShardPool(rules, WORKERS, cache_size=0, chunk_size=3) as pool:
+    with ShardPool(rules, WORKERS, cache_size=0) as pool:
         pool.normalize_many_outcomes(subjects)
         shipped = pool.metrics_snapshot()["families"]["engine.rule_firings"]
     assert shipped == expected
@@ -106,7 +106,6 @@ def test_injected_faults_are_shard_invariant():
         rules,
         WORKERS,
         cache_size=0,
-        chunk_size=2,
         fault_injector=FaultInjector(plan),
     ) as pool:
         actual = pool.normalize_many_outcomes(subjects)
@@ -120,7 +119,7 @@ def test_diverging_items_are_shard_invariant():
     subjects = [_cycling_term() for _ in range(4)]
     serial = RewriteEngine(rules)
     expected = serial.normalize_many_outcomes(subjects, budget)
-    with ShardPool(rules, WORKERS, chunk_size=1) as pool:
+    with ShardPool(rules, WORKERS) as pool:
         actual = pool.normalize_many_outcomes(subjects, budget)
     assert actual == expected
     assert {outcome.status for outcome in actual} == {DIVERGED}

@@ -119,7 +119,7 @@ class TestDegradedStragglers:
     def test_degrade_abandons_workers_but_close_reaps(self):
         # A SIGKILLed worker degrades the pool; its sibling must still
         # be reaped by close(), not left running.
-        pool = ShardPool(RULES, 2, chunk_size=1)
+        pool = ShardPool(RULES, 2)
         pids = pool.warm()
         os.kill(pids[0], signal.SIGKILL)
         subjects = [App(FRONT, (queue_term(["x"]),))] * 4

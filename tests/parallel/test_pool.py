@@ -45,7 +45,7 @@ class TestSerialContract:
     def test_outcomes_match_serial_in_order(self):
         subjects = _subjects(12)
         expected = RewriteEngine(RULES).normalize_many_outcomes(subjects)
-        with ShardPool(RULES, 2, chunk_size=3) as pool:
+        with ShardPool(RULES, 2) as pool:
             actual = pool.normalize_many_outcomes(subjects)
         assert actual == expected
         assert isinstance(actual[-1].term, Err)  # the FRONT(NEW) item
@@ -60,7 +60,7 @@ class TestSerialContract:
         serial = RewriteEngine(RULES, cache_size=0)
         with pytest.raises(RewriteLimitError) as serial_exc:
             serial.normalize_many(subjects, budget)
-        with ShardPool(RULES, 2, cache_size=0, chunk_size=2) as pool:
+        with ShardPool(RULES, 2, cache_size=0) as pool:
             with pytest.raises(RewriteLimitError) as pool_exc:
                 pool.normalize_many(subjects, budget)
         assert pool_exc.value.reason == serial_exc.value.reason
@@ -84,7 +84,7 @@ class TestLifecycleAndDegradation:
     def test_dead_workers_never_lose_the_batch(self):
         subjects = _subjects(8)
         expected = RewriteEngine(RULES).normalize_many_outcomes(subjects)
-        with ShardPool(RULES, 2, chunk_size=2) as pool:
+        with ShardPool(RULES, 2) as pool:
             for pid in pool.warm():
                 os.kill(pid, signal.SIGKILL)
             actual = pool.normalize_many_outcomes(subjects)
@@ -153,7 +153,7 @@ class TestObservability:
             str(rule): count
             for rule, count in serial.stats.firings.counts.items()
         }
-        with ShardPool(RULES, 2, cache_size=0, chunk_size=3) as pool:
+        with ShardPool(RULES, 2, cache_size=0) as pool:
             pool.normalize_many_outcomes(subjects)
             shipped = pool.metrics_snapshot()["families"][
                 "engine.rule_firings"

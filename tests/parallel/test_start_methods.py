@@ -43,7 +43,7 @@ class TestStartMethods:
     def test_outcomes_match_serial(self, method):
         subjects = _subjects(8)
         expected = RewriteEngine(RULES).normalize_many_outcomes(subjects)
-        with _pool(method, chunk_size=3) as pool:
+        with _pool(method) as pool:
             actual = pool.normalize_many_outcomes(subjects)
         assert actual == expected
         assert isinstance(actual[-1].term, Err)
@@ -55,12 +55,12 @@ class TestStartMethods:
             assert os.getpid() not in pids
 
     def test_results_in_input_order(self, method):
-        # Unequal per-item costs + tiny chunks: reassembly order is
-        # easy to get wrong when chunks finish out of order.
+        # Unequal per-item costs + strided shares: reassembly order is
+        # easy to get wrong when interleaved shares finish out of order.
         subjects = [
             App(FRONT, (queue_term([f"v{i}"] * (1 + (i * 7) % 5)),))
             for i in range(10)
         ]
         expected = RewriteEngine(RULES).normalize_many_outcomes(subjects)
-        with _pool(method, chunk_size=1) as pool:
+        with _pool(method) as pool:
             assert pool.normalize_many_outcomes(subjects) == expected

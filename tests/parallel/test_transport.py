@@ -123,11 +123,11 @@ def _raising_worker_run(*args, **kwargs):
 class TestWorkerException:
     def test_exception_in_worker_run_degrades_to_serial(self, monkeypatch):
         # Forked workers inherit the patched module global, so every
-        # chunk raises inside the worker process.
+        # share raises inside the worker process.
         monkeypatch.setattr(pool_module, "_worker_run", _raising_worker_run)
         subjects = _subjects(6)
         expected = RewriteEngine(RULES).normalize_many_outcomes(subjects)
-        pool = ShardPool(RULES, 2, chunk_size=2, mp_context="fork")
+        pool = ShardPool(RULES, 2, mp_context="fork")
         try:
             pids = pool.warm()
             actual = _bounded(lambda: pool.normalize_many_outcomes(subjects))
