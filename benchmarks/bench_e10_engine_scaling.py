@@ -2,9 +2,9 @@
 
 Supports section 5's "scale up" claim: the cost of the mechanical
 machinery (rewriting, completeness checking) must grow tamely with term
-and specification size.  Also benches the two ablations DESIGN.md calls
-out: rule indexing by head symbol vs a linear scan, and value-mode
-normalisation vs full symbolic simplification.
+and specification size.  Also benches value-mode normalisation vs full
+symbolic simplification, and the codegen backend against the
+interpreted engine.
 """
 
 import pytest
@@ -43,30 +43,19 @@ def test_e10_rewrite_throughput(benchmark, size):
     benchmark.extra_info["rewrite_steps"] = engine.stats.steps
 
 
-@pytest.mark.parametrize("size", [8, 32, 128])
-def test_e10_compiled_throughput(benchmark, size):
-    """The same drain through the closure-compiled backend."""
-    engine = RewriteEngine(RULES, fuel=10_000_000, backend="compiled")
-    engine._compiled_engine()  # build closures outside the timing
-    drained = benchmark(_drain, engine, size)
-    assert drained == size
-    benchmark.extra_info["queue_size"] = size
-    benchmark.extra_info["rewrite_steps"] = engine.stats.steps
-
-
 def test_e10_backend_ablation(benchmark):
-    """Compiled vs interpreted backend on the same drain, cold caches
-    each round — the PR's headline ablation (also in BENCH_E10.json)."""
+    """Codegen vs interpreted backend on the same drain, cold caches
+    each round (also in BENCH_E10.json)."""
     import time
 
     def measure():
         timings = {}
-        for backend in ("interpreted", "compiled"):
+        for backend in ("interpreted", "codegen"):
             engine = RewriteEngine(
                 RULES, fuel=10_000_000, backend=backend
             )
-            if backend == "compiled":
-                engine._compiled_engine()
+            if backend == "codegen":
+                engine._codegen_engine()
             start = time.perf_counter()
             drained = _drain(engine, 64)
             timings[backend] = time.perf_counter() - start
@@ -74,50 +63,18 @@ def test_e10_backend_ablation(benchmark):
         return timings
 
     timings = benchmark(measure)
-    speedup = timings["interpreted"] / timings["compiled"]
+    speedup = timings["interpreted"] / timings["codegen"]
     report(
         "E10: evaluation backend ablation (drain of 64)",
         ["backend", "relative"],
         [
             ["interpreted", "1.0x"],
-            ["compiled", f"{1 / speedup:.2f}x"],
+            ["codegen", f"{1 / speedup:.2f}x"],
         ],
     )
-    benchmark.extra_info["compiled_speedup"] = round(speedup, 2)
-    # Compiled closures must beat the generic matcher on this workload.
+    benchmark.extra_info["codegen_speedup"] = round(speedup, 2)
+    # Generated code must beat the generic matcher on this workload.
     assert speedup > 1.0
-
-
-def test_e10_indexing_ablation(benchmark):
-    """Head-symbol rule indexing vs linear scan (same results)."""
-    import time
-
-    def measure():
-        timings = {}
-        for name, use_index in (("indexed", True), ("linear", False)):
-            engine = RewriteEngine(RULES, use_index=use_index)
-            start = time.perf_counter()
-            _drain(engine, 48)
-            timings[name] = time.perf_counter() - start
-        return timings
-
-    timings = benchmark(measure)
-    report(
-        "E10: rule lookup ablation",
-        ["strategy", "relative"],
-        [
-            ["indexed by head", "1.0x"],
-            [
-                "linear scan",
-                f"{timings['linear'] / timings['indexed']:.2f}x",
-            ],
-        ],
-    )
-    # With only ~12 rules the gap is modest but must not invert wildly;
-    # record it rather than over-assert.
-    benchmark.extra_info["linear_over_indexed"] = round(
-        timings["linear"] / timings["indexed"], 2
-    )
 
 
 def test_e10_normalize_vs_simplify(benchmark):
@@ -147,33 +104,20 @@ def test_e10_normalize_vs_simplify(benchmark):
 
 
 def test_e10_engine_ablation(benchmark):
-    """The engine's three design choices toggled back one at a time:
-    hash-consed terms (vs fresh nodes), discrimination-tree indexing
-    (vs the flat per-head list), and LRU memoisation (vs the seed's
-    clear-on-full).  ``seed-config`` switches all three at once — the
-    closest in-repo approximation of the seed engine (the true seed
-    also recomputed ``is_ground``/``size``/``depth`` by walking the
-    term, which the new substrate answers in O(1) everywhere)."""
+    """Hash-consed terms (vs fresh nodes) toggled back on the drain;
+    the seed engine itself is timed by ``run_benchmarks.py``."""
     import time
 
     from repro.algebra import set_interning
 
-    configs = [
-        ("full", True, True, "lru"),
-        ("no-interning", False, True, "lru"),
-        ("head-index", True, "head", "lru"),
-        ("clear-cache", True, True, "clear"),
-        ("seed-config", False, "head", "clear"),
-    ]
+    configs = [("full", True), ("no-interning", False)]
 
     def measure():
         timings = {}
-        for name, interning, index, policy in configs:
+        for name, interning in configs:
             previous = set_interning(interning)
             try:
-                engine = RewriteEngine(
-                    RULES, use_index=index, cache_policy=policy
-                )
+                engine = RewriteEngine(RULES)
                 start = time.perf_counter()
                 drained = _drain(engine, 48)
                 timings[name] = time.perf_counter() - start

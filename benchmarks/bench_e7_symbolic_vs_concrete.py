@@ -21,7 +21,7 @@ from repro.interp import facade_class
 from conftest import report
 
 _QueueFacade = facade_class(QUEUE_SPEC)
-_QueueFacadeCompiled = facade_class(QUEUE_SPEC, backend="compiled")
+_QueueFacadeCodegen = facade_class(QUEUE_SPEC, backend="codegen")
 _TableFacade = facade_class(SYMBOLTABLE_SPEC)
 
 SCRIPT_LENGTH = 24
@@ -72,8 +72,8 @@ def test_e7_queue_symbolic(benchmark):
     assert result == list(range(SCRIPT_LENGTH))
 
 
-def _queue_script_compiled():
-    queue = _QueueFacadeCompiled.new()
+def _queue_script_codegen():
+    queue = _QueueFacadeCodegen.new()
     for index in range(SCRIPT_LENGTH):
         queue = queue.add(index)
     seen = []
@@ -83,15 +83,15 @@ def _queue_script_compiled():
     return seen
 
 
-def test_e7_queue_symbolic_compiled(benchmark):
-    """The symbolic script again, through the compiled backend — the
+def test_e7_queue_symbolic_codegen(benchmark):
+    """The symbolic script again, through the codegen backend — the
     'significant loss in efficiency' after rule-set compilation."""
-    result = benchmark(_queue_script_compiled)
+    result = benchmark(_queue_script_codegen)
     assert result == list(range(SCRIPT_LENGTH))
 
 
-def test_e7_compiled_narrows_gap(benchmark):
-    """Compiled symbolic vs interpreted symbolic vs concrete, cold
+def test_e7_codegen_narrows_gap(benchmark):
+    """Codegen symbolic vs interpreted symbolic vs concrete, cold
     memos each round: compilation narrows the gap but the concrete
     implementation still wins (the paper's claim survives)."""
     import time
@@ -105,7 +105,7 @@ def test_e7_compiled_narrows_gap(benchmark):
         timings = {}
         for name, facade in (
             ("interpreted", _QueueFacade),
-            ("compiled", _QueueFacadeCompiled),
+            ("codegen", _QueueFacadeCodegen),
         ):
             facade._interpreter.engine.clear_cache()
             start = time.perf_counter()
@@ -113,31 +113,31 @@ def test_e7_compiled_narrows_gap(benchmark):
                 script = (
                     _queue_script_symbolic
                     if name == "interpreted"
-                    else _queue_script_compiled
+                    else _queue_script_codegen
                 )
                 script()
             timings[name] = time.perf_counter() - start
         return (
             timings["interpreted"] / concrete,
-            timings["compiled"] / concrete,
+            timings["codegen"] / concrete,
         )
 
-    interpreted_factor, compiled_factor = benchmark(measure)
+    interpreted_factor, codegen_factor = benchmark(measure)
     benchmark.extra_info["interpreted_slowdown"] = round(interpreted_factor, 1)
-    benchmark.extra_info["compiled_slowdown"] = round(compiled_factor, 1)
+    benchmark.extra_info["codegen_slowdown"] = round(codegen_factor, 1)
     report(
         "E7: rule-set compilation narrows the gap (queue script)",
         ["implementation", "relative cost"],
         [
             ["hand implementation", "1x"],
             ["symbolic, interpreted engine", f"{interpreted_factor:.0f}x"],
-            ["symbolic, compiled engine", f"{compiled_factor:.0f}x"],
+            ["symbolic, codegen engine", f"{codegen_factor:.0f}x"],
         ],
     )
     # Concrete still wins; compilation must not cost more than the
     # generic matcher on the same workload.
-    assert compiled_factor > 1
-    assert compiled_factor < interpreted_factor
+    assert codegen_factor > 1
+    assert codegen_factor < interpreted_factor
 
 
 def test_e7_queue_native(benchmark):

@@ -15,8 +15,7 @@ Run from the repository root::
 tier-1 test suite can exercise the driver end to end in a few seconds.
 The full run additionally times the *actual seed engine* (the commit
 before the hash-consing PR) in a subprocess against a ``git worktree``
-checkout, because the in-repo ablation flags cannot reproduce the seed's
-O(n) ``is_ground``/``size``/``depth`` walks on the new term substrate.
+checkout: no in-repo configuration reproduces the seed engine.
 """
 
 from __future__ import annotations
@@ -53,22 +52,15 @@ SEED_COMMIT = "36c9cdc54882083980002dcdff8599446679a833"
 
 RULES = RuleSet.from_specification(QUEUE_SPEC)
 
-#: Engine configurations measured by E10.  ``full`` is the interpreted
-#: engine as shipped; ``compiled`` is the closure-compiled backend;
-#: ``codegen`` is the second-stage generated-source backend (with
-#: ``codegen-nofuse`` as its fusion ablation, so the three rows
-#: closures / codegen / codegen+fusion read as one ladder);
-#: ``seed-config`` flips every ablation flag back at once.
+#: Engine configurations measured by E10, as ``(name, interning,
+#: backend, fusion)``.  ``full`` is the interpreted engine as shipped;
+#: ``codegen`` is the generated-module backend, with ``codegen-nofuse``
+#: as its fusion ablation; ``no-interning`` turns hash-consing off.
 E10_CONFIGS = [
-    ("full", True, True, "lru", "interpreted", None),
-    ("compiled", True, True, "lru", "compiled", None),
-    ("codegen", True, True, "lru", "codegen", "auto"),
-    ("codegen-nofuse", True, True, "lru", "codegen", "none"),
-    ("no-interning", False, True, "lru", "interpreted", None),
-    ("head-index", True, "head", "lru", "interpreted", None),
-    ("linear-scan", True, False, "lru", "interpreted", None),
-    ("clear-cache", True, True, "clear", "interpreted", None),
-    ("seed-config", False, "head", "clear", "interpreted", None),
+    ("full", True, "interpreted", None),
+    ("codegen", True, "codegen", "auto"),
+    ("codegen-nofuse", True, "codegen", "none"),
+    ("no-interning", False, "interpreted", None),
 ]
 
 #: Distinct queue payloads per measured run, so one run's interned
@@ -115,8 +107,8 @@ def _obs_metrics(engine: RewriteEngine, substrate_before: dict) -> dict:
     rates (as deltas over the run), the engine's per-rule firing
     profile (busiest rules first), and the histogram-driven fuel-budget
     suggestion.  A rate whose substrate saw no traffic during the run
-    is *omitted* rather than reported as null — the compiled backends
-    never touch the discrimination-tree shape memo, and a null row
+    is *omitted* rather than reported as null — the codegen backend
+    never touches the discrimination-tree shape memo, and a null row
     reads as a measurement where there was none."""
     delta = {
         name: value - substrate_before[name]
@@ -154,10 +146,7 @@ def _drain(engine: RewriteEngine, size: int, base: int = 0) -> int:
     return steps
 
 
-def _measure_drain(
-    size: int, interning, use_index, cache_policy, backend, reps: int,
-    fusion=None,
-):
+def _measure_drain(size: int, interning, backend, reps: int, fusion=None):
     """Best-of-``reps`` drain; returns timing plus the engine counters.
 
     Every rep drains a queue of *fresh* payloads (see
@@ -170,14 +159,10 @@ def _measure_drain(
         previous = set_interning(interning)
         try:
             engine = RewriteEngine(
-                RULES, fuel=10_000_000,
-                use_index=use_index, cache_policy=cache_policy,
-                backend=backend, fusion=fusion,
+                RULES, fuel=10_000_000, backend=backend, fusion=fusion
             )
-            if backend == "compiled":
-                engine._compiled_engine()  # build closures outside the timing
-            elif backend == "codegen":
-                engine._codegen_engine()  # compile the module outside too
+            if backend == "codegen":
+                engine._codegen_engine()  # compile outside the timing
             gc.collect()  # release the previous rep's interned subject
             base = next(_PAYLOAD_BASE)
             table_before = intern_table_size()
@@ -234,14 +219,12 @@ def _measure_parallel_batch(
     built fresh per rep (so a later rep cannot answer from an earlier
     rep's worker memos) and warmed *outside* the timing — process
     spawn and engine construction are setup cost, matching how the
-    serial rows build closures/modules outside their timings."""
+    serial rows build modules outside their timings."""
     best = None
     for _ in range(reps):
         if workers is None:
             engine = RewriteEngine(RULES, fuel=10_000_000, backend=backend)
-            if backend == "compiled":
-                engine._compiled_engine()
-            elif backend == "codegen":
+            if backend == "codegen":
                 engine._codegen_engine()
             gc.collect()
             start = time.perf_counter()
@@ -351,11 +334,10 @@ def run_e10(quick: bool) -> dict:
     sizes = [12] if quick else [32, 64, 128]
     reps = 1 if quick else 3
     configs: dict[str, dict] = {}
-    for name, interning, use_index, cache_policy, backend, fusion in E10_CONFIGS:
+    for name, interning, backend, fusion in E10_CONFIGS:
         configs[name] = {
             str(size): _measure_drain(
-                size, interning, use_index, cache_policy, backend, reps,
-                fusion=fusion,
+                size, interning, backend, reps, fusion=fusion
             )
             for size in sizes
         }
@@ -376,9 +358,7 @@ def run_e10(quick: bool) -> dict:
         "mode": "quick" if quick else "full",
         "sizes": sizes,
         "configs": configs,
-        "compiled_vs_interpreted": ratio("full", "compiled"),
         "codegen_vs_interpreted": ratio("full", "codegen"),
-        "codegen_vs_compiled": ratio("compiled", "codegen"),
         "fusion_speedup": ratio("codegen-nofuse", "codegen"),
         "parallel": run_parallel_e10(quick),
     }
@@ -436,18 +416,7 @@ def run_e7(quick: bool) -> dict:
     symbolic_metrics = _obs_metrics(engine, substrate_before)
     operations = 3 * script_length + 1  # adds + (front, remove) per element
 
-    # The same script through the closure-compiled backend.
-    compiled_facade = facade_class(QUEUE_SPEC, backend="compiled")
-    compiled_engine = compiled_facade._interpreter.engine
-    compiled_engine._compiled_engine()  # build closures outside the timing
-    substrate_before = substrate_counters()
-    start = time.perf_counter()
-    for _ in range(reps):
-        symbolic_script(compiled_facade)
-    compiled_secs = (time.perf_counter() - start) / reps
-    compiled_metrics = _obs_metrics(compiled_engine, substrate_before)
-
-    # The same script again through the second-stage generated module.
+    # The same script through the generated rule module.
     codegen_facade = facade_class(QUEUE_SPEC, backend="codegen")
     codegen_engine = codegen_facade._interpreter.engine
     codegen_engine._codegen_engine()  # compile the module outside the timing
@@ -457,23 +426,6 @@ def run_e7(quick: bool) -> dict:
         symbolic_script(codegen_facade)
     codegen_secs = (time.perf_counter() - start) / reps
     codegen_metrics = _obs_metrics(codegen_engine, substrate_before)
-
-    # And the drain observations submitted as one normalize_many batch
-    # (shared memo across the whole workload).
-    batch_terms = [
-        app(op, queue_term(range(k)))
-        for k in range(1, script_length + 1)
-        for op in (FRONT, REMOVE)
-    ]
-    batch_engine = RewriteEngine.for_specification(
-        QUEUE_SPEC, backend="compiled"
-    )
-    batch_engine.fuel = 10_000_000
-    batch_engine._compiled_engine()
-    start = time.perf_counter()
-    for _ in range(reps):
-        batch_engine.normalize_many(batch_terms)
-    batch_secs = (time.perf_counter() - start) / reps
 
     return {
         "experiment": "E7",
@@ -491,14 +443,6 @@ def run_e7(quick: bool) -> dict:
             "intern_table_growth": intern_table_size() - table_before,
             "metrics": symbolic_metrics,
         },
-        "symbolic_compiled": {
-            "seconds": round(compiled_secs, 6),
-            "ops_per_sec": round(operations / compiled_secs, 1),
-            "cache_hit_rate": round(
-                compiled_engine.stats.cache_hit_rate, 4
-            ),
-            "metrics": compiled_metrics,
-        },
         "symbolic_codegen": {
             "seconds": round(codegen_secs, 6),
             "ops_per_sec": round(operations / codegen_secs, 1),
@@ -507,16 +451,9 @@ def run_e7(quick: bool) -> dict:
             ),
             "metrics": codegen_metrics,
         },
-        "symbolic_compiled_batch": {
-            "seconds": round(batch_secs, 6),
-            "terms": len(batch_terms),
-            "cache_hit_rate": round(batch_engine.stats.cache_hit_rate, 4),
-        },
         "symbolic_over_concrete": round(symbolic / concrete, 1),
-        "compiled_over_concrete": round(compiled_secs / concrete, 1),
         "codegen_over_concrete": round(codegen_secs / concrete, 1),
-        "compiled_vs_interpreted": round(symbolic / compiled_secs, 2),
-        "codegen_vs_compiled": round(compiled_secs / codegen_secs, 2),
+        "codegen_vs_interpreted": round(symbolic / codegen_secs, 2),
     }
 
 

@@ -65,7 +65,7 @@ class SpecBackend:
     """The specification as the implementation, via the symbolic façade.
 
     ``backend`` selects the rewrite engine's evaluation path
-    (``"interpreted"`` or ``"compiled"``); one façade class is built and
+    (``"interpreted"`` or ``"codegen"``); one façade class is built and
     shared per path, so the E9 benchmark can compare them directly.
     """
 

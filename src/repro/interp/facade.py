@@ -162,10 +162,9 @@ def facade_class(
 ) -> Type[FacadeValue]:
     """Build a Python class executing ``spec`` symbolically.
 
-    ``backend="compiled"`` routes every method through the
-    closure-compiled normaliser — behaviourally identical, measurably
-    faster (benchmark E7) — and ``backend="codegen"`` through the
-    second-stage generated-source modules, faster still.  ``budget``
+    ``backend="codegen"`` routes every method through the generated
+    rule modules — behaviourally identical, measurably faster
+    (benchmark E7).  ``budget``
     bounds every evaluation the façade performs (fuel, wall-clock
     deadline, memory caps), and ``workers`` sets the default shard
     count for the batch entry points.

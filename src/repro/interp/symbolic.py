@@ -79,10 +79,9 @@ class SymbolicInterpreter:
     """Executes a specification's operations by rewriting.
 
     ``backend`` selects the evaluation path: ``"interpreted"`` (the
-    default), ``"compiled"`` (closure-compiled rules — see
-    :mod:`repro.rewriting.compile`) or ``"codegen"`` (second-stage
-    generated-source modules — see :mod:`repro.rewriting.codegen`).
-    All three compute the same normal forms.
+    default) or ``"codegen"`` (generated rule modules — see
+    :mod:`repro.rewriting.codegen`).  Both compute the same normal
+    forms.
     """
 
     def __init__(

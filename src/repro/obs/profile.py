@@ -4,7 +4,7 @@ A trace (see :mod:`repro.obs.trace`) carries timestamps on every event.
 Within one span, the interval from a ``step`` event to the next event
 boundary (the following step, or the span's end) is time spent building
 and reducing the fired rule's right-hand side — so it is attributed to
-that rule as *self time*.  The compiled backend's aggregated ``firings``
+that rule as *self time*.  The codegen backend's aggregated ``firings``
 events carry no per-step timestamps; their rules receive a share of the
 enclosing span's duration proportional to their firing counts, which is
 an estimate (and flagged as such in the profile rows).
@@ -28,7 +28,7 @@ def rule_profile(events: Iterable[dict]) -> list[dict]:
     sorted by self time (then firings) descending.  ``share`` is the
     fraction of the profile's total self time; ``estimated`` is True
     when any of the rule's time came from proportional attribution of a
-    compiled ``firings`` event rather than step timestamps.
+    codegen ``firings`` event rather than step timestamps.
     """
     events = list(events)
     span_end: dict = {}
@@ -62,7 +62,7 @@ def rule_profile(events: Iterable[dict]) -> list[dict]:
                 boundary = step["ts"]
             charge(step["rule"], 1, max(0.0, boundary - step["ts"]), False)
 
-    # Proportional attribution for the compiled backend's aggregates.
+    # Proportional attribution for the codegen backend's aggregates.
     for event in events:
         if event.get("ev") != "firings":
             continue

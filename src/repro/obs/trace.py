@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records a tree of **spans** (named, timed scopes with
 parent links) and the point events that happen inside them — rewrite
-steps with their rule and a capped subject summary, aggregated compiled
+steps with their rule and a capped subject summary, aggregated codegen
 rule firings, budget exhaustions, fault-injection hits.  Installation
 follows the fault registry's pattern: a module-global :data:`ACTIVE`
 that instrumented code checks with one attribute load, so the disabled
@@ -20,7 +20,7 @@ Event schema (one JSON object per line when written to a sink)::
     {"ev": "fault",      "site": "engine.match_root", "kind": "raise", ...}
 
 ``step`` events are emitted per rule firing by the interpreted backend;
-the compiled backend's closures count firings in flat lists instead, so
+the codegen backend's generated functions count firings in flat lists, so
 it emits one aggregated ``firings`` event per evaluation with the
 per-rule deltas.  :func:`firing_counts` folds both forms into one
 per-rule count dict, which — with sampling off — matches the metrics
@@ -322,9 +322,9 @@ class Tracer:
         self._emit(event)
 
     def firings(self, counts: dict) -> None:
-        """Aggregated per-rule firing deltas for one compiled
-        evaluation (the closures count in flat lists; per-step events
-        would mean a Python call per firing on the compiled hot path)."""
+        """Aggregated per-rule firing deltas for one codegen
+        evaluation (generated functions count in flat lists; per-step
+        events would mean a Python call per firing on the hot path)."""
         if self.never:
             return
         scope = self._scope
@@ -464,7 +464,7 @@ def maybe_span(name: str, **attrs):
 # ----------------------------------------------------------------------
 def firing_counts(events: Iterable[dict]) -> dict[str, int]:
     """Per-rule firing counts from a trace: one per ``step`` event,
-    plus the aggregated ``firings`` deltas the compiled backend emits.
+    plus the aggregated ``firings`` deltas the codegen backend emits.
     With sampling off, this matches the metrics registry's
     ``engine.rule_firings`` family exactly."""
     counts: dict[str, int] = {}

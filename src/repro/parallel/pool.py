@@ -164,7 +164,7 @@ class ShardPool:
     """Worker-process evaluation for one rule set + engine configuration.
 
     The pool is bound at construction: rules, backend, fuel, default
-    budget, memo size/policy, index mode.  Each worker builds an engine
+    budget, memo size, fusion plan.  Each worker builds an engine
     for that configuration once (keyed by the rule set's structural
     fingerprint) and reuses it across batches.  Workers are lazy — no
     processes exist until the first batch (or :meth:`warm`) — and
@@ -191,8 +191,6 @@ class ShardPool:
         fuel: int = DEFAULT_FUEL,
         budget: Optional[EvaluationBudget] = None,
         cache_size: int = 4096,
-        cache_policy: str = "lru",
-        use_index: "bool | str" = True,
         fusion=None,
         mp_context: Optional[str] = None,
         fault_injector=None,
@@ -213,8 +211,6 @@ class ShardPool:
             "fuel": fuel,
             "budget": wire.encode_budget(budget),
             "cache_size": cache_size,
-            "cache_policy": cache_policy,
-            "use_index": use_index,
             "fusion": fusion,
         }
         # The worker-side engine cache key: the structural rule-set
@@ -412,9 +408,7 @@ class ShardPool:
             engine = self._serial = RewriteEngine(
                 self.rules,
                 fuel=opts["fuel"],
-                use_index=opts["use_index"],
                 cache_size=opts["cache_size"],
-                cache_policy=opts["cache_policy"],
                 backend=opts["backend"],
                 budget=wire.decode_budget(opts["budget"]),
                 fusion=opts["fusion"],
@@ -684,15 +678,13 @@ def _worker_engine(key: str) -> RewriteEngine:
         engine = RewriteEngine(
             wire.decode_ruleset(spec["rules"]),
             fuel=spec["fuel"],
-            use_index=spec["use_index"],
             cache_size=spec["cache_size"],
-            cache_policy=spec["cache_policy"],
             backend=spec["backend"],
             budget=wire.decode_budget(spec["budget"]),
             fusion=spec["fusion"],
         )
         if spec["backend"] != "interpreted":
-            engine._delegate_engine()  # build closures/modules now
+            engine._codegen_engine()  # generate the module now
         _WORKER_ENGINES[key] = engine
     return engine
 

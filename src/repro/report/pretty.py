@@ -145,7 +145,7 @@ def format_rule_profile(profile: Sequence[dict], limit: int = 10) -> str:
     :func:`repro.obs.profile.rule_profile` produces) as a top-N table.
 
     ``~`` marks self times estimated by proportional attribution (the
-    compiled backend's aggregated firing events carry no per-step
+    codegen backend's aggregated firing events carry no per-step
     timestamps)."""
     rows = []
     for row in list(profile)[:limit]:

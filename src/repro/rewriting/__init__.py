@@ -8,11 +8,6 @@ from repro.rewriting.engine import (
     RewriteEngine,
     RewriteLimitError,
 )
-from repro.rewriting.compile import (
-    CompiledEngine,
-    CompiledRules,
-    compile_ruleset,
-)
 from repro.rewriting.codegen import (
     CodegenEngine,
     CodegenModule,
@@ -46,11 +41,8 @@ __all__ = [
     "BACKENDS",
     "CodegenEngine",
     "CodegenModule",
-    "CompiledEngine",
-    "CompiledRules",
     "FusionPlan",
     "codegen_module",
-    "compile_ruleset",
     "DEFAULT_FUEL",
     "EngineStats",
     "RewriteEngine",

@@ -1,25 +1,39 @@
-"""Second-stage compilation: emitted Python rule modules.
+"""Rule-set compilation: emitted Python rule modules.
 
-The closure backend (:mod:`repro.rewriting.compile`) already decides
-dispatch at compile time, but it still pays per call for a tuple-boxed
-calling convention, a shared memo keyed by ``(op_index, args)`` tuples,
-and one Python frame per rewrite of a recursive rule.  This module goes
-one stage further and emits a complete Python **source module** per rule
-set:
+The interpreted engine pays a per-step interpretive tax: discrimination
+tree lookup, generic :func:`match_bindings` over the pattern, generic
+instantiation of the right-hand side.  For a *fixed* rule set all of
+that can be decided once, at compile time.  This module emits a
+complete Python **source module** per rule set, with one function per
+operation:
+
+* **Decision trees.**  An operation's axioms are fused into nested
+  ``if``/``elif`` chains over the head symbols / literal values of the
+  argument positions — the shape refinement the discrimination tree
+  performs per call, resolved once.  Each leaf carries the **residual
+  match** (deep destructuring, ground sub-pattern equality, non-linear
+  variable checks) as straight-line attribute tests with walrus-bound
+  locals, and a right-hand-side builder that constructs interned terms
+  directly and calls sibling functions — no bindings dict, no template
+  walk.
 
 * **Module emission.**  The generated source is ``compile()``d once and
   cached by the rule set's structural :meth:`~RuleSet.fingerprint` (plus
   the compiler options), so equal rule sets — every engine over the same
   specification — share one code object.  Instantiating an engine then
   only re-``exec``s the cached code with fresh counters and memo dicts.
-  Closures take their arguments positionally (``op_k(a0, a1, b, d)``)
-  and memoise in per-operation dicts keyed by the argument itself, which
-  drops a tuple allocation and a hash of ``(index, tuple)`` per probe.
+  Functions take their arguments positionally (``op_k(a0, a1, b, d)``:
+  the argument normal forms, the shared one-element fuel budget, and
+  the nesting depth) and memoise in per-operation dicts keyed by the
+  argument itself.  Past ``_DEPTH_LIMIT`` nested calls a function
+  raises :class:`_DeepRecursion` and the driver re-evaluates that node
+  on the iterative interpreted machine, so deep rewrite chains degrade
+  gracefully instead of hitting Python's recursion limit.
 
 * **Ground-RHS folding.**  A ground right-hand-side (sub)term has a
   unique normal form fixed at compile time (the rule sets are confluent
   and terminating on ground terms), so the compiler normalises it *once*
-  and emits the result as a constant.  To keep the other backends'
+  and emits the result as a constant.  To keep the interpreted engine's
   observable accounting — per-rule firing counts, fuel, memo contents —
   bit-for-bit identical, the emission *replays* the evaluation: one
   memo-guarded block per folded node that spends the recorded fuel,
@@ -35,15 +49,18 @@ set:
   guard predicates are inlined as branch arms with their own memo probe.
   Fusion is legal only when the recursive call's arguments are *pure*
   (variables, literals, inert ground terms) and preserves the exact
-  probe/store/firing sequence of the unfused closures — the three-way
-  differential suite holds it to that.  A :class:`FusionPlan` can narrow
+  probe/store/firing sequence of the unfused functions — the
+  differential suites hold it to that.  A :class:`FusionPlan` can narrow
   the fused set from rule-profiler data (``FusionPlan.from_profile``)
   or disable fusion for ablation (``fusion="none"``).
 
-The engine-facing wrapper is :class:`CodegenEngine`; it enforces
-:class:`~repro.runtime.EvaluationBudget` through the same shared
-``BudgetMeter`` cell as the other backends and degrades to the
-interpreted machine on deep recursion, exactly like the closure backend.
+Operations whose patterns the compiler cannot fold into tests (an
+``Ite`` inside a left-hand side) run on the interpreted engine; so do
+builtin steps that return whole terms.  The engine-facing wrapper is
+:class:`CodegenEngine`; it enforces :class:`~repro.runtime.EvaluationBudget`
+through the same shared ``BudgetMeter`` cell as the interpreted engine,
+and the differential suites hold both to the same normal forms, firing
+counts and fuel.
 """
 
 from __future__ import annotations
@@ -54,17 +71,11 @@ from time import perf_counter
 from typing import Iterable, Optional
 
 from repro.algebra.signature import Operation
+from repro.algebra.sorts import BOOLEAN, Sort
 from repro.algebra.substitution import apply_bindings
 from repro.algebra.terms import App, Err, Ite, Lit, Term, Var
 from repro.spec.errors import AlgebraError
 from repro.spec.prelude import boolean_term, is_false, is_true
-from repro.rewriting.compile import (
-    _DEPTH_LIMIT,
-    _Compiler,
-    _DeepRecursion,
-    _LimitHit,
-    _rt_unbound,
-)
 from repro.rewriting.engine import (
     DEFAULT_FUEL,
     EngineStats,
@@ -76,6 +87,12 @@ from repro.runtime import faults as _faults
 from repro.runtime.budget import BudgetExceeded, BudgetMeter, EvaluationBudget
 from repro.runtime.render import summarize_term
 from repro.obs import trace as _trace
+
+#: Nested generated-function calls allowed before falling back to the iterative
+#: interpreter.  Python's default recursion limit is 1000 and each
+#: sibling call costs one frame; 400 leaves ample headroom for the
+#: driver's own frames.
+_DEPTH_LIMIT = 400
 
 #: Fuel allowed for one compile-time fold normalisation.  A ground RHS
 #: needing more than this is left to runtime evaluation (folding is an
@@ -90,12 +107,31 @@ _NF_LIMIT = 16384
 _MODULE_CACHE_LIMIT = 64
 
 
+class _LimitHit(Exception):
+    """Raised inside generated code when the fuel budget runs out."""
+
+
+class _DeepRecursion(Exception):
+    """Raised inside generated code when sibling calls nest too deep."""
+
+
+class _Uncompilable(Exception):
+    """A rule pattern the decision-tree compiler cannot handle."""
+
+
+def _rt_unbound(*_args):  # pragma: no cover - defensive default
+    raise RuntimeError(
+        "generated rules need an interpreter hook: use CodegenEngine, "
+        "or set ns['RT_TERM'] / ns['RT_APP'] before calling functions"
+    )
+
+
 @dataclass(frozen=True)
 class FusionPlan:
     """Which operations may be fused into superinstructions.
 
     ``mode`` is ``"auto"`` (fuse every legal operation — the default),
-    ``"none"`` (the ablation baseline: plain per-operation closures in
+    ``"none"`` (the ablation baseline: plain per-operation functions in
     the emitted module), or ``"profile"`` (fuse only the operations in
     ``hot``, typically derived from rule-profiler firing counts).
     """
@@ -159,29 +195,144 @@ class FusionPlan:
         return cls("profile", frozenset(hot))
 
 
-class _CodegenCompiler(_Compiler):
-    """Emits the second-stage module (see the module docstring).
-
-    Reuses the closure compiler's pattern/dispatch machinery; overrides
-    the calling convention, memoisation, RHS generation (folding), and
-    per-operation emission (fusion).
-    """
+class _Compiler:
+    """Emits the rule module (see the module docstring): decision-tree
+    dispatch, ground-RHS folding and superinstruction fusion."""
 
     def __init__(
         self, rules: RuleSet, cache_on: bool, fold: bool, plan: FusionPlan
     ) -> None:
-        super().__init__(rules, cache_size=4096 if cache_on else 0)
+        self.ruleset = rules
+        self.rules = list(rules)
+        self.cache_on = cache_on
         self.fold_on = fold
         self.plan = plan
+        self.lines: list[str] = []
+        self.ns: dict = {}
+        self._const_names: dict[int, str] = {}
+        self._const_keep: list = []
+        self._counts: dict[str, int] = {}
+        self._ntmp = 0
+        self.rule_heads = {rule.head.name for rule in self.rules}
+        # Operations needing functions: every rule head, plus every
+        # builtin operation mentioned anywhere in a rule (its RHS calls
+        # must dispatch through a function too).
+        self.ops: list[Operation] = []
+        self.op_index: dict[str, int] = {}
+        for rule in self.rules:
+            self._note_op(rule.head)
+        for rule in self.rules:
+            for side in (rule.lhs, rule.rhs):
+                for _, node in side.subterms():
+                    if isinstance(node, App) and node.op.builtin is not None:
+                        self._note_op(node.op)
+        # Rule-headed operations the decision tree cannot compile (an
+        # Ite inside a pattern): the whole operation runs interpreted.
+        self.uncompiled: set[str] = set()
+        for rule in self.rules:
+            if any(
+                isinstance(node, Ite)
+                for _, node in rule.lhs.subterms()
+            ):
+                self.uncompiled.add(rule.head.name)
         self.fused_ops: set[str] = set()
         self._fused_mode = False
-        self._fused_k: Optional[int] = None
         self._scratch: Optional[RewriteEngine] = None
         self._fold_plans: dict = {}
         self._pred_cache: dict = {}
         self._rule_gidx: dict = {}
         for gidx, rule in enumerate(self.rules):
             self._rule_gidx.setdefault(rule, gidx)
+
+    # -- bookkeeping ---------------------------------------------------
+    def _note_op(self, op: Operation) -> None:
+        if op.name not in self.op_index:
+            self.op_index[op.name] = len(self.ops)
+            self.ops.append(op)
+
+    def const(self, obj, prefix: str) -> str:
+        """Intern ``obj`` into the generated module's namespace."""
+        name = self._const_names.get(id(obj))
+        if name is None:
+            n = self._counts.get(prefix, 0)
+            self._counts[prefix] = n + 1
+            name = f"{prefix}_{n}"
+            self._const_names[id(obj)] = name
+            self._const_keep.append(obj)
+            self.ns[name] = obj
+        return name
+
+    def op_const(self, op: Operation) -> str:
+        k = self.op_index.get(op.name)
+        if k is not None and self.ops[k] is op:
+            return f"OP_{k}"
+        # Distinct prefix: OP_{k} names are claimed by compiled operations.
+        return self.const(op, "OQ")
+
+    def err_const(self, sort: Sort) -> str:
+        return self.const(Err(sort), "K")
+
+    def _tmp(self) -> str:
+        self._ntmp += 1
+        return f"t{self._ntmp}"
+
+    def _inert(self, term: Term) -> bool:
+        """Ground and already in normal form regardless of evaluation:
+        no rule-headed operation, no builtin, no conditional."""
+        if not term._ground:
+            return False
+        stack = [term]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Ite):
+                return False
+            if isinstance(node, App):
+                if node.op.name in self.rule_heads or node.op.builtin is not None:
+                    return False
+                stack.extend(node.args)
+        return True
+
+    # -- pattern compilation -------------------------------------------
+    def _compile_pattern(self, rule: RewriteRule):
+        """The residual match for one rule as a list of ``and``-joined
+        condition strings, plus the variable environment it binds."""
+        conds: list[str] = []
+        env: dict[Var, str] = {}
+
+        def walk(pat: Term, expr: str, simple: bool) -> None:
+            if isinstance(pat, Var):
+                bound = env.get(pat)
+                if bound is not None:
+                    conds.append(f"{bound} == {expr}")  # non-linear
+                elif simple:
+                    env[pat] = expr
+                else:
+                    t = self._tmp()
+                    conds.append(f"(({t} := {expr}) or True)")
+                    env[pat] = t
+                return
+            if pat._ground:
+                # Matching a ground pattern is exactly structural
+                # equality (identity-fast under interning).
+                conds.append(f"{expr} == {self.const(pat, 'K')}")
+                return
+            if isinstance(pat, App):
+                if not simple:
+                    t = self._tmp()
+                    conds.append(f"(({t} := {expr}) or True)")
+                    expr = t
+                oc = self.op_const(pat.op)
+                conds.append(f"type({expr}) is App")
+                conds.append(f"({expr}.op is {oc} or {expr}.op == {oc})")
+                for i, sub in enumerate(pat.args):
+                    walk(sub, f"{expr}.args[{i}]", False)
+                return
+            raise _Uncompilable(str(pat))
+
+        for i, arg in enumerate(rule.lhs.args):
+            walk(arg, f"a{i}", True)
+        return conds, env
+
 
     # -- small helpers --------------------------------------------------
     def _key_expr(self, k: int) -> str:
@@ -208,9 +359,9 @@ class _CodegenCompiler(_Compiler):
 
     def _emit_err(self, ind: str, err_sort) -> None:
         """Strict error propagation at one consumption site: return the
-        operation's error in plain closures, break out of the fused loop
-        (skipping the current subject's store, like the closure's early
-        return skips its finish) in fused ones."""
+        operation's error in plain functions, break out of the fused loop
+        (skipping the current subject's store, like the plain function's
+        early return skips its finish) in fused ones."""
         L = self.lines
         L.append(f"{ind}ST[5] += 1")
         if self._fused_mode:
@@ -380,7 +531,7 @@ class _CodegenCompiler(_Compiler):
     def _emit_fold(self, t: Term, ind: str) -> Optional[str]:
         """Fold ground ``t`` to its compile-time normal form, emitting
         the accounting replay (probe, fuel, firings, store — exactly the
-        closures' observable footprint); the returned expression is the
+        functions' observable footprint); the returned expression is the
         normal form constant.  ``None`` means "emit generically"."""
         if t in self._fold_plans:
             plan = self._fold_plans[t]
@@ -429,7 +580,7 @@ class _CodegenCompiler(_Compiler):
 
     def _build_pred_arms(self, k: int):
         """Branch arms for inlining unary predicate ``op_k`` at its call
-        site, or ``None`` when inlining cannot reproduce the closure's
+        site, or ``None`` when inlining cannot reproduce the function's
         exact probe/fire/store behaviour: every rule's argument pattern
         must be a ground constant or a constructor over distinct
         variables (mutually disjoint), and every right-hand side must be
@@ -478,7 +629,7 @@ class _CodegenCompiler(_Compiler):
 
     def _emit_pred(self, pk: int, sx: str, ind: str) -> str:
         """Inline ``op_pk(sx)``: one memo probe, then one arm per rule
-        with the closure's exact fire/store lines, then the generic call
+        with the function's exact fire/store lines, then the generic call
         for subjects no arm decides.  Returns the bound variable."""
         arms = self._pred_arms(pk)
         assert arms is not None
@@ -662,10 +813,87 @@ class _CodegenCompiler(_Compiler):
             L.append(f"{ind}r = {expr}")
             self._emit_finish(k, ind)
 
+    def _emit_leaves(self, k: int, rules, ind: str) -> None:
+        L = self.lines
+        for gidx, rule in rules:
+            conds, env = self._compile_pattern(rule)
+            if conds:
+                L.append(f"{ind}if {' and '.join(conds)}:")
+                self._emit_fire(k, gidx, rule, env, ind + "    ")
+            else:
+                self._emit_fire(k, gidx, rule, env, ind)
+                break  # unconditional match: later rules unreachable
+
+    def _emit_dispatch(self, k: int, rules, pos: int, ind: str) -> None:
+        """Nested if/elif refinement over argument head symbols, derived
+        the same way the discrimination tree refines: at each position,
+        partition the candidate rules by the pattern's top symbol, with
+        variable patterns joining every branch (and the default)."""
+        op = self.ops[k]
+        arity = op.arity
+        p = None
+        for q in range(pos, arity):
+            if any(not isinstance(r.lhs.args[q], Var) for _, r in rules):
+                p = q
+                break
+        if p is None:
+            self._emit_leaves(k, rules, ind)
+            return
+        sp = f"a{p}"
+        app_groups: dict[str, list] = {}
+        const_groups: list[tuple[Term, list]] = []
+        wild: list = []
+        for item in rules:
+            pa = item[1].lhs.args[p]
+            if isinstance(pa, Var):
+                wild.append(item)
+            elif isinstance(pa, App):
+                app_groups.setdefault(pa.op.name, []).append(item)
+            else:  # ground Lit / Err pattern
+                for node, group in const_groups:
+                    if node == pa:
+                        group.append(item)
+                        break
+                else:
+                    const_groups.append((pa, [item]))
+
+        def merged(group):
+            return sorted(group + wild, key=lambda it: it[0])
+
+        L = self.lines
+        chain_open = False
+        if app_groups:
+            L.append(f"{ind}if type({sp}) is App:")
+            names = list(app_groups)
+            if len(names) == 1:
+                L.append(f"{ind}    if {sp}.op.name == {names[0]!r}:")
+                self._emit_dispatch(k, merged(app_groups[names[0]]), p + 1, ind + "        ")
+            else:
+                L.append(f"{ind}    n{p} = {sp}.op.name")
+                first = True
+                for nm in names:
+                    kw = "if" if first else "elif"
+                    first = False
+                    L.append(f"{ind}    {kw} n{p} == {nm!r}:")
+                    self._emit_dispatch(k, merged(app_groups[nm]), p + 1, ind + "        ")
+            if wild:
+                L.append(f"{ind}    else:")
+                self._emit_dispatch(k, wild, p + 1, ind + "        ")
+            chain_open = True
+        for node, group in const_groups:
+            kw = "elif" if chain_open else "if"
+            L.append(f"{ind}{kw} {sp} == {self.const(node, 'K')}:")
+            self._emit_dispatch(k, merged(group), p + 1, ind + "    ")
+            chain_open = True
+        if wild and chain_open:
+            L.append(f"{ind}else:")
+            self._emit_dispatch(k, wild, p + 1, ind + "    ")
+
+
     def _emit_fused_finish(self, k: int, op: Operation) -> None:
         """After the fused loop: store the final subject's result, then
         rebuild and store each accumulator frame on the way out —
-        constructor frames convert errors (no store, like the closure's
+        constructor frames convert errors (no store, like the function's
         early return), tail frames pass results through verbatim."""
         L = self.lines
         ek = self.err_const(op.range)
@@ -704,7 +932,6 @@ class _CodegenCompiler(_Compiler):
         else:
             body = "    "
         self._fused_mode = fused
-        self._fused_k = k
         key = self._key_expr(k)
         if self.cache_on:
             L.append(f"{body}ST[4] += 1")
@@ -734,7 +961,43 @@ class _CodegenCompiler(_Compiler):
         else:
             self._emit_finish(k, "    ")
         self._fused_mode = False
-        self._fused_k = None
+
+    def _emit_builtin(self, k: int, op: Operation) -> None:
+        L = self.lines
+        arity = op.arity
+        bc = self.const(op.builtin, "BI")
+        cond = " and ".join(f"type(a{i}) is Lit" for i in range(arity))
+        if cond:
+            L.append(f"    if {cond}:")
+            ind = "        "
+        else:
+            ind = "    "
+        args_v = ", ".join(f"a{i}.value" for i in range(arity))
+        L.append(f"{ind}ST[2] += 1")
+        L.append(f"{ind}b[0] -= 1")
+        L.append(f"{ind}if b[0] < 0:")
+        L.append(f"{ind}    raise LimitHit")
+        L.append(f"{ind}try:")
+        L.append(f"{ind}    v = {bc}({args_v})")
+        L.append(f"{ind}except AlgebraError:")
+        L.append(f"{ind}    r = {self.err_const(op.range)}")
+        self._emit_finish(k, ind + "    ")
+        sc = self.const(op.range, "S")
+        if op.range == BOOLEAN:
+            L.append(f"{ind}if v is True:")
+            L.append(f"{ind}    r = TRUE_N")
+            L.append(f"{ind}elif v is False:")
+            L.append(f"{ind}    r = FALSE_N")
+            L.append(f"{ind}elif isinstance(v, Term):")
+            L.append(f"{ind}    r = RT_TERM(v, b)")
+            L.append(f"{ind}else:")
+            L.append(f"{ind}    r = Lit(v, {sc})")
+        else:
+            L.append(f"{ind}if isinstance(v, Term):")
+            L.append(f"{ind}    r = RT_TERM(v, b)")
+            L.append(f"{ind}else:")
+            L.append(f"{ind}    r = Lit(v, {sc})")
+        self._emit_finish(k, ind)
 
     # -- module assembly ------------------------------------------------
     def compile_module(self, fingerprint: str) -> "CodegenModule":
@@ -877,8 +1140,7 @@ def codegen_module(
     fusion=None,
 ) -> CodegenModule:
     """The (cached) generated module for ``rules`` under the given
-    compiler options — the second-stage analogue of
-    :func:`~repro.rewriting.compile.compile_ruleset`."""
+    compiler options."""
     plan = FusionPlan.coerce(fusion)
     key = rules.fingerprint(
         extra=(
@@ -892,9 +1154,7 @@ def codegen_module(
         # Compile outside the lock — generation is slow and pure, and a
         # duplicate concurrent build is harmless: the store below is
         # last-writer-wins on an identical module.
-        module = _CodegenCompiler(rules, cache_on, fold, plan).compile_module(
-            key
-        )
+        module = _Compiler(rules, cache_on, fold, plan).compile_module(key)
         with _MODULE_CACHE_LOCK:
             if len(_MODULE_CACHE) >= _MODULE_CACHE_LIMIT:
                 _MODULE_CACHE.clear()
@@ -906,12 +1166,19 @@ def codegen_module(
 class CodegenEngine:
     """Normalisation through an emitted rule module.
 
-    The driver mirrors :class:`~repro.rewriting.compile.CompiledEngine`
-    — same budget enforcement, same stats/trace sync, same interpreted
-    fallback on deep recursion — plus a normal-form set: results of
-    earlier ``normalize`` calls are remembered by identity, so drains
-    that feed one call's result into the next skip the argument re-walk
-    entirely (the closure backend's main per-call overhead)."""
+    The outer driver is a small iterative machine (like the interpreted
+    engine's, minus the root/instantiation frames — that work lives in
+    the generated functions): it walks the subject bottom-up, propagates
+    errors strictly, resolves conditionals lazily, and hands every
+    argument-normal application to its function.  Operations without a
+    function are either free constructors (already normal) or fall back
+    to the shared interpreted engine — as do functions that signal
+    :class:`_DeepRecursion` (the abandoned attempt's fuel stays spent,
+    so the budget over-counts, never under-counts, such steps).
+
+    A normal-form set remembers the results of earlier ``normalize``
+    calls by identity, so drains that feed one call's result into the
+    next skip the argument re-walk entirely."""
 
     def __init__(
         self,
@@ -967,7 +1234,9 @@ class CodegenEngine:
         self, term: Term, budget: Optional[EvaluationBudget] = None
     ) -> Term:
         tracer = _trace.ACTIVE
-        if tracer is None:
+        if tracer is None or tracer.never:
+            # ``never`` guards the eager summarize_term below: a muted
+            # tracer must not pay for span attributes it will drop.
             return self._normalize_codegen(term, budget)
         with tracer.span(
             "engine.normalize",
@@ -995,6 +1264,10 @@ class CodegenEngine:
                 nf.add(result)
             return result
         except _LimitHit:
+            # Generated functions spend fuel without the meter seeing
+            # subjects, so the diagnosis draws on whatever the interpreted
+            # fallback recorded (a cycle blows the depth limit long
+            # before the fuel runs out, so the cycling tail is there).
             exc = meter.exhausted()
             raise RewriteLimitError(
                 term,
@@ -1040,6 +1313,10 @@ class CodegenEngine:
         self._interp._cache.clear()
 
     def _sync(self, st0, rf0) -> None:
+        """Fold the generated module's flat counter deltas into the
+        engine stats.  ``ST[1]`` (rule firings) is not synced: the total
+        is derived from the per-rule family, so there is one count to
+        trust."""
         st = self.inst.st
         stats = self.stats
         stats.s_steps[0] += st[0] - st0[0]
@@ -1058,6 +1335,9 @@ class CodegenEngine:
                     deltas[rule] = delta
             tracer = _trace.ACTIVE
             if tracer is not None and deltas:
+                # Generated functions count firings in flat lists (no
+                # per-step events on the hot path); emit one aggregated
+                # event so traces stay count-exact across backends.
                 tracer.firings(deltas)
 
     def _eval(self, term: Term, budget) -> Term:
@@ -1132,3 +1412,4 @@ class CodegenEngine:
         ):
             return self._interp._eval(App(op, args), budget)
         return App(op, args)  # free constructor: already normal
+

@@ -19,9 +19,10 @@ Value-mode evaluation runs on an explicit work stack rather than the
 Python call stack, so a term's depth is bounded by memory, not by the
 interpreter recursion limit — a 50k-deep queue drains without touching
 ``sys.setrecursionlimit``.  Two backends implement the same rewrite
-relation: the default ``"interpreted"`` backend walks rules generically,
-while ``"compiled"`` (see :mod:`repro.rewriting.compile`) dispatches
-through per-operation closures specialised from the rule set.
+relation: the default ``"interpreted"`` backend walks rules generically
+and is the reference, while ``"codegen"`` (see
+:mod:`repro.rewriting.codegen`) runs a Python module generated from the
+rule set.
 
 Evaluation runs under an :class:`~repro.runtime.EvaluationBudget` —
 fuel (rewrite steps), an optional wall-clock deadline, and memory caps
@@ -33,7 +34,7 @@ exhaustion from recursion blow-ups, deadlines, memory caps, and
 repeating trace).  Callers that cannot afford exceptions use
 :meth:`RewriteEngine.normalize_outcome` /
 :meth:`RewriteEngine.normalize_many_outcomes`, which degrade gracefully
-(compiled → interpreted → partial result) and never abort a batch.
+(codegen → interpreted → partial result) and never abort a batch.
 """
 
 from __future__ import annotations
@@ -282,8 +283,8 @@ class EngineStats:
             tracer.step(rule, subject)
 
     def record_fallback(self, kind: str) -> None:
-        """One backend degradation (``compiled_to_interpreted`` for the
-        outcome ladder, ``compiled_depth`` for the compiled backend's
+        """One backend degradation (``codegen_to_interpreted`` for the
+        outcome ladder, ``codegen_depth`` for the generated module's
         deep-recursion rescue)."""
         self.fallbacks.inc(kind)
         tracer = _trace.ACTIVE
@@ -315,7 +316,7 @@ class EngineStats:
 
 
 #: Selectable evaluation backends (see the module docstring).
-BACKENDS = ("interpreted", "compiled", "codegen")
+BACKENDS = ("interpreted", "codegen")
 
 # Frame tags for the explicit-stack value-mode evaluator.  Each frame is
 # a tuple whose first element is one of these; the machine in
@@ -340,12 +341,6 @@ class RewriteEngine:
         The oriented axioms.
     fuel:
         Maximum rewrite steps per ``normalize``/``simplify`` call.
-    use_index:
-        Rule-lookup strategy.  ``True`` (the default) uses the
-        discrimination-tree index (head symbol, then argument shapes);
-        ``"head"`` uses the flat per-head-symbol list — the seed
-        engine's index; ``False`` scans the whole rule list.  The
-        non-default settings exist only for the E10 ablation benchmark.
     cache_size:
         Normal forms of *ground* applications are memoised (the rule set
         is fixed for the engine's lifetime, so a ground term's normal
@@ -354,19 +349,14 @@ class RewriteEngine:
         re-evaluation into a lookup.  The memo is a bounded LRU keyed on
         interned term identity; overflow evicts the least recently used
         entry.  0 disables caching.
-    cache_policy:
-        ``"lru"`` (the default) evicts one least-recently-used entry per
-        overflowing insert.  ``"clear"`` reproduces the seed engine's
-        behaviour — wipe the whole memo when it fills — and exists only
-        so the E10 ablation can measure what the LRU fixes.
     backend:
         ``"interpreted"`` (the default) evaluates with the generic
-        explicit-stack machine below.  ``"compiled"`` routes
-        ``normalize``/``normalize_many`` through per-operation closures
-        specialised from the rule set (:mod:`repro.rewriting.compile`);
-        both backends compute the same normal forms.  Symbolic
-        ``simplify`` always uses the interpreted machinery — open-term
-        simplification is not on any hot path.
+        explicit-stack machine below.  ``"codegen"`` routes
+        ``normalize``/``normalize_many`` through a module generated from
+        the rule set (:mod:`repro.rewriting.codegen`); both backends
+        compute the same normal forms.  Symbolic ``simplify`` always
+        uses the interpreted machinery — open-term simplification is not
+        on any hot path.
     budget:
         The default :class:`~repro.runtime.EvaluationBudget` for every
         evaluation.  Supersedes ``fuel`` when given; its
@@ -379,15 +369,11 @@ class RewriteEngine:
         self,
         rules: RuleSet,
         fuel: int = DEFAULT_FUEL,
-        use_index: "bool | str" = True,
         cache_size: int = 4096,
-        cache_policy: str = "lru",
         backend: str = "interpreted",
         budget: Optional[EvaluationBudget] = None,
         fusion=None,
     ) -> None:
-        if cache_policy not in ("lru", "clear"):
-            raise ValueError(f"unknown cache policy: {cache_policy!r}")
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend: {backend!r} (expected one of {BACKENDS})"
@@ -399,14 +385,11 @@ class RewriteEngine:
         self.rules = rules
         self.fuel = budget.fuel
         self.budget = budget
-        self.use_index = use_index
         self.backend = backend
         self.fusion = fusion  # codegen superinstruction plan (None = auto)
         self.stats = EngineStats()
         self.cache_size = cache_size
-        self.cache_policy = cache_policy
         self._cache: "OrderedDict[Term, Term]" = OrderedDict()
-        self._compiled = None  # lazily-built CompiledEngine delegate
         self._codegen = None  # lazily-built CodegenEngine delegate
         self._pools: dict = {}  # workers -> ShardPool (None = unavailable)
 
@@ -441,7 +424,7 @@ class RewriteEngine:
     ) -> Term:
         """The call-by-value normal form of ``term``."""
         if self.backend != "interpreted":
-            return self._delegate_engine().normalize(term, budget)
+            return self._codegen_engine().normalize(term, budget)
         tracer = _trace.ACTIVE
         if tracer is None or tracer.never:
             # ``never`` guards the eager summarize_term below: a muted
@@ -522,7 +505,7 @@ class RewriteEngine:
             if pool is not None and len(terms) > 1:
                 return pool.normalize_many(terms, budget)
         if self.backend != "interpreted":
-            return self._delegate_engine().normalize_many(terms, budget)
+            return self._codegen_engine().normalize_many(terms, budget)
         return [self.normalize(term, budget) for term in terms]
 
     # ------------------------------------------------------------------
@@ -534,7 +517,7 @@ class RewriteEngine:
         """Resilient normalisation: an :class:`~repro.runtime.Outcome`
         instead of an exception.
 
-        Degradation ladder: the compiled backend is tried first (when
+        Degradation ladder: the codegen backend is tried first (when
         selected); an unexpected runtime failure there — a fault
         injection, a recursion blow-up in generated code — degrades to
         the interpreted machine; a failure *there* yields a partial
@@ -546,14 +529,12 @@ class RewriteEngine:
         if self.backend != "interpreted":
             try:
                 outcome = Outcome.of_normal_form(
-                    self._delegate_engine().normalize(term, budget)
+                    self._codegen_engine().normalize(term, budget)
                 )
             except RewriteLimitError as exc:
                 outcome = Outcome.from_limit(exc)
             except Exception:  # fault-boundary: degrade to interpreted
-                self.stats.record_fallback(
-                    f"{self.backend}_to_interpreted"
-                )
+                self.stats.record_fallback("codegen_to_interpreted")
                 outcome = self._interpreted_outcome(term, budget)
         else:
             outcome = self._interpreted_outcome(term, budget)
@@ -622,8 +603,8 @@ class RewriteEngine:
     def _shard_pool(self, workers: int):
         """The cached :class:`~repro.parallel.ShardPool` for ``workers``
         shards, rebuilt when the rule set grew or ``engine.fuel`` was
-        adjusted since the pool was built (mirroring the compiled
-        delegates).  ``None`` when pooling is unavailable for this
+        adjusted since the pool was built (mirroring the codegen
+        delegate).  ``None`` when pooling is unavailable for this
         engine — unwireable rules, no multiprocessing — in which case
         batch calls stay serial (recorded as a ``pool_unavailable``
         fallback, once)."""
@@ -645,8 +626,6 @@ class RewriteEngine:
                     fuel=self.fuel,
                     budget=self.budget,
                     cache_size=self.cache_size,
-                    cache_policy=self.cache_policy,
-                    use_index=self.use_index,
                     fusion=self.fusion,
                 )
             except Exception:  # fault-boundary: unwireable rules -> stay serial
@@ -670,26 +649,9 @@ class RewriteEngine:
         # sharded batches must not leave worker processes behind.
         self.close_pools()
 
-    def _compiled_engine(self):
-        """The lazily-built compiled delegate, rebuilt if rules were
-        added since compilation (the prover grows rule sets in place)."""
-        compiled = self._compiled
-        if compiled is None or compiled.rule_count != len(self.rules):
-            from repro.rewriting.compile import CompiledEngine
-
-            compiled = CompiledEngine(
-                self.rules,
-                fuel=self.fuel,
-                cache_size=self.cache_size,
-                stats=self.stats,
-                budget=self.budget,
-            )
-            self._compiled = compiled
-        compiled.fuel = self.fuel  # track post-construction adjustments
-        return compiled
-
     def _codegen_engine(self):
-        """The lazily-built second-stage (emitted module) delegate."""
+        """The lazily-built codegen delegate, rebuilt if rules were
+        added since generation (the prover grows rule sets in place)."""
         codegen = self._codegen
         if codegen is None or codegen.rule_count != len(self.rules):
             from repro.rewriting.codegen import CodegenEngine
@@ -706,17 +668,9 @@ class RewriteEngine:
         codegen.fuel = self.fuel  # track post-construction adjustments
         return codegen
 
-    def _delegate_engine(self):
-        """The non-interpreted backend selected at construction."""
-        if self.backend == "codegen":
-            return self._codegen_engine()
-        return self._compiled_engine()
-
     def clear_cache(self) -> None:
-        """Drop memoised normal forms (all backends' memos)."""
+        """Drop memoised normal forms (both backends' memos)."""
         self._cache.clear()
-        if self._compiled is not None:
-            self._compiled.clear_cache()
         if self._codegen is not None:
             self._codegen.clear_cache()
 
@@ -952,8 +906,7 @@ class RewriteEngine:
 
     def _remember(self, key: Term, value: Term) -> None:
         """Insert into the normal-form memo, evicting the least recently
-        used entries once the cache is full (never the whole memo —
-        unless the seed ablation policy ``"clear"`` is selected).
+        used entries once the cache is full (never the whole memo).
 
         Only *completed* normal forms reach this method, and each insert
         is all-or-nothing, so a fault raised here (the ``engine.remember``
@@ -963,10 +916,7 @@ class RewriteEngine:
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.visit("engine.remember", cache)
         if len(cache) >= self.cache_size and key not in cache:
-            if self.cache_policy == "clear":
-                cache.clear()
-            else:
-                cache.popitem(last=False)
+            cache.popitem(last=False)
         cache[key] = value
 
     def _match_root(self, term: App, budget: list[int]):
@@ -984,12 +934,9 @@ class RewriteEngine:
         return None, None
 
     def _candidates(self, term: App):
-        """Rules to try at the root of ``term``, per ``use_index``."""
-        if self.use_index is True:
-            return self.rules.candidates(term)
-        if self.use_index == "head":
-            return self.rules.for_head(term.op)
-        return self.rules
+        """Rules to try at the root of ``term``, from the
+        discrimination-tree index (head symbol, then argument shapes)."""
+        return self.rules.candidates(term)
 
     def _root_step(self, term: App, budget: list[int]) -> Optional[Term]:
         builtin = term.op.builtin

@@ -201,8 +201,8 @@ class RuleSet:
 
     def for_head(self, operation: Operation) -> Sequence[RewriteRule]:
         """All rules whose left-hand side is headed by ``operation``,
-        without argument-shape refinement (the seed engine's index;
-        kept for the E10 ablation and for exhaustive traversals)."""
+        without argument-shape refinement (for exhaustive traversals
+        such as completion's)."""
         return self._by_head.get(operation.name, ())
 
     def candidates(self, term: App) -> Sequence[RewriteRule]:

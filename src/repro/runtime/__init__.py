@@ -16,7 +16,7 @@ Modules
 :mod:`repro.runtime.budget`
     :class:`EvaluationBudget` / :class:`BudgetMeter` — declarative limits
     and the per-evaluation meter that enforces them, shared by the
-    interpreted and compiled backends.
+    interpreted and codegen backends.
 :mod:`repro.runtime.outcome`
     :class:`Outcome` — the structured result of resilient evaluation
     (``normalized | truncated | diverged | error_value``).

@@ -14,12 +14,12 @@ evaluation:
   at engine construction (the memo is engine state, not per-call state).
 
 A :class:`BudgetMeter` is the live, per-evaluation counterpart.  It
-subclasses ``list`` so the compiled backend's generated closures — which
+subclasses ``list`` so the codegen backend's generated functions — which
 decrement ``b[0]`` inline, with no attribute lookups on their hot path —
 spend from the same cell the interpreted engine does; both backends
 therefore enforce the same fuel bound exactly.  Deadline and memory are
 checked at a pulse (every :data:`PULSE_INTERVAL` spends, and every
-:data:`PULSE_INTERVAL` compiled root dispatches), so their granularity
+:data:`PULSE_INTERVAL` codegen root dispatches), so their granularity
 is a few hundred steps on either backend.
 
 Divergence diagnosis
@@ -127,7 +127,7 @@ class EvaluationBudget:
 class BudgetMeter(list):
     """Live budget state for one evaluation.
 
-    The single list element is the remaining fuel — compiled closures
+    The single list element is the remaining fuel — generated functions
     decrement it as ``b[0] -= 1`` and raise their private limit signal
     when it goes negative; the interpreted engine spends through
     :meth:`spend`, which also feeds the divergence tracker and the
@@ -170,7 +170,7 @@ class BudgetMeter(list):
 
     def tick(self) -> None:
         """A pulse for drivers that spend fuel out of the meter's sight
-        (the compiled driver calls this per root dispatch): checks the
+        (the codegen driver calls this per root dispatch): checks the
         deadline and memory caps at the same cadence as :meth:`spend`."""
         pulse = self._pulse = self._pulse + 1
         if not (pulse & (PULSE_INTERVAL - 1)):

@@ -1,7 +1,7 @@
 """The fault-point registry: chaos hooks inside the evaluation runtime.
 
 The engines call :func:`fault_point` at a handful of named sites —
-rule selection, builtin evaluation, memo insertion, compiled dispatch,
+rule selection, builtin evaluation, memo insertion, codegen dispatch,
 fallback entry.  In production the hook is a module-global ``None``
 check and costs nothing.  Under test, :mod:`repro.testing.faults`
 installs an injector whose ``visit(site, payload)`` may raise a planned
@@ -37,8 +37,8 @@ SITES = (
     "engine.match_root",  # interpreted rule selection
     "engine.builtin",  # builtin operation evaluation
     "engine.remember",  # ground normal-form memo insertion
-    "compiled.root",  # compiled per-operation closure dispatch
-    "compiled.fallback",  # compiled -> interpreted depth fallback
+    "compiled.root",  # codegen per-operation function dispatch
+    "compiled.fallback",  # codegen -> interpreted depth fallback
     "symbolic.apply",  # symbolic interpreter operation application
     "serve.handle",  # request handling, after admission (slow/failing handler)
     "serve.respond",  # response writing (dropped connection mid-reply)

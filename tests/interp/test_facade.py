@@ -180,7 +180,7 @@ class TestBatchEvaluation:
 
     def test_compiled_facade_agrees_with_interpreted(self):
         Interp = facade_class(QUEUE_SPEC, name="QueueI")
-        Comp = facade_class(QUEUE_SPEC, name="QueueC", backend="compiled")
+        Comp = facade_class(QUEUE_SPEC, name="QueueC", backend="codegen")
         for cls in (Interp, Comp):
             q = cls.new().add("a").add("b")
             assert q.front() == "a"

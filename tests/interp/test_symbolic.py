@@ -126,8 +126,8 @@ class TestBatchAndBackends:
         from repro.algebra.terms import app
         from repro.adt.queue import FRONT
 
-        fast = SymbolicInterpreter(QUEUE_SPEC, backend="compiled")
+        fast = SymbolicInterpreter(QUEUE_SPEC, backend="codegen")
         slow = SymbolicInterpreter(QUEUE_SPEC)
         term = app(FRONT, queue_term(["x", "y"]))
         assert fast.value(term) == slow.value(term)
-        assert fast.engine.backend == "compiled"
+        assert fast.engine.backend == "codegen"

@@ -261,10 +261,10 @@ class TestSuggestFuelBudget:
         assert suggest_fuel_budget(Histogram("h", bounds=FUEL_BUCKETS)) is None
 
     @pytest.mark.parametrize(
-        "backend", ["interpreted", "compiled", "codegen"]
+        "backend", ["interpreted", "codegen"]
     )
     def test_engine_fuel_histogram_feeds_the_suggestion(self, backend):
-        # All three backends observe fuel-per-eval, so the suggestion
+        # Both backends observe fuel-per-eval, so the suggestion
         # is available whichever backend did the measuring.
         engine = RewriteEngine.for_specification(QUEUE_SPEC, backend=backend)
         for size in (2, 4, 8):

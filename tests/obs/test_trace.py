@@ -19,6 +19,8 @@ from repro.obs.trace import (
     tracing,
 )
 from repro.rewriting import RewriteEngine
+from repro.rewriting import codegen as codegen_mod
+from repro.rewriting import engine as engine_mod
 from repro.rewriting.engine import RewriteLimitError
 
 
@@ -165,7 +167,7 @@ class TestEngineIntegration:
 
     def test_compiled_firings_match_registry_family(self):
         engine = RewriteEngine.for_specification(
-            QUEUE_SPEC, backend="compiled"
+            QUEUE_SPEC, backend="codegen"
         )
         tracer = Tracer()
         with tracing(tracer):
@@ -178,7 +180,32 @@ class TestEngineIntegration:
         assert traced == registry
         kinds = [e["ev"] for e in tracer.events]
         assert kinds == ["span_start", "firings", "span_end"]
-        assert tracer.events[0]["backend"] == "compiled"
+        assert tracer.events[0]["backend"] == "codegen"
+
+    @pytest.mark.parametrize("backend", ["interpreted", "codegen"])
+    def test_muted_tracer_costs_no_subject_rendering(
+        self, backend, monkeypatch
+    ):
+        # A sample=0.0 tracer drops every span, so the engine must not
+        # render span attributes for it either: no events, and not one
+        # summarize_term call on either backend.
+        calls = []
+        real = trace_mod.summarize_term
+
+        def counting(term, *args, **kwargs):
+            calls.append(term)
+            return real(term, *args, **kwargs)
+
+        monkeypatch.setattr(trace_mod, "summarize_term", counting)
+        monkeypatch.setattr(engine_mod, "summarize_term", counting)
+        monkeypatch.setattr(codegen_mod, "summarize_term", counting)
+        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend=backend)
+        tracer = Tracer(sample=0.0)
+        with tracing(tracer):
+            for size in range(1, 21):
+                engine.normalize(app(FRONT, queue_term(range(size))))
+        assert tracer.events == []
+        assert calls == []
 
     def test_budget_exhaustion_emits_trace_event(self):
         engine = RewriteEngine.for_specification(QUEUE_SPEC, fuel=2)

@@ -66,7 +66,7 @@ class TestSerialContract:
         assert pool_exc.value.reason == serial_exc.value.reason
         assert pool_exc.value.term == serial_exc.value.term
 
-    @pytest.mark.parametrize("backend", ("compiled", "codegen"))
+    @pytest.mark.parametrize("backend", ("codegen",))
     def test_backends_agree_with_interpreted_serial(self, backend):
         subjects = _subjects(8)
         expected = RewriteEngine(RULES).normalize_many_outcomes(subjects)

@@ -1,8 +1,8 @@
 """Tests for the second-stage generated-source (codegen) backend.
 
 The codegen backend must implement exactly the rewrite relation of the
-other two backends — including their *observable accounting*: per-rule
-firing counts, steps and fuel.  Tests here exercise its codegen-only
+interpreted reference engine — including its *observable accounting*:
+per-rule firing counts, steps and fuel.  Tests here exercise its codegen-only
 mechanisms (module emission and caching, superinstruction fusion,
 ground-RHS folding, the normal-form set) and the equivalences the
 optimisations must preserve.
@@ -169,7 +169,7 @@ class TestGroundRhsFolding:
         assert results["interpreted"] == false_term()
         assert results["folded"] == results["interpreted"]
         assert results["unfolded"] == results["interpreted"]
-        # The fold must replay the closures' accounting, not skip it.
+        # The fold must replay the functions' accounting, not skip it.
         assert _firings(folded) == _firings(interp)
         assert _firings(unfolded) == _firings(interp)
         assert folded.stats.steps == interp.stats.steps
@@ -185,7 +185,7 @@ class TestGroundRhsFolding:
 
 class TestDriverParity:
     def test_fuel_exhaustion_raises_like_other_backends(self):
-        for backend in ("interpreted", "compiled", "codegen"):
+        for backend in ("interpreted", "codegen"):
             engine = RewriteEngine.for_specification(
                 QUEUE_SPEC, backend=backend
             )

@@ -1,9 +1,12 @@
-"""Tests for the closure-compiled evaluation backend.
+"""Tests for rule-set compilation (the ``codegen`` backend's
+decision-tree compiler in :mod:`repro.rewriting.codegen`).
 
-The compiled backend must implement exactly the rewrite relation of the
-interpreted one: every test here either checks agreement directly or
-exercises a compiled-only mechanism (decision-tree dispatch, depth
-fallback, memo sharing, stat accounting).
+The compiled rule module must implement exactly the rewrite relation of
+the interpreted engine: every test here either checks agreement directly
+or exercises a mechanism of the compiler itself (decision-tree dispatch
+over builtins and non-linear patterns, the interpreted fallback for
+uncompilable patterns, memo sharing).  ``test_codegen.py`` covers the
+module cache, fusion, folding and the driver.
 """
 
 import pytest
@@ -22,19 +25,18 @@ from repro.spec.prelude import (
     true_term,
 )
 from repro.rewriting import (
-    CompiledEngine,
     RewriteEngine,
     RewriteLimitError,
     RewriteRule,
     RuleSet,
-    compile_ruleset,
+    codegen_module,
 )
 from repro.adt.queue import ADD, FRONT, IS_EMPTY, NEW, QUEUE_SPEC, REMOVE, queue_term
 
 
 @pytest.fixture
 def compiled_queue():
-    return RewriteEngine.for_specification(QUEUE_SPEC, backend="compiled")
+    return RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
 
 
 @pytest.fixture
@@ -44,26 +46,10 @@ def interp_queue():
 
 class TestBackendSelection:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            RewriteEngine(RuleSet(), backend="jit")
-
-    def test_delegate_built_lazily_and_reused(self, compiled_queue):
-        assert compiled_queue._compiled is None
-        compiled_queue.normalize(app(FRONT, queue_term(["a"])))
-        delegate = compiled_queue._compiled
-        assert isinstance(delegate, CompiledEngine)
-        compiled_queue.normalize(app(FRONT, queue_term(["b"])))
-        assert compiled_queue._compiled is delegate
-
-    def test_delegate_rebuilt_when_rules_grow(self, compiled_queue):
-        compiled_queue.normalize(app(FRONT, queue_term(["a"])))
-        stale = compiled_queue._compiled
-        q = var("q", QUEUE_SPEC.type_of_interest)
-        compiled_queue.rules.add(
-            RewriteRule(app(IS_EMPTY, q), true_term(), "bogus")
-        )
-        compiled_queue.normalize(app(FRONT, queue_term(["a", "b"])))
-        assert compiled_queue._compiled is not stale
+        # "compiled" named the retired closure backend.
+        for backend in ("jit", "compiled"):
+            with pytest.raises(ValueError, match="backend"):
+                RewriteEngine(RuleSet(), backend=backend)
 
 
 class TestAgreement:
@@ -117,14 +103,14 @@ class TestAgreement:
 
 class TestBuiltins:
     def test_builtin_only_operation_fires(self):
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="compiled")
+        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
         # HASH heads no rule; the driver must still run its builtin.
         term = app(HASH, identifier("x"))
         result = engine.normalize(term)
         assert isinstance(result, Lit) and result.sort == NAT
 
     def test_builtin_with_rules_prefers_builtin_on_literals(self):
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="compiled")
+        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
         assert engine.normalize(
             app(ISSAME, identifier("a"), identifier("a"))
         ) == true_term()
@@ -133,12 +119,12 @@ class TestBuiltins:
         ) == false_term()
 
     def test_nonlinear_rule_on_symbolic_identifiers(self):
-        # Axiom I1 ISSAME?(id, id) = true must fire via the compiled
+        # Axiom I1 ISSAME?(id, id) = true must fire via the generated
         # residual equality check when the builtin cannot (non-literals).
         from repro.adt.symboltable import SYMBOLTABLE_SPEC
 
         engine = RewriteEngine.for_specification(
-            SYMBOLTABLE_SPEC, backend="compiled"
+            SYMBOLTABLE_SPEC, backend="codegen"
         )
         x = var("x", identifier("a").sort)
         assert engine.normalize(app(ISSAME, x, x)) == true_term()
@@ -160,7 +146,7 @@ class TestFuelParity:
           SPIN(l) = SPIN(SPIN(l))
         """
         spec = parse_specification(source)
-        for backend in ("interpreted", "compiled"):
+        for backend in ("interpreted", "codegen"):
             engine = RewriteEngine.for_specification(spec, backend=backend)
             engine.fuel = 300
             with pytest.raises(RewriteLimitError):
@@ -168,24 +154,12 @@ class TestFuelParity:
                     app(spec.operation("SPIN"), app(spec.operation("MKL")))
                 )
 
-    def test_fuel_respected_after_adjustment(self, compiled_queue):
-        compiled_queue.fuel = 3
-        with pytest.raises(RewriteLimitError):
-            compiled_queue.normalize(app(FRONT, queue_term(list(range(20)))))
-
 
 class TestDeepTerms:
-    def test_deep_chain_falls_back_without_recursion_error(self):
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="compiled")
-        engine.fuel = 10_000_000
-        size = 2000  # far past the closure depth limit of 400
-        result = engine.normalize(app(FRONT, queue_term(range(size))))
-        assert result == item(0)
-
-    @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("backend", ["interpreted", "codegen"])
     def test_depth_50k_normalizes_on_both_backends(self, backend):
         # Regression for the removed recursion-limit hack: the explicit
-        # stack (and the compiled backend's depth fallback onto it) must
+        # stack (and the codegen backend's depth fallback onto it) must
         # take a 50_000-deep ground term without RecursionError.
         engine = RewriteEngine.for_specification(QUEUE_SPEC, backend=backend)
         engine.fuel = 10_000_000
@@ -195,7 +169,7 @@ class TestDeepTerms:
 
 class TestMemoSharing:
     def test_normalize_many_shares_memo_across_batch(self):
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="compiled")
+        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
         q = queue_term(list(range(10)))
         first = [app(FRONT, q), app(REMOVE, q)]
         engine.normalize_many(first)
@@ -207,20 +181,12 @@ class TestMemoSharing:
         assert stats.steps == steps_before
         assert stats.cache_hits > hits_before
 
-    def test_stats_flow_into_engine_stats(self, compiled_queue):
-        compiled_queue.normalize(app(FRONT, queue_term(["a", "b"])))
-        stats = compiled_queue.stats
-        assert stats.steps > 0
-        assert stats.rule_firings > 0
-        assert stats.firings_by_rule  # per-rule counts synced from RF
-        assert sum(stats.firings_by_rule.values()) == stats.rule_firings
-
     def test_cache_disabled(self):
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="compiled")
+        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
         engine.cache_size = 0
-        engine._compiled = None  # force rebuild without a memo
-        delegate = engine._compiled_engine()
-        assert "C.get" not in delegate.source
+        delegate = engine._codegen_engine()
+        assert delegate.inst.memos == {}
+        assert "CMAX" not in delegate.source
         term = app(FRONT, queue_term(["a", "b"]))
         assert engine.normalize(term) == item("a")
         assert engine.stats.cache_probes == 0
@@ -231,8 +197,7 @@ class TestUncompilablePatterns:
         b = var("b", BOOLEAN)
         q = var("q", QUEUE_SPEC.type_of_interest)
         rules = RuleSet.from_specification(QUEUE_SPEC)
-        compiled = compile_ruleset(rules)
-        assert compiled.uncompiled == frozenset()
+        assert codegen_module(rules).uncompiled == frozenset()
         # Now a rule with a conditional inside the pattern:
         rules2 = RuleSet(
             [
@@ -249,16 +214,9 @@ class TestUncompilablePatterns:
             "ite-pattern",
         )
         rules2.add(marker)
-        compiled2 = compile_ruleset(rules2)
-        assert "IS_EMPTY?" in compiled2.uncompiled
-        engine = RewriteEngine(rules2, backend="compiled")
+        assert "IS_EMPTY?" in codegen_module(rules2).uncompiled
+        engine = RewriteEngine(rules2, backend="codegen")
         # Evaluation still works — routed through the interpreter.
         assert engine.normalize(
             app(IS_EMPTY, app(ADD, app(NEW), item("z")))
         ) == true_term()
-
-    def test_generated_source_is_inspectable(self, compiled_queue):
-        compiled_queue.normalize(app(IS_EMPTY, queue_term([])))
-        source = compiled_queue._compiled.source
-        assert "def op_" in source
-        assert "REMOVE" in source  # per-operation comment markers

@@ -16,7 +16,24 @@ from repro.rewriting import (
     RewriteLimitError,
     RuleSet,
 )
+from repro.adt.array import ARRAY_SPEC
+from repro.adt.knowlist import KNOWLIST_SPEC
 from repro.adt.queue import ADD, FRONT, IS_EMPTY, NEW, QUEUE_SPEC, REMOVE, queue_term
+from repro.adt.stack import STACK_SPEC
+from repro.adt.symboltable import SYMBOLTABLE_SPEC
+from repro.algebra.matching import match_bindings
+from repro.testing.termgen import GenerationError, GroundTermGenerator
+
+
+PAPER_SPECS = (QUEUE_SPEC, STACK_SPEC, ARRAY_SPEC, SYMBOLTABLE_SPEC, KNOWLIST_SPEC)
+
+
+def _first_match(rules, subject):
+    """The first rule in ``rules`` whose left-hand side matches."""
+    for rule in rules:
+        if match_bindings(rule.lhs, subject) is not None:
+            return rule
+    return None
 
 
 class TestQueueEvaluation:
@@ -236,18 +253,35 @@ class TestDeepTerms:
 
 
 class TestIndexAblation:
-    """All three rule-lookup strategies give the same results (E10)."""
+    """The discrimination-tree index selects the rule a linear scan of
+    the rule list would (the reference the E10 ablation measured)."""
 
-    def test_same_normal_forms(self, queue_spec):
-        rules = RuleSet.from_specification(queue_spec)
-        tree = RewriteEngine(rules, use_index=True)
-        head = RewriteEngine(rules, use_index="head")
-        linear = RewriteEngine(rules, use_index=False)
-        for values in (["a"], ["a", "b"], ["a", "b", "c", "d"]):
-            term = app(REMOVE, queue_term(values))
-            expected = linear.normalize(term)
-            assert tree.normalize(term) == expected
-            assert head.normalize(term) == expected
+    def test_same_normal_forms(self):
+        """At every application inside every sampled axiom instance of
+        the five paper specifications, the first matching rule among
+        the index's candidates is the first match of a linear scan, so
+        indexed rewriting takes the linear engine's steps exactly."""
+        for spec in PAPER_SPECS:
+            rules = RuleSet.from_specification(spec)
+            generator = GroundTermGenerator(spec, seed=2026, max_depth=4)
+            checked = 0
+            for axiom in spec.axioms:
+                for _ in range(8):
+                    try:
+                        sigma = generator.substitution_for(axiom.variables())
+                    except GenerationError:
+                        continue
+                    for _, subject in sigma.apply(axiom.lhs).subterms():
+                        if not isinstance(subject, App):
+                            continue
+                        indexed = _first_match(
+                            rules.candidates(subject), subject
+                        )
+                        assert indexed is _first_match(rules, subject), (
+                            f"{spec.name}: {subject}"
+                        )
+                        checked += 1
+            assert checked > len(spec.axioms), spec.name
 
     def test_tree_candidates_subset_of_head_candidates(self, queue_spec):
         """The discrimination tree refines the head index: it never
@@ -332,26 +366,6 @@ class TestCache:
             # ...so it is always answered from the memo, never re-derived.
             assert engine.stats.rule_firings == 0
         assert hot in engine._cache
-
-    def test_clear_policy_reproduces_seed_eviction(self, queue_spec):
-        """The ``cache_policy="clear"`` ablation wipes the memo on
-        overflow (the seed behaviour the LRU replaces)."""
-        rules = RuleSet.from_specification(queue_spec)
-        engine = RewriteEngine(rules, cache_size=4, cache_policy="clear")
-        for index in range(40):
-            engine.normalize(app(FRONT, queue_term([index])))
-        assert len(engine._cache) <= 4
-        # Both policies agree on every normal form.
-        lru = RewriteEngine(rules, cache_size=4)
-        for values in ([], ["a"], ["a", "b", "c"]):
-            term = app(FRONT, queue_term(values))
-            assert engine.normalize(term) == lru.normalize(term)
-
-    def test_unknown_cache_policy_rejected(self, queue_spec):
-        with pytest.raises(ValueError):
-            RewriteEngine(
-                RuleSet.from_specification(queue_spec), cache_policy="fifo"
-            )
 
 
 class TestEquality:

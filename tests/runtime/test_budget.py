@@ -56,7 +56,7 @@ class TestEvaluationBudget:
 
 class TestFuelAccounting:
     def test_meter_is_a_one_cell_list(self):
-        # The compiled backend's closures decrement ``b[0]`` inline;
+        # The codegen backend's functions decrement ``b[0]`` inline;
         # the meter must remain indistinguishable from the bare list
         # cell the generated code was written against.
         meter = EvaluationBudget(fuel=5).start()
@@ -142,7 +142,7 @@ class TestDeadlineAndMemory:
         assert excinfo.value.reason == REASON_DEADLINE
 
     def test_deadline_enforced_through_tick_pulse(self):
-        # ``tick`` is the compiled driver's pulse: fuel is spent out of
+        # ``tick`` is the codegen driver's pulse: fuel is spent out of
         # the meter's sight, but deadlines still bind.
         meter = EvaluationBudget(fuel=10_000, deadline=0.0).start()
         time.sleep(0.002)

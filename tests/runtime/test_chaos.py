@@ -30,7 +30,7 @@ import pytest
 from repro.adt.extras import SET_SPEC
 from repro.adt.queue import ADD, FRONT, QUEUE_SPEC, new, queue_term
 from repro.algebra.terms import App, Err
-from repro.rewriting import RewriteEngine
+from repro.rewriting import RewriteEngine, RuleSet
 from repro.runtime import (
     DIVERGED,
     ERROR_VALUE,
@@ -78,7 +78,7 @@ def _set_batch(count=8, tag="chaos-set"):
 
 
 def _deep_batch(count=3, depth=600, tag="chaos-deep"):
-    """Queues deep enough to force the compiled backend's depth
+    """Queues deep enough to force the unfused codegen backend's depth
     fallback (the ``compiled.fallback`` site)."""
     return [
         App(FRONT, (queue_term(f"{tag}-{i}-{j}" for j in range(depth)),))
@@ -86,14 +86,26 @@ def _deep_batch(count=3, depth=600, tag="chaos-deep"):
     ]
 
 
-#: Per-site chaos workloads: which engine visits the site, and terms
-#: guaranteed to drive evaluation through it.
+def _engine(spec, backend="interpreted", **options):
+    """A factory for a fresh engine over ``spec``."""
+    return lambda: RewriteEngine(
+        RuleSet.from_specification(spec), backend=backend, **options
+    )
+
+
+#: Per-site chaos workloads: a factory for an engine that visits the
+#: site, and terms guaranteed to drive evaluation through it.  The
+#: depth-fallback workload runs unfused: fused FRONT/REMOVE loops drain
+#: the deep queues without ever reaching the fallback.
 SITE_WORKLOADS = {
-    "engine.match_root": ("interpreted", QUEUE_SPEC, _front_batch),
-    "engine.builtin": ("interpreted", SET_SPEC, _set_batch),
-    "engine.remember": ("interpreted", QUEUE_SPEC, _front_batch),
-    "compiled.root": ("compiled", QUEUE_SPEC, _front_batch),
-    "compiled.fallback": ("compiled", QUEUE_SPEC, _deep_batch),
+    "engine.match_root": (_engine(QUEUE_SPEC), _front_batch),
+    "engine.builtin": (_engine(SET_SPEC), _set_batch),
+    "engine.remember": (_engine(QUEUE_SPEC), _front_batch),
+    "compiled.root": (_engine(QUEUE_SPEC, "codegen"), _front_batch),
+    "compiled.fallback": (
+        _engine(QUEUE_SPEC, "codegen", fusion="none"),
+        _deep_batch,
+    ),
     "symbolic.apply": None,  # covered by TestSymbolicApplySite
     "serve.handle": None,  # covered by tests/serve/test_chaos_serve.py
     "serve.respond": None,  # covered by tests/serve/test_chaos_serve.py
@@ -119,8 +131,8 @@ class TestBatchesNeverAbort:
     def test_injected_exceptions_yield_per_item_outcomes(
         self, site, exception
     ):
-        backend, spec, make_terms = SITE_WORKLOADS[site]
-        engine = RewriteEngine.for_specification(spec, backend=backend)
+        make_engine, make_terms = SITE_WORKLOADS[site]
+        engine = make_engine()
         terms = make_terms(tag=f"abort-{site}-{exception.__name__}")
         plan = FaultPlan.single_site(
             site, seed=SEED, exception=exception, probability=0.4
@@ -145,11 +157,12 @@ class TestBatchesNeverAbort:
         assert all(o.reason == "fault" for o in outcomes)
 
     def test_compiled_faults_degrade_to_interpreted(self):
-        # The graceful-degradation ladder: the compiled rung faults on
-        # every dispatch, the interpreted rung still delivers normal
-        # forms — outcomes are fully ok despite constant injection.
+        # The graceful-degradation ladder: the codegen rung faults on
+        # every dispatch, the interpreted rung still delivers the
+        # reference normal forms — outcomes are fully ok despite
+        # constant injection, and every degradation is recorded.
         engine = RewriteEngine.for_specification(
-            QUEUE_SPEC, backend="compiled"
+            QUEUE_SPEC, backend="codegen"
         )
         terms = _front_batch(tag="degrade")
         plan = FaultPlan.single_site("compiled.root", seed=SEED)
@@ -157,6 +170,22 @@ class TestBatchesNeverAbort:
             outcomes = engine.normalize_many_outcomes(terms)
         assert injector.total_fired > 0
         assert all(o.status == NORMALIZED for o in outcomes)
+        reference = RewriteEngine.for_specification(QUEUE_SPEC)
+        assert [o.term for o in outcomes] == reference.normalize_many(terms)
+        fallbacks = engine.stats.fallbacks
+        assert fallbacks.get("codegen_to_interpreted") == len(terms)
+
+    def test_depth_fallback_rung_gives_the_reference_answer(self):
+        # The other codegen rung: unfused generated functions nest past
+        # their depth limit on deep queues and hand the node to the
+        # interpreted machine, which must finish with the same answer.
+        make_engine, make_terms = SITE_WORKLOADS["compiled.fallback"]
+        engine = make_engine()
+        terms = make_terms(tag="depth-rung")
+        outcomes = engine.normalize_many_outcomes(terms)
+        reference = RewriteEngine.for_specification(QUEUE_SPEC)
+        assert [o.term for o in outcomes] == reference.normalize_many(terms)
+        assert engine.stats.fallbacks.get("codegen_depth") >= 1
 
     def test_memo_eviction_never_changes_results(self):
         terms = _front_batch(tag="evict")
@@ -196,7 +225,7 @@ class TestCacheConsistency:
             assert warm.normalize(term) == cold.normalize(term)
 
     def test_compiled_engine_survives_mixed_chaos(self):
-        warm = RewriteEngine.for_specification(QUEUE_SPEC, backend="compiled")
+        warm = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
         terms = _front_batch(count=16, depth=8, tag="diff-comp")
         plan = FaultPlan(
             seed=SEED,
@@ -209,7 +238,7 @@ class TestCacheConsistency:
             outcomes = warm.normalize_many_outcomes(terms)
         assert injector.total_fired > 0
         assert len(outcomes) == len(terms)
-        cold = RewriteEngine.for_specification(QUEUE_SPEC, backend="compiled")
+        cold = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
         for term in terms:
             assert warm.normalize(term) == cold.normalize(term)
 
@@ -230,7 +259,7 @@ class TestDiagnosisUnderFire:
     """Invariant 3: divergence vs fuel vs error stays honest while the
     injector is armed."""
 
-    @pytest.mark.parametrize("backend", ("interpreted", "compiled"))
+    @pytest.mark.parametrize("backend", ("interpreted", "codegen"))
     def test_cycles_stay_diverged_not_fuel(self, backend):
         engine = RewriteEngine.for_specification(
             CYCLE_SPEC, backend=backend, budget=EvaluationBudget(fuel=2_000)
@@ -259,7 +288,7 @@ class TestDiagnosisUnderFire:
         assert outcome.reason == "fuel"
         assert not outcome.trace  # no spurious cycle evidence
 
-    @pytest.mark.parametrize("backend", ("interpreted", "compiled"))
+    @pytest.mark.parametrize("backend", ("interpreted", "codegen"))
     def test_error_propagation_stays_strict(self, backend):
         from repro.spec.prelude import item
 

@@ -46,7 +46,7 @@ axioms
 
 CYCLE_SPEC = parse_specification(CYCLE_SPEC_TEXT)
 
-BACKENDS = ("interpreted", "compiled", "codegen")
+BACKENDS = ("interpreted", "codegen")
 
 
 def _cycling_term():

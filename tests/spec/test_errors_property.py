@@ -37,7 +37,7 @@ from repro.spec.prelude import item
 QUEUE = QUEUE_SPEC.type_of_interest
 ITEM = item("probe").sort
 
-BACKENDS = ("interpreted", "compiled", "codegen")
+BACKENDS = ("interpreted", "codegen")
 _ENGINES = {
     backend: RewriteEngine.for_specification(QUEUE_SPEC, backend=backend)
     for backend in BACKENDS

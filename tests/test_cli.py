@@ -147,7 +147,7 @@ class TestEval:
         assert main(["eval", queue_file, "ZAP(1,2)"]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["compiled", "codegen"])
+    @pytest.mark.parametrize("backend", ["codegen"])
     def test_compiled_backends_normalise(self, queue_file, capsys, backend):
         code = main(
             [
@@ -159,6 +159,12 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out.strip() == "'a'"
         assert "rule firing(s)" in captured.err
+
+    def test_retired_compiled_backend_rejected(self, queue_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", queue_file, "NEW", "--backend", "compiled"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestRun:
@@ -253,7 +259,7 @@ class TestTrace:
         self, queue_file, capsys
     ):
         code = main(
-            ["trace", queue_file, self.TERM, "--backend", "compiled"]
+            ["trace", queue_file, self.TERM, "--backend", "codegen"]
         )
         assert code == 0
         events = [
@@ -295,7 +301,7 @@ class TestTrace:
         assert snapshot["families"]["engine.rule_firings"]
 
     @pytest.mark.parametrize(
-        "backend", ["interpreted", "compiled", "codegen"]
+        "backend", ["interpreted", "codegen"]
     )
     def test_trace_firings_match_metrics_snapshot(
         self, queue_file, tmp_path, backend
@@ -358,7 +364,7 @@ class TestTraceDiff:
         a = self._trace(queue_file, tmp_path, self.TERM_A, "a.jsonl",
                         "interpreted")
         b = self._trace(queue_file, tmp_path, self.TERM_B, "b.jsonl",
-                        "compiled")
+                        "codegen")
         capsys.readouterr()
         assert main(["trace-diff", a, b, "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
