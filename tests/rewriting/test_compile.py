@@ -25,6 +25,7 @@ from repro.spec.prelude import (
     true_term,
 )
 from repro.rewriting import (
+    CodegenEngine,
     RewriteEngine,
     RewriteLimitError,
     RewriteRule,
@@ -50,6 +51,24 @@ class TestBackendSelection:
         for backend in ("jit", "compiled"):
             with pytest.raises(ValueError, match="backend"):
                 RewriteEngine(RuleSet(), backend=backend)
+
+    def test_delegate_built_lazily_and_reused(self, compiled_queue):
+        assert compiled_queue._codegen is None
+        compiled_queue.normalize(app(FRONT, queue_term(["a"])))
+        delegate = compiled_queue._codegen
+        assert isinstance(delegate, CodegenEngine)
+        compiled_queue.normalize_many([app(FRONT, queue_term(["b"]))])
+        assert compiled_queue._codegen is delegate
+
+    def test_delegate_rebuilt_when_rules_grow(self, compiled_queue):
+        compiled_queue.normalize(app(FRONT, queue_term(["a"])))
+        stale = compiled_queue._codegen
+        q = var("q", QUEUE_SPEC.type_of_interest)
+        compiled_queue.rules.add(
+            RewriteRule(app(IS_EMPTY, q), true_term(), "bogus")
+        )
+        compiled_queue.normalize(app(FRONT, queue_term(["a", "b"])))
+        assert compiled_queue._codegen is not stale
 
 
 class TestAgreement:
@@ -154,8 +173,32 @@ class TestFuelParity:
                     app(spec.operation("SPIN"), app(spec.operation("MKL")))
                 )
 
+    def test_fuel_respected_after_adjustment(self, compiled_queue):
+        # The delegate is built under the default fuel; lowering
+        # ``engine.fuel`` afterwards must still bound the next call.
+        compiled_queue.normalize(app(FRONT, queue_term(["a"])))
+        compiled_queue.fuel = 3
+        with pytest.raises(RewriteLimitError):
+            compiled_queue.normalize(app(FRONT, queue_term(list(range(20)))))
+
 
 class TestDeepTerms:
+    def test_deep_chain_falls_back_without_recursion_error(self):
+        # Unfused, REMOVE recurses once per rewrite in the generated
+        # module; a deep spine must land on the interpreted engine.
+        engine = RewriteEngine(
+            RuleSet.from_specification(QUEUE_SPEC),
+            backend="codegen",
+            fusion="none",
+        )
+        engine.fuel = 10_000_000
+        reference = RewriteEngine.for_specification(QUEUE_SPEC)
+        reference.fuel = 10_000_000
+        size = 2000  # far past the generated functions' depth limit
+        term = app(REMOVE, queue_term(range(size)))
+        assert engine.normalize(term) == reference.normalize(term)
+        assert engine.stats.fallbacks.get("codegen_depth") > 0
+
     @pytest.mark.parametrize("backend", ["interpreted", "codegen"])
     def test_depth_50k_normalizes_on_both_backends(self, backend):
         # Regression for the removed recursion-limit hack: the explicit
@@ -180,6 +223,14 @@ class TestMemoSharing:
         engine.normalize_many(first)
         assert stats.steps == steps_before
         assert stats.cache_hits > hits_before
+
+    def test_stats_flow_into_engine_stats(self, compiled_queue):
+        compiled_queue.normalize(app(FRONT, queue_term(["a", "b"])))
+        stats = compiled_queue.stats
+        assert stats.steps > 0
+        assert stats.rule_firings > 0
+        assert stats.firings_by_rule  # per-rule counts synced from the module
+        assert sum(stats.firings_by_rule.values()) == stats.rule_firings
 
     def test_cache_disabled(self):
         engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
@@ -220,3 +271,9 @@ class TestUncompilablePatterns:
         assert engine.normalize(
             app(IS_EMPTY, app(ADD, app(NEW), item("z")))
         ) == true_term()
+
+    def test_generated_source_is_inspectable(self, compiled_queue):
+        compiled_queue.normalize(app(IS_EMPTY, queue_term([])))
+        source = compiled_queue._codegen.source
+        assert "def op_" in source
+        assert "REMOVE" in source  # per-operation comment markers
