@@ -222,8 +222,9 @@ def measure_tracing_overhead(
     ``trace_sample=0.1`` with OTLP export of every tenth request.  Each
     sample is its own daemon boot; interleaving plus best-of keeps one
     machine-speed wobble from landing on a single configuration.
-    Sessions are serial so the per-firing engine instrumentation runs
-    in-daemon — the most tracing-exposed request path.
+    Sessions are serial and interpreted (not the codegen serving
+    default) so the per-firing engine instrumentation runs in-daemon —
+    the most tracing-exposed request path.
     """
     import tempfile
 
@@ -232,20 +233,24 @@ def measure_tracing_overhead(
         otlp = os.path.join(tmp, "traces.jsonl")
         for rep in range(reps):
             base = max(
-                base, _serial_rps(f"base{rep}", requests, batch, warmup)
+                base,
+                _serial_rps(
+                    f"base{rep}", requests, batch, warmup,
+                    backend="interpreted",
+                ),
             )
             disabled = max(
                 disabled,
                 _serial_rps(
                     f"dis{rep}", requests, batch, warmup,
-                    trace_sample=0.0, otlp_path=otlp,
+                    backend="interpreted", trace_sample=0.0, otlp_path=otlp,
                 ),
             )
             sampled = max(
                 sampled,
                 _serial_rps(
                     f"smp{rep}", requests, batch, warmup,
-                    trace_sample=0.1, otlp_path=otlp,
+                    backend="interpreted", trace_sample=0.1, otlp_path=otlp,
                 ),
             )
 

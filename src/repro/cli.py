@@ -553,7 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen on a unix socket instead of TCP",
     )
     serve.add_argument(
-        "--backend", choices=BACKENDS, default="interpreted"
+        "--backend",
+        choices=BACKENDS,
+        default="codegen",
+        help="rewrite engine for every session (default: codegen; "
+        "interpreted is the reference engine)",
     )
     serve.add_argument(
         "--workers",

@@ -25,7 +25,10 @@ operation:
   Functions take their arguments positionally (``op_k(a0, a1, b, d)``:
   the argument normal forms, the shared one-element fuel budget, and
   the nesting depth) and memoise in per-operation dicts keyed by the
-  argument itself.  Past ``_DEPTH_LIMIT`` nested calls a function
+  argument itself.  The dicts share one entry budget: one count covers
+  every store, so together they hold at most ``cache_size`` entries
+  (the engine's memo cap), and on overflow all of them are cleared at
+  once.  Past ``_DEPTH_LIMIT`` nested calls a function
   raises :class:`_DeepRecursion` and the driver re-evaluates that node
   on the iterative interpreted machine, so deep rewrite chains degrade
   gracefully instead of hitting Python's recursion limit.
@@ -352,9 +355,13 @@ class _Compiler:
         return self.const(child_nfs, "KT")
 
     def _store_lines(self, k: int, key: str, value: str, ind: str) -> None:
+        """One memo store.  ``CN`` counts stores into every ``C{k}``
+        since the last ``CLEAR()``, so the memos' summed size never
+        exceeds ``CMAX``; on overflow all of them are cleared at once."""
         L = self.lines
-        L.append(f"{ind}if len(C{k}) >= CMAX:")
-        L.append(f"{ind}    C{k}.clear()")
+        L.append(f"{ind}if CN >= CMAX:")
+        L.append(f"{ind}    CLEAR()")
+        L.append(f"{ind}CN += 1")
         L.append(f"{ind}C{k}[{key}] = {value}")
 
     def _emit_err(self, ind: str, err_sort) -> None:
@@ -923,6 +930,8 @@ class _Compiler:
         tag = "  [fused]" if fused else ""
         L.append("")
         L.append(f"def op_{k}({params}b, d):  # {op.name}{tag}")
+        if self.cache_on:
+            L.append("    global CN")
         L.append(f"    if d > {_DEPTH_LIMIT}:")
         L.append("        raise Deep")
         if fused:
@@ -1040,6 +1049,11 @@ class _Compiler:
                 memo_names.append(f"C{k}")
             self._emit_op(k, by_head.get(op.name, ()))
             compiled_names.append((op.name, k))
+        self.lines.append("")
+        self.lines.append("def CLEAR():")
+        self.lines.append("    global CN")
+        self.lines.append("    CN = 0")
+        self.lines.extend(f"    {name}.clear()" for name in memo_names)
         source = "\n".join(self.lines) + "\n"
         code = compile(source, "<codegen-rules>", "exec")
         return CodegenModule(
@@ -1103,6 +1117,7 @@ class CodegenModule:
         ns["ST"] = st
         ns["RF"] = rf
         ns["CMAX"] = max(cache_size, 1)
+        ns["CN"] = 0
         ns["RT_TERM"] = _rt_unbound
         ns["RT_APP"] = _rt_unbound
         exec(self.code, ns)
@@ -1307,8 +1322,7 @@ class CodegenEngine:
         return [self.normalize(term, budget) for term in terms]
 
     def clear_cache(self) -> None:
-        for memo in self.inst.memos.values():
-            memo.clear()
+        self.inst.ns["CLEAR"]()
         self._nf.clear()
         self._interp._cache.clear()
 

@@ -12,6 +12,8 @@ evaluation:
   bound long before Python notices);
 * **max_memo_entries** — cap on the engine's normal-form memo, applied
   at engine construction (the memo is engine state, not per-call state).
+  On the codegen backend it bounds the per-operation memos together:
+  their summed size never exceeds it.
 
 A :class:`BudgetMeter` is the live, per-evaluation counterpart.  It
 subclasses ``list`` so the codegen backend's generated functions — which

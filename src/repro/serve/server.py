@@ -104,7 +104,7 @@ class SpecSession:
         self,
         spec: Specification,
         *,
-        backend: str = "interpreted",
+        backend: str = "codegen",
         workers: Optional[int] = None,
         supervisor_options: Optional[dict] = None,
         registry: Optional[_metrics.MetricsRegistry] = None,
@@ -176,7 +176,7 @@ class ReproServer:
         self,
         specs: Sequence[Specification],
         *,
-        backend: str = "interpreted",
+        backend: str = "codegen",
         workers: Optional[int] = None,
         limits: Optional[ServeLimits] = None,
         host: str = "127.0.0.1",

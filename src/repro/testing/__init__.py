@@ -1,5 +1,8 @@
-"""Spec-based testing: ground-term generation, the axiom oracle, and
-hypothesis strategies."""
+"""Spec-based testing: ground-term generation and the axiom oracle.
+
+The hypothesis strategies live in :mod:`repro.testing.strategies`; they
+are not re-exported here, so importing the package needs no test-only
+dependency."""
 
 from repro.testing.termgen import (
     DEFAULT_POOLS,
@@ -27,12 +30,6 @@ from repro.testing.bindings import (
     stack_binding,
     symboltable_binding,
 )
-from repro.testing.strategies import (
-    constructor_table,
-    substitution_strategy,
-    term_strategy,
-    value_strategy,
-)
 
 __all__ = [
     "DEFAULT_POOLS",
@@ -55,8 +52,4 @@ __all__ = [
     "set_binding",
     "stack_binding",
     "symboltable_binding",
-    "constructor_table",
-    "substitution_strategy",
-    "term_strategy",
-    "value_strategy",
 ]

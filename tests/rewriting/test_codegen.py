@@ -236,3 +236,53 @@ class TestDriverParity:
         assert stats.steps > 0
         assert stats.rule_firings > 0
         assert sum(stats.firings_by_rule.values()) == stats.rule_firings
+
+
+class TestMemoBound:
+    """``max_memo_entries`` caps the codegen memos *in total*: the
+    per-operation dicts share one entry count, not one cap each."""
+
+    CAP = 64
+
+    def test_summed_memos_stay_within_the_budget(self):
+        from repro.adt.symboltable import SYMBOLTABLE_SPEC as spec
+        from repro.runtime import EvaluationBudget
+        from repro.spec.prelude import attributes, identifier
+
+        op = spec.operation
+        init, enter, leave = op("INIT"), op("ENTERBLOCK"), op("LEAVEBLOCK")
+        add, inblock, retrieve = op("ADD"), op("IS_INBLOCK?"), op("RETRIEVE")
+        table = app(init)
+        subjects = []
+        for i in range(60):
+            table = app(add, table, identifier(f"x{i % 7}"), attributes(i))
+            if i % 5 == 4:
+                table = app(enter, table)
+            name = identifier(f"x{(i * 3) % 11}")
+            # LEAVEBLOCK and RETRIEVE recurse through the fused loops and
+            # store every accumulator frame on the way out.
+            subjects += [
+                app(leave, table),
+                app(inblock, table, name),
+                app(retrieve, table, name),
+            ]
+        rules = RuleSet.from_specification(spec)
+        budget = EvaluationBudget(max_memo_entries=self.CAP)
+        reference = RewriteEngine(rules, budget=budget)
+        engine = CodegenEngine(rules, budget=budget)
+        unbounded = CodegenEngine(rules)
+        assert engine.cache_size == self.CAP
+        memos = engine.inst.memos
+        assert len(engine.module.fused_ops) >= 2
+        for subject in subjects:
+            assert engine.normalize(subject) == reference.normalize(subject)
+            assert sum(len(memo) for memo in memos.values()) <= self.CAP
+            unbounded.normalize(subject)
+        # The workload is big enough to matter: left unbounded, at least
+        # three operations' memos together pass the budget.
+        live = [len(memo) for memo in unbounded.inst.memos.values() if memo]
+        assert len(live) >= 3 and sum(live) > self.CAP
+        assert engine.stats.cache_hits > 0
+        engine.clear_cache()
+        assert all(not memo for memo in memos.values())
+        assert engine.inst.ns["CN"] == 0
