@@ -126,10 +126,8 @@ def main(argv=None) -> int:
     configs = {name: row for name, *row in E10_CONFIGS}
 
     def measure(name: str) -> float:
-        interning, backend, fusion = configs[name]
-        return _measure_drain(size, interning, backend, 1, fusion=fusion)[
-            "seconds"
-        ]
+        interning, backend = configs[name]
+        return _measure_drain(size, interning, backend, 1)["seconds"]
 
     def committed(name: str) -> float:
         return baseline["configs"][name][str(size)]["seconds"]

@@ -53,14 +53,13 @@ SEED_COMMIT = "36c9cdc54882083980002dcdff8599446679a833"
 RULES = RuleSet.from_specification(QUEUE_SPEC)
 
 #: Engine configurations measured by E10, as ``(name, interning,
-#: backend, fusion)``.  ``full`` is the interpreted engine as shipped;
-#: ``codegen`` is the generated-module backend, with ``codegen-nofuse``
-#: as its fusion ablation; ``no-interning`` turns hash-consing off.
+#: backend)``.  ``full`` is the interpreted engine as shipped;
+#: ``codegen`` is the generated-module backend; ``no-interning`` turns
+#: hash-consing off.
 E10_CONFIGS = [
-    ("full", True, "interpreted", None),
-    ("codegen", True, "codegen", "auto"),
-    ("codegen-nofuse", True, "codegen", "none"),
-    ("no-interning", False, "interpreted", None),
+    ("full", True, "interpreted"),
+    ("codegen", True, "codegen"),
+    ("no-interning", False, "interpreted"),
 ]
 
 #: Distinct queue payloads per measured run, so one run's interned
@@ -146,7 +145,7 @@ def _drain(engine: RewriteEngine, size: int, base: int = 0) -> int:
     return steps
 
 
-def _measure_drain(size: int, interning, backend, reps: int, fusion=None):
+def _measure_drain(size: int, interning, backend, reps: int):
     """Best-of-``reps`` drain; returns timing plus the engine counters.
 
     Every rep drains a queue of *fresh* payloads (see
@@ -158,9 +157,7 @@ def _measure_drain(size: int, interning, backend, reps: int, fusion=None):
     for _ in range(reps):
         previous = set_interning(interning)
         try:
-            engine = RewriteEngine(
-                RULES, fuel=10_000_000, backend=backend, fusion=fusion
-            )
+            engine = RewriteEngine(RULES, fuel=10_000_000, backend=backend)
             if backend == "codegen":
                 engine._codegen_engine()  # compile outside the timing
             gc.collect()  # release the previous rep's interned subject
@@ -334,11 +331,9 @@ def run_e10(quick: bool) -> dict:
     sizes = [12] if quick else [32, 64, 128]
     reps = 1 if quick else 3
     configs: dict[str, dict] = {}
-    for name, interning, backend, fusion in E10_CONFIGS:
+    for name, interning, backend in E10_CONFIGS:
         configs[name] = {
-            str(size): _measure_drain(
-                size, interning, backend, reps, fusion=fusion
-            )
+            str(size): _measure_drain(size, interning, backend, reps)
             for size in sizes
         }
 
@@ -359,7 +354,6 @@ def run_e10(quick: bool) -> dict:
         "sizes": sizes,
         "configs": configs,
         "codegen_vs_interpreted": ratio("full", "codegen"),
-        "fusion_speedup": ratio("codegen-nofuse", "codegen"),
         "parallel": run_parallel_e10(quick),
     }
     if not quick:

@@ -164,9 +164,9 @@ class ShardPool:
     """Worker-process evaluation for one rule set + engine configuration.
 
     The pool is bound at construction: rules, backend, fuel, default
-    budget, memo size, fusion plan.  Each worker builds an engine
-    for that configuration once (keyed by the rule set's structural
-    fingerprint) and reuses it across batches.  Workers are lazy — no
+    budget, memo size.  Each worker builds an engine for that
+    configuration once (keyed by the rule set's structural fingerprint)
+    and reuses it across batches.  Workers are lazy — no
     processes exist until the first batch (or :meth:`warm`) — and
     persistent: each owns one duplex pipe to the parent, and a batch
     checks idle workers out, sends each one strided share over its
@@ -191,17 +191,11 @@ class ShardPool:
         fuel: int = DEFAULT_FUEL,
         budget: Optional[EvaluationBudget] = None,
         cache_size: int = 4096,
-        fusion=None,
         mp_context: Optional[str] = None,
         fault_injector=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if fusion is not None and not isinstance(fusion, str):
-            raise wire.WireError(
-                "only named fusion plans (or None for auto) can cross a "
-                f"process boundary, got {fusion!r}"
-            )
         self.workers = workers
         self.rules = rules
         self.rule_count = len(rules)
@@ -211,7 +205,6 @@ class ShardPool:
             "fuel": fuel,
             "budget": wire.encode_budget(budget),
             "cache_size": cache_size,
-            "fusion": fusion,
         }
         # The worker-side engine cache key: the structural rule-set
         # fingerprint with every engine option folded in, so two pools
@@ -411,7 +404,6 @@ class ShardPool:
                 cache_size=opts["cache_size"],
                 backend=opts["backend"],
                 budget=wire.decode_budget(opts["budget"]),
-                fusion=opts["fusion"],
             )
         return engine
 
@@ -681,7 +673,6 @@ def _worker_engine(key: str) -> RewriteEngine:
             cache_size=spec["cache_size"],
             backend=spec["backend"],
             budget=wire.decode_budget(spec["budget"]),
-            fusion=spec["fusion"],
         )
         if spec["backend"] != "interpreted":
             engine._codegen_engine()  # generate the module now

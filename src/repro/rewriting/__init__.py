@@ -11,7 +11,6 @@ from repro.rewriting.engine import (
 from repro.rewriting.codegen import (
     CodegenEngine,
     CodegenModule,
-    FusionPlan,
     codegen_module,
 )
 from repro.rewriting.ordering import (
@@ -41,7 +40,6 @@ __all__ = [
     "BACKENDS",
     "CodegenEngine",
     "CodegenModule",
-    "FusionPlan",
     "codegen_module",
     "DEFAULT_FUEL",
     "EngineStats",

@@ -7,7 +7,7 @@ that can be decided once, at compile time.  This module emits a
 complete Python **source module** per rule set, with one function per
 operation:
 
-* **Decision trees.**  An operation's axioms are fused into nested
+* **Decision trees.**  An operation's axioms are merged into nested
   ``if``/``elif`` chains over the head symbols / literal values of the
   argument positions — the shape refinement the discrimination tree
   performs per call, resolved once.  Each leaf carries the **residual
@@ -19,9 +19,10 @@ operation:
 
 * **Module emission.**  The generated source is ``compile()``d once and
   cached by the rule set's structural :meth:`~RuleSet.fingerprint` (plus
-  the compiler options), so equal rule sets — every engine over the same
-  specification — share one code object.  Instantiating an engine then
-  only re-``exec``s the cached code with fresh counters and memo dicts.
+  whether memo tables are on), so equal rule sets — every engine over
+  the same specification — share one code object.  Instantiating an
+  engine then only re-``exec``s the cached code with fresh counters and
+  memo dicts.
   Functions take their arguments positionally (``op_k(a0, a1, b, d)``:
   the argument normal forms, the shared one-element fuel budget, and
   the nesting depth) and memoise in per-operation dicts keyed by the
@@ -43,20 +44,6 @@ operation:
   bumps the recorded firing counters on a miss, and stores the normal
   form exactly where the runtime evaluation would have.
 
-* **Superinstruction fusion.**  Self-recursive rules — the E10 drain's
-  ``FRONT``/``REMOVE`` over an ``ADD`` spine, guarded by ``IS_EMPTY?``
-  (>95% of all firings in the PR-5 profiles) — are fused into a single
-  ``while`` loop per operation: the recursive call becomes a ``continue``
-  with reassigned arguments, constructor wrappers around the recursive
-  position become accumulator frames rebuilt on the way out, and unary
-  guard predicates are inlined as branch arms with their own memo probe.
-  Fusion is legal only when the recursive call's arguments are *pure*
-  (variables, literals, inert ground terms) and preserves the exact
-  probe/store/firing sequence of the unfused functions — the
-  differential suites hold it to that.  A :class:`FusionPlan` can narrow
-  the fused set from rule-profiler data (``FusionPlan.from_profile``)
-  or disable fusion for ablation (``fusion="none"``).
-
 Operations whose patterns the compiler cannot fold into tests (an
 ``Ite`` inside a left-hand side) run on the interpreted engine; so do
 builtin steps that return whole terms.  The engine-facing wrapper is
@@ -69,7 +56,6 @@ counts and fuel.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Optional
 
@@ -129,87 +115,15 @@ def _rt_unbound(*_args):  # pragma: no cover - defensive default
     )
 
 
-@dataclass(frozen=True)
-class FusionPlan:
-    """Which operations may be fused into superinstructions.
-
-    ``mode`` is ``"auto"`` (fuse every legal operation — the default),
-    ``"none"`` (the ablation baseline: plain per-operation functions in
-    the emitted module), or ``"profile"`` (fuse only the operations in
-    ``hot``, typically derived from rule-profiler firing counts).
-    """
-
-    mode: str = "auto"
-    hot: frozenset = frozenset()
-
-    @property
-    def key(self) -> str:
-        """The plan's contribution to the module-cache fingerprint."""
-        if self.mode == "profile":
-            return "profile:" + ",".join(sorted(self.hot))
-        return self.mode
-
-    def allows(self, name: str) -> bool:
-        if self.mode == "none":
-            return False
-        if self.mode == "profile":
-            return name in self.hot
-        return True
-
-    @classmethod
-    def coerce(cls, fusion) -> "FusionPlan":
-        if isinstance(fusion, FusionPlan):
-            return fusion
-        if fusion is None or fusion == "auto":
-            return cls("auto")
-        if fusion == "none":
-            return cls("none")
-        raise ValueError(f"unknown fusion plan: {fusion!r}")
-
-    @classmethod
-    def from_profile(
-        cls, rules: RuleSet, counts: dict, coverage: float = 0.95
-    ) -> "FusionPlan":
-        """A plan fusing the head operations that cover ``coverage`` of
-        all firings.  ``counts`` maps rules (or their ``rule_id``
-        strings) to firing counts — the shape of both the engine's
-        firing family and the profiler's per-rule rows."""
-        from repro.obs.trace import rule_id
-
-        per_head: dict[str, int] = {}
-        for rule in rules:
-            count = counts.get(rule)
-            if count is None:
-                count = counts.get(rule_id(rule), 0)
-            head = rule.head.name
-            per_head[head] = per_head.get(head, 0) + int(count)
-        total = sum(per_head.values())
-        if not total:
-            return cls("auto")
-        hot: set[str] = set()
-        covered = 0
-        for head, count in sorted(
-            per_head.items(), key=lambda item: (-item[1], item[0])
-        ):
-            if covered >= coverage * total:
-                break
-            hot.add(head)
-            covered += count
-        return cls("profile", frozenset(hot))
-
-
 class _Compiler:
-    """Emits the rule module (see the module docstring): decision-tree
-    dispatch, ground-RHS folding and superinstruction fusion."""
+    """Emits the rule module (see the module docstring): one plain
+    memoised function per operation, with decision-tree dispatch and
+    ground-RHS folding."""
 
-    def __init__(
-        self, rules: RuleSet, cache_on: bool, fold: bool, plan: FusionPlan
-    ) -> None:
+    def __init__(self, rules: RuleSet, cache_on: bool) -> None:
         self.ruleset = rules
         self.rules = list(rules)
         self.cache_on = cache_on
-        self.fold_on = fold
-        self.plan = plan
         self.lines: list[str] = []
         self.ns: dict = {}
         self._const_names: dict[int, str] = {}
@@ -238,11 +152,8 @@ class _Compiler:
                 for _, node in rule.lhs.subterms()
             ):
                 self.uncompiled.add(rule.head.name)
-        self.fused_ops: set[str] = set()
-        self._fused_mode = False
         self._scratch: Optional[RewriteEngine] = None
         self._fold_plans: dict = {}
-        self._pred_cache: dict = {}
         self._rule_gidx: dict = {}
         for gidx, rule in enumerate(self.rules):
             self._rule_gidx.setdefault(rule, gidx)
@@ -366,30 +277,10 @@ class _Compiler:
 
     def _emit_err(self, ind: str, err_sort) -> None:
         """Strict error propagation at one consumption site: return the
-        operation's error in plain functions, break out of the fused loop
-        (skipping the current subject's store, like the plain function's
-        early return skips its finish) in fused ones."""
+        operation's error (no memo store)."""
         L = self.lines
         L.append(f"{ind}ST[5] += 1")
-        if self._fused_mode:
-            L.append(f"{ind}r = {self.err_const(err_sort)}")
-            L.append(f"{ind}g = False")
-            L.append(f"{ind}break")
-        else:
-            L.append(f"{ind}return {self.err_const(err_sort)}")
-
-    def _pure(self, t: Term) -> bool:
-        """Safe to re-evaluate as a bare expression: a bound variable, a
-        literal, or an inert ground constant (never an ``Err`` — those
-        must flow through the strict-propagation checks)."""
-        if isinstance(t, (Var, Lit)):
-            return True
-        return not isinstance(t, Err) and self._inert(t)
-
-    def _pure_expr(self, t: Term, env) -> str:
-        if isinstance(t, Var):
-            return env[t]
-        return self.const(t, "K")
+        L.append(f"{ind}return {self.err_const(err_sort)}")
 
     # -- RHS generation (per-arg calls, error style, folding) -----------
     def _gen(self, t: Term, env, ind: str, err_sort):
@@ -403,7 +294,7 @@ class _Compiler:
         if isinstance(t, App):
             if self._inert(t):
                 return self.const(t, "K"), False
-            if self.fold_on and t._ground:
+            if t._ground:
                 folded = self._emit_fold(t, ind)
                 if folded is not None:
                     return folded, False
@@ -577,228 +468,6 @@ class _Compiler:
                 L.append(f"{body}pass")
         return self.const(top, "K")
 
-    # -- inlined guard predicates ---------------------------------------
-    def _pred_arms(self, k: int):
-        if k in self._pred_cache:
-            return self._pred_cache[k]
-        arms = self._build_pred_arms(k)
-        self._pred_cache[k] = arms
-        return arms
-
-    def _build_pred_arms(self, k: int):
-        """Branch arms for inlining unary predicate ``op_k`` at its call
-        site, or ``None`` when inlining cannot reproduce the function's
-        exact probe/fire/store behaviour: every rule's argument pattern
-        must be a ground constant or a constructor over distinct
-        variables (mutually disjoint), and every right-hand side must be
-        inert or a pattern variable."""
-        op = self.ops[k]
-        if (
-            op.arity != 1
-            or op.builtin is not None
-            or op.name in self.uncompiled
-            or op.name not in self.rule_heads
-        ):
-            return None
-        arms = []
-        seen_apps: set[str] = set()
-        seen_ground: list[Term] = []
-        for gidx, rule in enumerate(self.rules):
-            if rule.head.name != op.name:
-                continue
-            pat = rule.lhs.args[0]
-            rhs = rule.rhs
-            if isinstance(pat, App) and not pat._ground:
-                if not all(isinstance(x, Var) for x in pat.args):
-                    return None
-                if len(set(pat.args)) != len(pat.args):
-                    return None
-                if pat.op.name in seen_apps:
-                    return None
-                seen_apps.add(pat.op.name)
-                kind, payload = "app", pat.op.name
-            elif pat._ground and not isinstance(pat, Ite):
-                if any(pat == seen for seen in seen_ground):
-                    return None
-                if isinstance(pat, App) and pat.op.name in seen_apps:
-                    return None
-                seen_ground.append(pat)
-                kind, payload = "ground", pat
-            else:
-                return None  # bare-variable / Ite pattern
-            if isinstance(rhs, Var):
-                if not (isinstance(pat, App) and rhs in pat.args):
-                    return None
-            elif not self._inert(rhs):
-                return None
-            arms.append((gidx, rule, kind, payload))
-        return arms or None
-
-    def _emit_pred(self, pk: int, sx: str, ind: str) -> str:
-        """Inline ``op_pk(sx)``: one memo probe, then one arm per rule
-        with the function's exact fire/store lines, then the generic call
-        for subjects no arm decides.  Returns the bound variable."""
-        arms = self._pred_arms(pk)
-        assert arms is not None
-        L = self.lines
-        c = self._tmp()
-        first = True
-        if self.cache_on:
-            L.append(f"{ind}ST[4] += 1")
-            L.append(f"{ind}{c} = C{pk}.get({sx})")
-            L.append(f"{ind}if {c} is not None:")
-            L.append(f"{ind}    ST[3] += 1")
-            first = False
-        for gidx, rule, kind, payload in arms:
-            kw = "if" if first else "elif"
-            first = False
-            if kind == "app":
-                L.append(
-                    f"{ind}{kw} type({sx}) is App"
-                    f" and {sx}.op.name == {payload!r}:"
-                )
-            else:
-                L.append(f"{ind}{kw} {sx} == {self.const(payload, 'K')}:")
-            body = ind + "    "
-            L.append(f"{body}b[0] -= 1")
-            L.append(f"{body}if b[0] < 0:")
-            L.append(f"{body}    raise LimitHit")
-            L.append(f"{body}ST[0] += 1; ST[1] += 1; RF[{gidx}] += 1")
-            rhs = rule.rhs
-            if isinstance(rhs, Var):
-                pat = rule.lhs.args[0]
-                pos = next(
-                    i for i, a in enumerate(pat.args) if a == rhs
-                )
-                L.append(f"{body}{c} = {sx}.args[{pos}]")
-            else:
-                L.append(f"{body}{c} = {self.const(rhs, 'K')}")
-            if self.cache_on:
-                L.append(f"{body}if {sx}._ground:")
-                self._store_lines(pk, sx, c, body + "    ")
-        L.append(f"{ind}else:")
-        L.append(f"{ind}    {c} = op_{pk}({sx}, b, d + 1)")
-        return c
-
-    # -- fused (superinstruction) emission ------------------------------
-    def _branch_shape(self, head: Operation, t: Term):
-        """How one decided RHS branch continues the fused loop: a tail
-        self-call, a free constructor wrapping exactly one self-call, or
-        ``None`` (emit generically and leave the loop)."""
-        if not isinstance(t, App):
-            return None
-        if t.op.name == head.name and len(t.args) == head.arity:
-            if all(self._pure(a) for a in t.args):
-                return ("tail", t.args)
-            return None
-        if t.op.name in self.rule_heads or t.op.builtin is not None:
-            return None
-        self_pos = None
-        for i, a in enumerate(t.args):
-            if (
-                isinstance(a, App)
-                and a.op.name == head.name
-                and len(a.args) == head.arity
-            ):
-                if self_pos is not None:
-                    return None  # two recursive calls: not a loop
-                self_pos = i
-            elif not self._pure(a):
-                return None
-        if self_pos is None:
-            return None
-        inner = t.args[self_pos]
-        if not all(self._pure(a) for a in inner.args):
-            return None
-        return ("ctor", t.op, self_pos, inner.args, t.args)
-
-    def _rule_fusible(self, head: Operation, rule: RewriteRule) -> bool:
-        rhs = rule.rhs
-        branches = (
-            (rhs.then_branch, rhs.else_branch)
-            if isinstance(rhs, Ite)
-            else (rhs,)
-        )
-        return any(self._branch_shape(head, b) is not None for b in branches)
-
-    def _emit_branch_fused(self, k, op, t, env, ind: str) -> None:
-        L = self.lines
-        shape = self._branch_shape(op, t)
-        if shape is not None and shape[0] == "tail":
-            exprs = [self._pure_expr(a, env) for a in shape[1]]
-            L.append(f"{ind}if acc is None:")
-            L.append(f"{ind}    acc = []")
-            L.append(f"{ind}acc.append((0, {self._key_expr(k)}, g))")
-            targets = ", ".join(f"a{i}" for i in range(len(exprs)))
-            L.append(f"{ind}{targets} = {', '.join(exprs)}")
-            L.append(f"{ind}continue")
-            return
-        if shape is not None and shape[0] == "ctor":
-            _, ctor, pos, inner_args, outer_args = shape
-            pre = [self._pure_expr(a, env) for a in outer_args[:pos]]
-            post = [self._pure_expr(a, env) for a in outer_args[pos + 1:]]
-            pre_t = "(" + ", ".join(pre) + ("," if len(pre) == 1 else "") + ")"
-            post_t = (
-                "(" + ", ".join(post) + ("," if len(post) == 1 else "") + ")"
-            )
-            L.append(f"{ind}if acc is None:")
-            L.append(f"{ind}    acc = []")
-            L.append(
-                f"{ind}acc.append((1, {self._key_expr(k)}, g,"
-                f" {self.op_const(ctor)}, {pre_t}, {post_t}))"
-            )
-            exprs = [self._pure_expr(a, env) for a in inner_args]
-            targets = ", ".join(f"a{i}" for i in range(len(exprs)))
-            L.append(f"{ind}{targets} = {', '.join(exprs)}")
-            L.append(f"{ind}continue")
-            return
-        expr, _ = self._gen(t, env, ind, op.range)
-        L.append(f"{ind}r = {expr}")
-        L.append(f"{ind}break")
-
-    def _emit_rhs_fused(self, k, gidx, rule, env, ind: str) -> None:
-        L = self.lines
-        op = rule.head
-        rhs = rule.rhs
-        if not isinstance(rhs, Ite):
-            self._emit_branch_fused(k, op, rhs, env, ind)
-            return
-        cond = rhs.cond
-        c = None
-        if (
-            isinstance(cond, App)
-            and len(cond.args) == 1
-            and isinstance(cond.args[0], Var)
-            and cond.args[0] in env
-        ):
-            pk = self.op_index.get(cond.op.name)
-            if pk is not None and self._pred_arms(pk) is not None:
-                c = self._emit_pred(pk, env[cond.args[0]], ind)
-        if c is None:
-            cex, cme = self._gen(cond, env, ind, op.range)
-            c = self._tmp()
-            L.append(f"{ind}{c} = {cex}")
-            if not cme:
-                cme = None  # no error check needed
-        L.append(f"{ind}if type({c}) is Err:")
-        self._emit_err(ind + "    ", op.range)
-        L.append(f"{ind}if {c} is TRUE_N or IS_TRUE({c}):")
-        self._emit_branch_fused(k, op, rhs.then_branch, env, ind + "    ")
-        L.append(f"{ind}elif {c} is FALSE_N or IS_FALSE({c}):")
-        self._emit_branch_fused(k, op, rhs.else_branch, env, ind + "    ")
-        L.append(f"{ind}else:")
-        branch_vars = rhs.then_branch.variables() | rhs.else_branch.variables()
-        bd = ", ".join(
-            f"{self.const(v, 'V')}: {env[v]}"
-            for v in sorted(branch_vars, key=lambda v: v.name)
-        )
-        tt = self.const(rhs.then_branch, "T")
-        te = self.const(rhs.else_branch, "T")
-        L.append(
-            f"{ind}    r = Ite({c}, AB({tt}, {{{bd}}}), AB({te}, {{{bd}}}))"
-        )
-        L.append(f"{ind}    break")
-
     # -- per-operation emission -----------------------------------------
     def _emit_finish(self, k: int, ind: str) -> None:
         L = self.lines
@@ -813,12 +482,9 @@ class _Compiler:
         L.append(f"{ind}if b[0] < 0:")
         L.append(f"{ind}    raise LimitHit")
         L.append(f"{ind}ST[0] += 1; ST[1] += 1; RF[{gidx}] += 1")
-        if self._fused_mode:
-            self._emit_rhs_fused(k, gidx, rule, env, ind)
-        else:
-            expr, _ = self._gen(rule.rhs, env, ind, rule.head.range)
-            L.append(f"{ind}r = {expr}")
-            self._emit_finish(k, ind)
+        expr, _ = self._gen(rule.rhs, env, ind, rule.head.range)
+        L.append(f"{ind}r = {expr}")
+        self._emit_finish(k, ind)
 
     def _emit_leaves(self, k: int, rules, ind: str) -> None:
         L = self.lines
@@ -896,80 +562,35 @@ class _Compiler:
             L.append(f"{ind}else:")
             self._emit_dispatch(k, wild, p + 1, ind + "    ")
 
-
-    def _emit_fused_finish(self, k: int, op: Operation) -> None:
-        """After the fused loop: store the final subject's result, then
-        rebuild and store each accumulator frame on the way out —
-        constructor frames convert errors (no store, like the function's
-        early return), tail frames pass results through verbatim."""
-        L = self.lines
-        ek = self.err_const(op.range)
-        if self.cache_on:
-            L.append("    if g and type(r) is not Ite:")
-            self._store_lines(k, self._key_expr(k), "r", "        ")
-        L.append("    if acc is not None:")
-        L.append("        while acc:")
-        L.append("            f = acc.pop()")
-        L.append("            if f[0] == 1:")
-        L.append("                if type(r) is Err:")
-        L.append("                    ST[5] += 1")
-        L.append(f"                    r = {ek}")
-        L.append("                    continue")
-        L.append("                r = App(f[3], f[4] + (r,) + f[5])")
-        if self.cache_on:
-            L.append("            if f[2] and type(r) is not Ite:")
-            self._store_lines(k, "f[1]", "r", "                ")
-        L.append("    return r")
-
     def _emit_op(self, k: int, rules) -> None:
         op = self.ops[k]
         L = self.lines
         arity = op.arity
-        fused = bool(rules) and op.name in self.fused_ops
         params = "".join(f"a{i}, " for i in range(arity))
-        tag = "  [fused]" if fused else ""
         L.append("")
-        L.append(f"def op_{k}({params}b, d):  # {op.name}{tag}")
+        L.append(f"def op_{k}({params}b, d):  # {op.name}")
         if self.cache_on:
             L.append("    global CN")
         L.append(f"    if d > {_DEPTH_LIMIT}:")
         L.append("        raise Deep")
-        if fused:
-            L.append("    acc = None")
-            L.append("    while True:")
-            body = "        "
-        else:
-            body = "    "
-        self._fused_mode = fused
-        key = self._key_expr(k)
         if self.cache_on:
-            L.append(f"{body}ST[4] += 1")
-            L.append(f"{body}r = C{k}.get({key})")
-            L.append(f"{body}if r is not None:")
-            L.append(f"{body}    ST[3] += 1")
-            if fused:
-                L.append(f"{body}    g = False")
-                L.append(f"{body}    break")
-            else:
-                L.append(f"{body}    return r")
-        if self.cache_on or fused:
+            L.append("    ST[4] += 1")
+            L.append(f"    r = C{k}.get({self._key_expr(k)})")
+            L.append("    if r is not None:")
+            L.append("        ST[3] += 1")
+            L.append("        return r")
             g = " and ".join(f"a{i}._ground" for i in range(arity)) or "True"
-            L.append(f"{body}g = {g}")
+            L.append(f"    g = {g}")
         if op.builtin is not None:
             self._emit_builtin(k, op)
         if rules:
-            self._emit_dispatch(k, rules, 0, body)
+            self._emit_dispatch(k, rules, 0, "    ")
         tup = (
             "(" + ", ".join(f"a{i}" for i in range(arity))
             + ("," if arity == 1 else "") + ")"
         )
-        L.append(f"{body}r = App(OP_{k}, {tup})")
-        if fused:
-            L.append(f"{body}break")
-            self._emit_fused_finish(k, op)
-        else:
-            self._emit_finish(k, "    ")
-        self._fused_mode = False
+        L.append(f"    r = App(OP_{k}, {tup})")
+        self._emit_finish(k, "    ")
 
     def _emit_builtin(self, k: int, op: Operation) -> None:
         L = self.lines
@@ -1013,16 +634,6 @@ class _Compiler:
         by_head: dict[str, list] = {}
         for gidx, rule in enumerate(self.rules):
             by_head.setdefault(rule.head.name, []).append((gidx, rule))
-        for name, items in by_head.items():
-            if name in self.uncompiled:
-                continue
-            head = items[0][1].head
-            if head.builtin is not None:
-                continue
-            if not self.plan.allows(name):
-                continue
-            if any(self._rule_fusible(head, rule) for _, rule in items):
-                self.fused_ops.add(name)
         self.lines.append(f"# second-stage rule module  [{fingerprint[:16]}]")
         self.ns.update(
             App=App,
@@ -1062,7 +673,6 @@ class _Compiler:
             base_ns=dict(self.ns),
             rules=self.rules,
             uncompiled=frozenset(self.uncompiled),
-            fused_ops=frozenset(self.fused_ops),
             compiled_names=tuple(compiled_names),
             memo_names=tuple(memo_names),
             fingerprint=fingerprint,
@@ -1080,7 +690,6 @@ class CodegenModule:
         "base_ns",
         "rules",
         "uncompiled",
-        "fused_ops",
         "compiled_names",
         "memo_names",
         "fingerprint",
@@ -1093,7 +702,6 @@ class CodegenModule:
         base_ns,
         rules,
         uncompiled,
-        fused_ops,
         compiled_names,
         memo_names,
         fingerprint,
@@ -1103,7 +711,6 @@ class CodegenModule:
         self.base_ns = base_ns
         self.rules = rules
         self.uncompiled = uncompiled
-        self.fused_ops = fused_ops
         self.compiled_names = compiled_names
         self.memo_names = memo_names
         self.fingerprint = fingerprint
@@ -1148,28 +755,17 @@ _MODULE_CACHE: dict[str, CodegenModule] = {}
 _MODULE_CACHE_LOCK = threading.Lock()
 
 
-def codegen_module(
-    rules: RuleSet,
-    cache_on: bool = True,
-    fold: bool = True,
-    fusion=None,
-) -> CodegenModule:
-    """The (cached) generated module for ``rules`` under the given
-    compiler options."""
-    plan = FusionPlan.coerce(fusion)
-    key = rules.fingerprint(
-        extra=(
-            f"codegen-v1;cache={int(cache_on)};"
-            f"fold={int(fold)};fusion={plan.key}"
-        )
-    )
+def codegen_module(rules: RuleSet, cache_on: bool = True) -> CodegenModule:
+    """The (cached) generated module for ``rules``, with or without
+    memo tables."""
+    key = rules.fingerprint(extra=f"codegen-v1;cache={int(cache_on)}")
     with _MODULE_CACHE_LOCK:
         module = _MODULE_CACHE.get(key)
     if module is None:
         # Compile outside the lock — generation is slow and pure, and a
         # duplicate concurrent build is harmless: the store below is
         # last-writer-wins on an identical module.
-        module = _Compiler(rules, cache_on, fold, plan).compile_module(key)
+        module = _Compiler(rules, cache_on).compile_module(key)
         with _MODULE_CACHE_LOCK:
             if len(_MODULE_CACHE) >= _MODULE_CACHE_LIMIT:
                 _MODULE_CACHE.clear()
@@ -1202,8 +798,6 @@ class CodegenEngine:
         cache_size: int = 4096,
         stats: Optional[EngineStats] = None,
         budget: Optional[EvaluationBudget] = None,
-        fusion=None,
-        fold: bool = True,
     ) -> None:
         if budget is None:
             budget = EvaluationBudget(fuel=fuel)
@@ -1217,9 +811,7 @@ class CodegenEngine:
         self.stats = stats if stats is not None else EngineStats()
         self._interp = RewriteEngine(rules, fuel=fuel, cache_size=cache_size)
         self._interp.stats = self.stats
-        module = codegen_module(
-            rules, cache_on=cache_size > 0, fold=fold, fusion=fusion
-        )
+        module = codegen_module(rules, cache_on=cache_size > 0)
         self.module = module
         inst = module.instantiate(cache_size)
         self.inst = inst
@@ -1233,10 +825,6 @@ class CodegenEngine:
     def source(self) -> str:
         """The generated module, for inspection."""
         return self.module.source
-
-    @property
-    def fused_ops(self) -> frozenset:
-        return self.module.fused_ops
 
     def _rt_term(self, term: Term, budget) -> Term:
         return self._interp._eval(term, budget)

@@ -372,7 +372,6 @@ class RewriteEngine:
         cache_size: int = 4096,
         backend: str = "interpreted",
         budget: Optional[EvaluationBudget] = None,
-        fusion=None,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(
@@ -386,7 +385,6 @@ class RewriteEngine:
         self.fuel = budget.fuel
         self.budget = budget
         self.backend = backend
-        self.fusion = fusion  # codegen superinstruction plan (None = auto)
         self.stats = EngineStats()
         self.cache_size = cache_size
         self._cache: "OrderedDict[Term, Term]" = OrderedDict()
@@ -626,7 +624,6 @@ class RewriteEngine:
                     fuel=self.fuel,
                     budget=self.budget,
                     cache_size=self.cache_size,
-                    fusion=self.fusion,
                 )
             except Exception:  # fault-boundary: unwireable rules -> stay serial
                 self.stats.record_fallback("pool_unavailable")
@@ -662,7 +659,6 @@ class RewriteEngine:
                 cache_size=self.cache_size,
                 stats=self.stats,
                 budget=self.budget,
-                fusion=self.fusion,
             )
             self._codegen = codegen
         codegen.fuel = self.fuel  # track post-construction adjustments

@@ -226,7 +226,7 @@ class RuleSet:
         rule order, labels, both sides of every rule, and — because the
         emitted dispatch depends on them — every mentioned operation's
         name, sorts, and whether it carries a builtin evaluator.
-        ``extra`` folds in compiler options (fusion plan, cache mode)."""
+        ``extra`` folds in compiler options (the cache mode)."""
         h = hashlib.sha256()
         h.update(extra.encode())
         for rule in self._rules:

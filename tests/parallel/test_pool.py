@@ -17,7 +17,7 @@ import pytest
 from repro.adt.queue import FRONT, QUEUE_SPEC, new, queue_term
 from repro.algebra.terms import App, Err
 from repro.obs import metrics as _metrics
-from repro.parallel import ShardPool, WireError
+from repro.parallel import ShardPool
 from repro.rewriting.engine import RewriteEngine, RewriteLimitError
 from repro.rewriting.rules import RuleSet
 from repro.runtime import EvaluationBudget
@@ -102,10 +102,6 @@ class TestLifecycleAndDegradation:
         pool.close()
         assert pool.normalize_many_outcomes(subjects) == expected
         assert pool.c_serial_items.value == len(subjects)
-
-    def test_unwireable_fusion_rejected_at_construction(self):
-        with pytest.raises(WireError):
-            ShardPool(RULES, 2, fusion=object())
 
     def test_engine_stays_serial_on_unwireable_rules(self):
         from repro.algebra.signature import Operation

@@ -3,8 +3,8 @@
 The codegen backend must implement exactly the rewrite relation of the
 interpreted reference engine — including its *observable accounting*:
 per-rule firing counts, steps and fuel.  Tests here exercise its codegen-only
-mechanisms (module emission and caching, superinstruction fusion,
-ground-RHS folding, the normal-form set) and the equivalences the
+mechanisms (module emission and caching, ground-RHS folding, the
+normal-form set, the depth fallback) and the equivalences the
 optimisations must preserve.
 """
 
@@ -16,7 +16,6 @@ from repro.algebra.terms import Err, app
 from repro.spec.prelude import false_term, item, true_term
 from repro.rewriting import (
     CodegenEngine,
-    FusionPlan,
     RewriteEngine,
     RewriteLimitError,
     RewriteRule,
@@ -34,18 +33,6 @@ from repro.adt.queue import (
 )
 
 QUEUE_RULES = RuleSet.from_specification(QUEUE_SPEC)
-
-
-def _drain(engine, size):
-    term = queue_term(range(size))
-    fronts = []
-    while True:
-        front = engine.normalize(app(FRONT, term))
-        if isinstance(front, Err):
-            break
-        fronts.append(front)
-        term = engine.normalize(app(REMOVE, term))
-    return fronts
 
 
 def _firings(engine):
@@ -87,20 +74,14 @@ class TestGeneratedModule:
         assert "def op_" in source
         compile(source, "<check>", "exec")  # it is genuine Python source
 
-    def test_hot_drain_triple_is_fused(self):
-        engine = CodegenEngine(QUEUE_RULES)
-        assert "FRONT" in engine.fused_ops
-        assert "REMOVE" in engine.fused_ops
-        assert "[fused]" in engine.source
-
     def test_module_cached_by_fingerprint(self):
         first = codegen_module(QUEUE_RULES)
         again = codegen_module(QUEUE_RULES)
         assert first is again
         # A different compiler option is a different module.
-        nofuse = codegen_module(QUEUE_RULES, fusion="none")
-        assert nofuse is not first
-        assert nofuse.fused_ops == frozenset()
+        memoless = CodegenEngine(QUEUE_RULES, cache_size=0).module
+        assert memoless is not first
+        assert memoless.memo_names == () and first.memo_names
 
     def test_fingerprint_tracks_rule_changes(self):
         grown = RuleSet.from_specification(QUEUE_SPEC)
@@ -112,34 +93,6 @@ class TestGeneratedModule:
         )
         assert grown.fingerprint() != base_fp
         assert grown.fingerprint() == grown.fingerprint()
-
-
-class TestFusionEquivalence:
-    @pytest.mark.parametrize("cache_size", [4096, 0], ids=["memo", "no-memo"])
-    def test_fused_equals_unfused_including_firings(self, cache_size):
-        fused = CodegenEngine(QUEUE_RULES, cache_size=cache_size)
-        unfused = CodegenEngine(
-            QUEUE_RULES, cache_size=cache_size, fusion="none"
-        )
-        assert _drain(fused, 16) == _drain(unfused, 16)
-        assert _firings(fused) == _firings(unfused)
-        assert fused.stats.steps == unfused.stats.steps
-
-    def test_profile_driven_plan_covers_the_hot_rules(self):
-        profiler = RewriteEngine.for_specification(QUEUE_SPEC)
-        _drain(profiler, 12)
-        counts = dict(profiler.stats.firings.ranked())
-        plan = FusionPlan.from_profile(QUEUE_RULES, counts)
-        assert plan.mode == "profile"
-        assert plan.allows("FRONT") or plan.allows("REMOVE")
-        engine = CodegenEngine(QUEUE_RULES, fusion=plan)
-        reference = CodegenEngine(QUEUE_RULES, fusion="none")
-        assert _drain(engine, 12) == _drain(reference, 12)
-        assert _firings(engine) == _firings(reference)
-
-    def test_unknown_plan_rejected(self):
-        with pytest.raises(ValueError, match="fusion"):
-            FusionPlan.coerce("always")
 
 
 class TestGroundRhsFolding:
@@ -159,28 +112,28 @@ class TestGroundRhsFolding:
         flag, rules = self._flag_rules()
         interp = RewriteEngine(rules)
         folded = CodegenEngine(rules)
-        unfolded = CodegenEngine(rules, fold=False)
 
-        results = {
-            "interpreted": interp.normalize(app(flag)),
-            "folded": folded.normalize(app(flag)),
-            "unfolded": unfolded.normalize(app(flag)),
-        }
-        assert results["interpreted"] == false_term()
-        assert results["folded"] == results["interpreted"]
-        assert results["unfolded"] == results["interpreted"]
+        assert interp.normalize(app(flag)) == false_term()
+        assert folded.normalize(app(flag)) == false_term()
         # The fold must replay the functions' accounting, not skip it.
         assert _firings(folded) == _firings(interp)
-        assert _firings(unfolded) == _firings(interp)
         assert folded.stats.steps == interp.stats.steps
 
     def test_folded_constant_is_precomputed_in_source(self):
         flag, rules = self._flag_rules()
-        folded = CodegenEngine(rules)
-        unfolded = CodegenEngine(rules, fold=False)
-        # Folding bakes the rule's normal form in as a constant instead
-        # of a chain of op calls, so the two modules differ in source.
-        assert folded.source != unfolded.source
+        module = CodegenEngine(rules).module
+        # Folding bakes the rule's normal form in as a constant: FLAG's
+        # function returns it without calling IS_EMPTY?'s function.
+        body = module.source.split("  # FLAG\n", 1)[1].split("\ndef ", 1)[0]
+        assert "op_" not in body
+        results = {
+            line.split("=", 1)[1].strip()
+            for line in body.splitlines()
+            if line.strip().startswith("r = ")
+        }
+        assert any(
+            module.base_ns.get(name) == false_term() for name in results
+        )
 
 
 class TestDriverParity:
@@ -194,24 +147,49 @@ class TestDriverParity:
                 engine.normalize(app(FRONT, queue_term(list(range(20)))))
 
     def test_deep_chain_falls_back_without_recursion_error(self):
-        # Without fusion the generated functions recurse per rewrite and
-        # a deep spine exceeds their depth limit — the driver must land
-        # on the interpreted engine, not raise RecursionError.
-        engine = RewriteEngine(
-            QUEUE_RULES, backend="codegen", fusion="none"
-        )
+        # The generated functions recurse once per rewrite, so a deep
+        # spine exceeds their depth limit — the driver must land on the
+        # interpreted engine, not raise RecursionError.
+        engine = RewriteEngine(QUEUE_RULES, backend="codegen")
         engine.fuel = 10_000_000
         size = 2000  # far past the generated functions' depth limit
         assert engine.normalize(app(FRONT, queue_term(range(size)))) == item(0)
         assert engine.stats.fallbacks.get("codegen_depth") > 0
 
-    def test_fused_deep_chain_needs_no_fallback(self):
-        # Fusion rewrites the hot FRONT/REMOVE recursion into loops, so
-        # the same spine drains natively in the generated module.
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
-        engine.fuel = 10_000_000
-        assert engine.normalize(app(FRONT, queue_term(range(2000)))) == item(0)
-        assert engine.stats.fallbacks.get("codegen_depth") == 0
+    def test_deepest_serving_shapes_stay_native(self):
+        # The deepest batch shapes the daemon serves — a 36-item Queue
+        # drained to its last item, and RETRIEVE / IS_INBLOCK? misses
+        # over 16 blocks of 6-9 ADDs (about 136 levels) — recurse well
+        # inside the generated functions' depth limit: answers equal the
+        # interpreted engine's and no node takes the depth fallback.
+        from repro.adt.symboltable import SYMBOLTABLE_SPEC as spec
+        from repro.spec.prelude import attributes, identifier
+
+        op = spec.operation
+        table = app(op("INIT"))
+        for block in range(16):
+            table = app(op("ENTERBLOCK"), table)
+            for n in range(6 + block % 4):
+                table = app(
+                    op("ADD"), table, identifier(f"x{n}"),
+                    attributes(f"b{block}y{n}"),
+                )
+        missing = identifier("absent")
+        queue = queue_term(range(36))
+        for _ in range(35):
+            queue = app(REMOVE, queue)
+        cases = [
+            (QUEUE_SPEC, app(FRONT, queue)),
+            (spec, app(op("RETRIEVE"), table, missing)),
+            (spec, app(op("IS_INBLOCK?"), table, missing)),
+        ]
+        for case_spec, subject in cases:
+            reference = RewriteEngine.for_specification(case_spec)
+            engine = RewriteEngine.for_specification(
+                case_spec, backend="codegen"
+            )
+            assert engine.normalize(subject) == reference.normalize(subject)
+            assert engine.stats.fallbacks.get("codegen_depth") == 0
 
     def test_budget_exhaustion_is_an_outcome(self):
         engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
@@ -259,8 +237,8 @@ class TestMemoBound:
             if i % 5 == 4:
                 table = app(enter, table)
             name = identifier(f"x{(i * 3) % 11}")
-            # LEAVEBLOCK and RETRIEVE recurse through the fused loops and
-            # store every accumulator frame on the way out.
+            # LEAVEBLOCK and RETRIEVE recurse down the table and store
+            # one memo entry per level on the way out.
             subjects += [
                 app(leave, table),
                 app(inblock, table, name),
@@ -273,7 +251,6 @@ class TestMemoBound:
         unbounded = CodegenEngine(rules)
         assert engine.cache_size == self.CAP
         memos = engine.inst.memos
-        assert len(engine.module.fused_ops) >= 2
         for subject in subjects:
             assert engine.normalize(subject) == reference.normalize(subject)
             assert sum(len(memo) for memo in memos.values()) <= self.CAP

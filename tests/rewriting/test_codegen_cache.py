@@ -45,10 +45,10 @@ def test_concurrent_builds_converge_on_one_module(monkeypatch):
 def test_eviction_clears_and_repopulates_atomically(monkeypatch):
     monkeypatch.setattr(codegen, "_MODULE_CACHE", {})
     monkeypatch.setattr(codegen, "_MODULE_CACHE_LIMIT", 1)
-    codegen.codegen_module(RULES, fold=True)
-    second = codegen.codegen_module(RULES, fold=False)  # hits the limit
+    codegen.codegen_module(RULES, cache_on=True)
+    second = codegen.codegen_module(RULES, cache_on=False)  # hits the limit
     assert len(codegen._MODULE_CACHE) == 1
-    assert codegen.codegen_module(RULES, fold=False) is second
+    assert codegen.codegen_module(RULES, cache_on=False) is second
 
 
 @pytest.mark.skipif(

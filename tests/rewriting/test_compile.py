@@ -6,7 +6,7 @@ the interpreted engine: every test here either checks agreement directly
 or exercises a mechanism of the compiler itself (decision-tree dispatch
 over builtins and non-linear patterns, the interpreted fallback for
 uncompilable patterns, memo sharing).  ``test_codegen.py`` covers the
-module cache, fusion, folding and the driver.
+module cache, folding and the driver.
 """
 
 import pytest
@@ -184,12 +184,10 @@ class TestFuelParity:
 
 class TestDeepTerms:
     def test_deep_chain_falls_back_without_recursion_error(self):
-        # Unfused, REMOVE recurses once per rewrite in the generated
-        # module; a deep spine must land on the interpreted engine.
+        # REMOVE recurses once per rewrite in the generated module; a
+        # deep spine must land on the interpreted engine.
         engine = RewriteEngine(
-            RuleSet.from_specification(QUEUE_SPEC),
-            backend="codegen",
-            fusion="none",
+            RuleSet.from_specification(QUEUE_SPEC), backend="codegen"
         )
         engine.fuel = 10_000_000
         reference = RewriteEngine.for_specification(QUEUE_SPEC)

@@ -78,34 +78,29 @@ def _set_batch(count=8, tag="chaos-set"):
 
 
 def _deep_batch(count=3, depth=600, tag="chaos-deep"):
-    """Queues deep enough to force the unfused codegen backend's depth
-    fallback (the ``compiled.fallback`` site)."""
+    """Queues deep enough to force the codegen backend's depth fallback
+    (the ``compiled.fallback`` site)."""
     return [
         App(FRONT, (queue_term(f"{tag}-{i}-{j}" for j in range(depth)),))
         for i in range(count)
     ]
 
 
-def _engine(spec, backend="interpreted", **options):
+def _engine(spec, backend="interpreted"):
     """A factory for a fresh engine over ``spec``."""
     return lambda: RewriteEngine(
-        RuleSet.from_specification(spec), backend=backend, **options
+        RuleSet.from_specification(spec), backend=backend
     )
 
 
 #: Per-site chaos workloads: a factory for an engine that visits the
-#: site, and terms guaranteed to drive evaluation through it.  The
-#: depth-fallback workload runs unfused: fused FRONT/REMOVE loops drain
-#: the deep queues without ever reaching the fallback.
+#: site, and terms guaranteed to drive evaluation through it.
 SITE_WORKLOADS = {
     "engine.match_root": (_engine(QUEUE_SPEC), _front_batch),
     "engine.builtin": (_engine(SET_SPEC), _set_batch),
     "engine.remember": (_engine(QUEUE_SPEC), _front_batch),
     "compiled.root": (_engine(QUEUE_SPEC, "codegen"), _front_batch),
-    "compiled.fallback": (
-        _engine(QUEUE_SPEC, "codegen", fusion="none"),
-        _deep_batch,
-    ),
+    "compiled.fallback": (_engine(QUEUE_SPEC, "codegen"), _deep_batch),
     "symbolic.apply": None,  # covered by TestSymbolicApplySite
     "serve.handle": None,  # covered by tests/serve/test_chaos_serve.py
     "serve.respond": None,  # covered by tests/serve/test_chaos_serve.py
@@ -176,7 +171,7 @@ class TestBatchesNeverAbort:
         assert fallbacks.get("codegen_to_interpreted") == len(terms)
 
     def test_depth_fallback_rung_gives_the_reference_answer(self):
-        # The other codegen rung: unfused generated functions nest past
+        # The other codegen rung: the generated functions nest past
         # their depth limit on deep queues and hand the node to the
         # interpreted machine, which must finish with the same answer.
         make_engine, make_terms = SITE_WORKLOADS["compiled.fallback"]

@@ -29,9 +29,9 @@ from repro.spec.prelude import item
 ROOT = Path(__file__).resolve().parents[2]
 
 # The paper's Queue, except that REMOVE rebuilds through SNOC, a defined
-# operation rather than the ADD constructor.  Fusion cannot turn that
-# recursion into a loop, so a deep REMOVE spine passes the generated
-# functions' depth limit and takes the codegen_depth fallback.
+# operation rather than the ADD constructor.  The generated functions
+# recurse once per REMOVE rewrite, so a deep REMOVE spine passes their
+# depth limit and takes the codegen_depth fallback.
 DEEP_QUEUE = """
 type Queue [Item]
 uses Boolean, Item
