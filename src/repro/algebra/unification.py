@@ -12,7 +12,6 @@ discipline that a variable may only be bound to a term of its sort.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.algebra.terms import App, Err, Ite, Lit, Term, Var
@@ -98,22 +97,26 @@ def _resolve(term: Term, bindings: dict[Var, Term]) -> Term:
     return term.with_children(new_kids)
 
 
-_FRESH_COUNTER = itertools.count()
-
-
 def rename_apart(term: Term, taken: set[Var]) -> tuple[Term, Substitution]:
     """Rename the variables of ``term`` away from ``taken``.
 
     Returns the renamed term and the renaming used.  Needed before
     computing critical pairs, where the two axioms' variables must be
-    disjoint.
+    disjoint.  A clashing ``x`` becomes the first ``x#1``, ``x#2``, ...
+    free of ``taken`` and of ``term``'s own variables, so the result
+    depends only on the arguments.
     """
+    own = term.variables()
+    used = set(taken) | own
     renaming: dict[Var, Term] = {}
-    for variable in sorted(term.variables(), key=lambda v: v.name):
+    for variable in sorted(own, key=lambda v: v.name):
         if variable in taken:
-            fresh = variable
-            while fresh in taken or fresh in renaming:
-                fresh = Var(f"{variable.name}#{next(_FRESH_COUNTER)}", variable.sort)
+            suffix = 1
+            fresh = Var(f"{variable.name}#{suffix}", variable.sort)
+            while fresh in used:
+                suffix += 1
+                fresh = Var(f"{variable.name}#{suffix}", variable.sort)
+            used.add(fresh)
             renaming[variable] = fresh
     sigma = Substitution(renaming)
     return sigma.apply(term), sigma

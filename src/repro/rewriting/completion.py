@@ -103,7 +103,7 @@ def complete(
     while rounds < max_rounds:
         rounds += 1
         engine = RewriteEngine(ruleset, fuel=fuel)
-        new_rules: list[RewriteRule] = []
+        new_rules = RuleSet()
         for pair in all_critical_pairs(ruleset):
             try:
                 left = engine.simplify(pair.left)
@@ -133,9 +133,9 @@ def complete(
             if rule is None:
                 failures.append(f"unorientable equation {left} = {right}")
                 continue
-            if _known(rule, ruleset) or _known(rule, RuleSet(new_rules)):
+            if _known(rule, ruleset) or _known(rule, new_rules):
                 continue
-            new_rules.append(rule)
+            new_rules.add(rule)
         if not new_rules:
             status = (
                 CompletionStatus.COMPLETE

@@ -14,6 +14,7 @@ Two evaluation modes:
   terms, for the prover.  Like ``normalize``, but when a condition does
   not decide, both branches are simplified in place, and trivial
   conditional identities (``if c then x else x -> x``) are applied.
+  Results are memoised per engine, open terms included.
 
 Value-mode evaluation runs on an explicit work stack rather than the
 Python call stack, so a term's depth is bounded by memory, not by the
@@ -169,6 +170,8 @@ class EngineStats:
         "s_errprop",
         "s_hits",
         "s_probes",
+        "s_simp_hits",
+        "s_simp_probes",
         "s_fuel",
         "firings",
         "fallbacks",
@@ -198,6 +201,12 @@ class EngineStats:
         ).slot
         self.s_probes = counter(
             "engine.memo_probes", "ground normal-form memo probes issued"
+        ).slot
+        self.s_simp_hits = counter(
+            "engine.simplify_memo_hits", "simplify memo probes answered"
+        ).slot
+        self.s_simp_probes = counter(
+            "engine.simplify_memo_probes", "simplify memo probes issued"
         ).slot
         self.s_fuel = counter(
             "engine.fuel_spent", "fuel consumed across evaluations"
@@ -260,6 +269,14 @@ class EngineStats:
     @cache_probes.setter
     def cache_probes(self, value: int) -> None:
         self.s_probes[0] = value
+
+    @property
+    def simplify_hits(self) -> int:
+        return self.s_simp_hits[0]
+
+    @property
+    def simplify_probes(self) -> int:
+        return self.s_simp_probes[0]
 
     @property
     def rule_firings(self) -> int:
@@ -348,7 +365,8 @@ class RewriteEngine:
         the same growing terms repeatedly, where the cache turns
         re-evaluation into a lookup.  The memo is a bounded LRU keyed on
         interned term identity; overflow evicts the least recently used
-        entry.  0 disables caching.
+        entry.  ``simplify`` keeps a second LRU of the same bound, of
+        open as well as ground terms.  0 disables both memos.
     backend:
         ``"interpreted"`` (the default) evaluates with the generic
         explicit-stack machine below.  ``"codegen"`` routes
@@ -388,6 +406,7 @@ class RewriteEngine:
         self.stats = EngineStats()
         self.cache_size = cache_size
         self._cache: "OrderedDict[Term, Term]" = OrderedDict()
+        self._simplified: "OrderedDict[Term, Term]" = OrderedDict()
         self._codegen = None  # lazily-built CodegenEngine delegate
         self._pools: dict = {}  # workers -> ShardPool (None = unavailable)
 
@@ -665,8 +684,10 @@ class RewriteEngine:
         return codegen
 
     def clear_cache(self) -> None:
-        """Drop memoised normal forms (both backends' memos)."""
+        """Drop memoised normal forms (both backends' memos) and
+        memoised simplifications."""
         self._cache.clear()
+        self._simplified.clear()
         if self._codegen is not None:
             self._codegen.clear_cache()
 
@@ -988,46 +1009,86 @@ class RewriteEngine:
                 term, meter.budget.fuel, reason=REASON_DEPTH
             ) from None
 
-    def _simplify(self, term: Term, budget: list[int]) -> Term:
+    def _simplify(self, term: Term, budget: BudgetMeter) -> Term:
+        """Simplify ``term``, memoised in a bounded LRU keyed on the
+        (interned) term.  The rule set is fixed for the engine's
+        lifetime, so a term's simplified form never changes; a hit costs
+        no fuel.  Only completed results are stored, so a budget blow-up
+        part-way leaves the memo consistent.
+
+        Subclasses extend it through two hooks: :meth:`_lift` may
+        rewrite an application whose arguments are simplified, and
+        :meth:`_root_step` picks the rewrite at its root.  The memo
+        lives here, not in a wrapper, to keep one Python frame per term
+        level: a wrapper would halve the depth that fits under the
+        interpreter's recursion limit."""
         if isinstance(term, (Var, Lit, Err)):
             return term
+        memo = self._simplified if self.cache_size > 0 else None
+        if memo is not None:
+            self.stats.s_simp_probes[0] += 1
+            hit = memo.get(term)
+            if hit is not None:
+                self.stats.s_simp_hits[0] += 1
+                memo.move_to_end(term)
+                return hit
         if isinstance(term, Ite):
             cond = self._simplify(term.cond, budget)
             if isinstance(cond, Err):
                 self.stats.error_propagations += 1
-                return Err(term.sort)
-            if is_true(cond):
-                return self._simplify(term.then_branch, budget)
-            if is_false(cond):
-                return self._simplify(term.else_branch, budget)
-            then_branch = self._simplify(term.then_branch, budget)
-            else_branch = self._simplify(term.else_branch, budget)
-            if then_branch == else_branch:
-                return then_branch
-            if (
-                cond is term.cond
-                and then_branch is term.then_branch
-                and else_branch is term.else_branch
-            ):
-                return term
-            return Ite(cond, then_branch, else_branch)
-        assert isinstance(term, App)
-        args = []
-        changed = False
-        for arg in term.args:
-            value = self._simplify(arg, budget)
-            if isinstance(value, Err):
-                self.stats.error_propagations += 1
-                return Err(term.sort)
-            if value is not arg:
-                changed = True
-            args.append(value)
-        node = App(term.op, args) if changed else term
-        step = self._root_step(node, budget)
-        if step is None:
-            return node
-        self._spend(budget, node)
-        return self._simplify(step, budget)
+                result: Term = Err(term.sort)
+            elif is_true(cond):
+                result = self._simplify(term.then_branch, budget)
+            elif is_false(cond):
+                result = self._simplify(term.else_branch, budget)
+            else:
+                then_branch = self._simplify(term.then_branch, budget)
+                else_branch = self._simplify(term.else_branch, budget)
+                if then_branch == else_branch:
+                    result = then_branch
+                elif (
+                    cond is term.cond
+                    and then_branch is term.then_branch
+                    and else_branch is term.else_branch
+                ):
+                    result = term
+                else:
+                    result = Ite(cond, then_branch, else_branch)
+        else:
+            assert isinstance(term, App)
+            args = []
+            changed = False
+            for arg in term.args:
+                value = self._simplify(arg, budget)
+                if isinstance(value, Err):
+                    self.stats.error_propagations += 1
+                    result = Err(term.sort)
+                    break
+                if value is not arg:
+                    changed = True
+                args.append(value)
+            else:
+                node = App(term.op, args) if changed else term
+                lifted = self._lift(node, budget)
+                if lifted is not None:
+                    result = self._simplify(lifted, budget)
+                else:
+                    step = self._root_step(node, budget)
+                    if step is None:
+                        result = node
+                    else:
+                        self._spend(budget, node)
+                        result = self._simplify(step, budget)
+        if memo is not None:
+            memo[term] = result
+            if len(memo) > self.cache_size:
+                memo.popitem(last=False)
+        return result
+
+    def _lift(self, node: App, budget: BudgetMeter) -> Optional[Term]:
+        """Hook: a term to simplify in place of ``node``, whose
+        arguments are simplified; ``None`` (here) keeps ``node``."""
+        return None
 
     # ------------------------------------------------------------------
     # Equality under the rules

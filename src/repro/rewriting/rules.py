@@ -7,12 +7,18 @@ specifications.  A :class:`RuleSet` indexes rules in a *discrimination
 tree*: rules are grouped by head symbol, then refined by the top symbol
 of each argument position, so the engine only tries rules whose
 left-hand side can possibly match the subject's shape.
+
+A rule set may be an *overlay* on a base rule set: it indexes only its
+own rules and answers every query with the base's rules first, then its
+own.  The prover layers the few ground rules of a fact set over the
+specification's shared index this way, without copying it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.algebra.matching import match_bindings
@@ -180,9 +186,19 @@ class RuleSet:
     first matching rule fires, so a specification's axiom order is its
     match order (the paper's axiom sets are non-overlapping, making
     order irrelevant for them, but user specs under debugging may
-    overlap)."""
+    overlap).
 
-    def __init__(self, rules: Iterable[RewriteRule] = ()) -> None:
+    With ``base``, the set is an overlay: a view of ``base``'s rules
+    followed by its own, in the order a copy of ``base`` extended by
+    :meth:`add` would have.  ``base`` is read, never written, so rules
+    added to the overlay stay out of it."""
+
+    def __init__(
+        self,
+        rules: Iterable[RewriteRule] = (),
+        base: Optional["RuleSet"] = None,
+    ) -> None:
+        self.base = base
         self._rules: list[RewriteRule] = []
         self._by_head: dict[str, list[RewriteRule]] = {}
         self._trees: dict[str, _DiscriminationTree] = {}
@@ -203,19 +219,29 @@ class RuleSet:
         """All rules whose left-hand side is headed by ``operation``,
         without argument-shape refinement (for exhaustive traversals
         such as completion's)."""
-        return self._by_head.get(operation.name, ())
+        own = self._by_head.get(operation.name, ())
+        if self.base is None:
+            return own
+        return tuple(self.base.for_head(operation)) + tuple(own)
 
     def candidates(self, term: App) -> Sequence[RewriteRule]:
         """Rules that can possibly rewrite ``term`` at the root: same
         head symbol, argument shapes compatible position by position."""
         tree = self._trees.get(term.op.name)
-        if tree is None:
-            return ()
-        return tree.retrieve(term.args, self._rules)
+        own = () if tree is None else tree.retrieve(term.args, self._rules)
+        if self.base is None:
+            return own
+        below = self.base.candidates(term)
+        if not own:
+            return below
+        return below + own if below else own
 
     def heads(self) -> set[str]:
         """Names of all operations that head some rule."""
-        return set(self._by_head)
+        heads = set(self._by_head)
+        if self.base is not None:
+            heads |= self.base.heads()
+        return heads
 
     def fingerprint(self, extra: str = "") -> str:
         """A structural digest of the rule set.
@@ -229,7 +255,7 @@ class RuleSet:
         ``extra`` folds in compiler options (the cache mode)."""
         h = hashlib.sha256()
         h.update(extra.encode())
-        for rule in self._rules:
+        for rule in self:
             h.update(b"\x00rule\x00")
             h.update(str(rule).encode())
             for side in (rule.lhs, rule.rhs):
@@ -246,13 +272,16 @@ class RuleSet:
         return h.hexdigest()
 
     def __iter__(self) -> Iterator[RewriteRule]:
-        return iter(self._rules)
+        if self.base is None:
+            return iter(self._rules)
+        return chain(self.base, self._rules)
 
     def __len__(self) -> int:
-        return len(self._rules)
+        own = len(self._rules)
+        return own if self.base is None else len(self.base) + own
 
     def __str__(self) -> str:
-        return "\n".join(str(rule) for rule in self._rules)
+        return "\n".join(str(rule) for rule in self)
 
     @classmethod
     def from_axioms(cls, axioms: Iterable[Axiom]) -> "RuleSet":

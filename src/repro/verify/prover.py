@@ -23,10 +23,21 @@ Every step is recorded in a transcript, so a failed proof shows the
 residual equation and the case path that produced it — which for the
 paper's Axiom 9 without Assumption 1 is precisely the unreachable-state
 counterexample.
+
+Nothing is rebuilt that the prover already has.  It keeps one
+:class:`ProverEngine` per distinct (extra rules, fact set) for its own
+lifetime (a bounded LRU), so later goals and other branches that reach
+the same facts reuse the engine and its simplify memo.  An engine's
+rules are an overlay — the extra rules and the facts' ground rules
+``c -> true|false`` — read after the shared base index, never a copy of
+it, so facts cannot leak into the base.  The simplify memo is bounded
+by the engine's ``cache_size``; a hit costs no fuel, so ``fuel`` bounds
+the rewriting work actually done.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -39,13 +50,15 @@ from repro.spec.prelude import boolean_term, is_false, is_true
 from repro.obs.trace import maybe_span
 from repro.rewriting.engine import RewriteEngine, RewriteLimitError
 from repro.rewriting.rules import RewriteRule, RuleSet
+from repro.runtime.budget import BudgetMeter
 from repro.verify.skolem import fresh_constant, is_skolem
 
 
 class ProverEngine(RewriteEngine):
     """The rewrite engine extended for symbolic proof work.
 
-    Two extensions over the base engine's ``simplify``:
+    Two extensions over the base engine's ``simplify``, both through its
+    hooks (:meth:`_lift` and :meth:`_root_step`):
 
     * **conditional lifting** — ``f(if c then a else b)`` becomes
       ``if c then f(a) else f(b)``;
@@ -78,7 +91,7 @@ class ProverEngine(RewriteEngine):
             )
         return cache[key]
 
-    def _guard_decides(self, result: Term, budget: list[int]) -> bool:
+    def _guard_decides(self, result: Term, budget: BudgetMeter) -> bool:
         """After a speculative unfold, does the outermost condition
         settle?  Non-conditional bodies always count as progress."""
         if not isinstance(result, Ite):
@@ -86,7 +99,7 @@ class ProverEngine(RewriteEngine):
         cond = self._simplify(result.cond, budget)
         return is_true(cond) or is_false(cond) or isinstance(cond, Err)
 
-    def _root_step(self, term: App, budget: list[int]):
+    def _root_step(self, term: App, budget: BudgetMeter):
         builtin = term.op.builtin
         if builtin is not None and all(isinstance(a, Lit) for a in term.args):
             self.stats.builtin_firings += 1
@@ -103,7 +116,7 @@ class ProverEngine(RewriteEngine):
             return result
         return None
 
-    def _match_root(self, term: App, budget: list[int]):
+    def _match_root(self, term: App, budget: BudgetMeter):
         """Value-mode hook: apply the same unfolding guard as
         :meth:`_root_step`, so ``normalize`` on open terms cannot unfold
         a recursive definition whose guard does not decide."""
@@ -119,57 +132,20 @@ class ProverEngine(RewriteEngine):
             return rule, bindings
         return None, None
 
-    def _simplify(self, term: Term, budget: list[int]) -> Term:
-        if isinstance(term, (Var, Lit, Err)):
-            return term
-        if isinstance(term, Ite):
-            cond = self._simplify(term.cond, budget)
-            if isinstance(cond, Err):
-                self.stats.error_propagations += 1
-                return Err(term.sort)
-            if is_true(cond):
-                return self._simplify(term.then_branch, budget)
-            if is_false(cond):
-                return self._simplify(term.else_branch, budget)
-            then_branch = self._simplify(term.then_branch, budget)
-            else_branch = self._simplify(term.else_branch, budget)
-            if then_branch == else_branch:
-                return then_branch
-            if (
-                cond is term.cond
-                and then_branch is term.then_branch
-                and else_branch is term.else_branch
-            ):
-                return term
-            return Ite(cond, then_branch, else_branch)
-        assert isinstance(term, App)
-        args = [self._simplify(arg, budget) for arg in term.args]
-        if any(isinstance(arg, Err) for arg in args):
-            self.stats.error_propagations += 1
-            return Err(term.sort)
-        for index, arg in enumerate(args):
+    def _lift(self, node: App, budget: BudgetMeter) -> Optional[Term]:
+        """Conditional lifting: distribute the application over the
+        branches of its first conditional argument."""
+        for index, arg in enumerate(node.args):
             if isinstance(arg, Ite):
-                # Conditional lifting: distribute the application over
-                # the branches and re-simplify each copy.
-                self._spend(budget, term)
-                then_args = list(args)
+                self._spend(budget, node)
+                then_args = list(node.args)
                 then_args[index] = arg.then_branch
-                else_args = list(args)
+                else_args = list(node.args)
                 else_args[index] = arg.else_branch
-                return self._simplify(
-                    Ite(
-                        arg.cond,
-                        App(term.op, then_args),
-                        App(term.op, else_args),
-                    ),
-                    budget,
+                return Ite(
+                    arg.cond, App(node.op, then_args), App(node.op, else_args)
                 )
-        node = term if all(new is old for new, old in zip(args, term.args)) else App(term.op, args)
-        step = self._root_step(node, budget)
-        if step is None:
-            return node
-        self._spend(budget, node)
-        return self._simplify(step, budget)
+        return None
 
 
 @dataclass(frozen=True)
@@ -237,13 +213,25 @@ def replace_constant(term: Term, constant: Term, replacement: Term) -> Term:
     )
 
 
+#: How many engines one prover keeps, one per (extra rules, fact set),
+#: the least recently used dropped first.
+_ENGINE_CACHE_SIZE = 64
+
+
 class EquationalProver:
     """Proves closed equations under a rule set.
+
+    The prover keeps one :class:`ProverEngine`, and so one simplify
+    memo, per distinct (extra rules, fact set) it meets, for its own
+    lifetime (bounded LRU).  Each engine's rules are an overlay of the
+    extra rules and the facts' ground rules on the shared base index.
 
     Parameters
     ----------
     rules:
         Base rewrite rules (concrete axioms, definitions, Φ equations).
+        The prover reads them and never adds to them; they must not
+        change while it is in use.
     constructors:
         Free constructors per sort, used for constructor splits on
         skolem constants (e.g. ``{Stack: (NEWSTACK, PUSH)}``).
@@ -262,6 +250,7 @@ class EquationalProver:
         fuel: int = 100_000,
     ) -> None:
         self.rules = rules
+        self._engines: "OrderedDict[tuple, ProverEngine]" = OrderedDict()
         self.constructors = {
             sort: tuple(ops) for sort, ops in (constructors or {}).items()
         }
@@ -279,14 +268,14 @@ class EquationalProver:
     ) -> ProofResult:
         """Attempt to prove the closed equation ``lhs = rhs``."""
         result = ProofResult(False, lhs, rhs)
-        base = RuleSet(list(self.rules) + list(extra_rules))
+        extra = tuple(extra_rules)
         with maybe_span(
             "prover.prove", lhs=str(lhs)[:80], rhs=str(rhs)[:80]
         ):
             proved = self._prove(
                 lhs,
                 rhs,
-                base,
+                extra,
                 list(facts),
                 result,
                 depth=0,
@@ -297,24 +286,41 @@ class EquationalProver:
         return result
 
     # ------------------------------------------------------------------
-    def _engine(self, base: RuleSet, facts: Sequence[Fact]) -> ProverEngine:
-        rules = RuleSet(list(base))
-        for fact in facts:
-            rules.add(fact.as_rule())
-        return ProverEngine(rules, fuel=self.fuel)
+    def _engine(
+        self, extra: tuple[RewriteRule, ...], facts: Sequence[Fact]
+    ) -> ProverEngine:
+        """The engine for ``extra`` rules and ``facts``: built on first
+        use over an overlay of the base index, then reused."""
+        key = (extra, tuple(facts))
+        engines = self._engines
+        engine = engines.get(key)
+        if engine is None:
+            rules = self.rules
+            if key != ((), ()):
+                rules = RuleSet(
+                    extra + tuple(fact.as_rule() for fact in facts), base=rules
+                )
+            engine = ProverEngine(rules, fuel=self.fuel)
+            if len(engines) >= _ENGINE_CACHE_SIZE:
+                engines.popitem(last=False)
+            engines[key] = engine
+        else:
+            engines.move_to_end(key)
+            engine.fuel = self.fuel
+        return engine
 
     def _prove(
         self,
         lhs: Term,
         rhs: Term,
-        base: RuleSet,
+        extra: tuple[RewriteRule, ...],
         facts: list[Fact],
         result: ProofResult,
         depth: int,
         fact_budget: int,
         constructor_budget: int,
     ) -> bool:
-        engine = self._engine(base, facts)
+        engine = self._engine(extra, facts)
         try:
             left = engine.simplify(lhs)
             right = engine.simplify(rhs)
@@ -343,7 +349,7 @@ class EquationalProver:
                 if not self._prove(
                     left,
                     right,
-                    base,
+                    extra,
                     facts + [Fact(condition, value)],
                     result,
                     depth + 1,
@@ -359,7 +365,7 @@ class EquationalProver:
                 constant,
                 left,
                 right,
-                base,
+                extra,
                 facts,
                 result,
                 depth,
@@ -404,7 +410,7 @@ class EquationalProver:
         constant: Term,
         left: Term,
         right: Term,
-        base: RuleSet,
+        extra: tuple[RewriteRule, ...],
         facts: list[Fact],
         result: ProofResult,
         depth: int,
@@ -429,7 +435,7 @@ class EquationalProver:
             vacuous = False
             for fact in facts:
                 cond = replace_constant(fact.condition, constant, case_term)
-                simplified = self._engine(base, case_facts).simplify(cond)
+                simplified = self._engine(extra, case_facts).simplify(cond)
                 if is_true(simplified) or is_false(simplified):
                     if is_true(simplified) != fact.value:
                         vacuous = True
@@ -444,7 +450,7 @@ class EquationalProver:
             if not self._prove(
                 case_left,
                 case_right,
-                base,
+                extra,
                 case_facts,
                 result,
                 depth + 1,

@@ -100,3 +100,20 @@ class TestRenameApart:
         term = app(GROW, t, e)
         renamed, _ = rename_apart(term, {t, e})
         assert variant_of(term, renamed)
+
+    def test_renaming_depends_only_on_arguments(self):
+        term = app(GROW, t, e)
+        first, _ = rename_apart(term, {t})
+        rename_apart(app(GROW, u, e), {u, e})
+        again, _ = rename_apart(term, {t})
+        assert first == again == app(GROW, var("t#1", T), e)
+
+    def test_fresh_name_avoids_taken_variables(self):
+        _, sigma = rename_apart(app(GROW, t, e), {t, var("t#1", T)})
+        assert sigma.apply(t) == var("t#2", T)
+
+    def test_fresh_name_avoids_the_terms_own_variables(self):
+        term = app(GROW, app(GROW, t, var("e#1", E)), e)
+        renamed, sigma = rename_apart(term, {e})
+        assert sigma.apply(e) == var("e#2", E)
+        assert len(renamed.variables()) == 3

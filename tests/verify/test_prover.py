@@ -213,3 +213,106 @@ class TestProve:
         rhs = ite(app(FLAG, constant), true_term(), false_term())
         result = prover.prove(app(FLAG, constant), rhs)
         assert not result.proved
+
+
+class TestFactsDoNotLeak:
+    """Facts live in an overlay over the prover's base index: a proof
+    under facts leaves the base rules, and engines built on them, as
+    they were."""
+
+    def _setup(self):
+        rules = RuleSet(list(BASIC_RULES))
+        prover = EquationalProver(rules, constructors={T: (MK, GROW)})
+        constant = fresh_constant("x", T)
+        condition = app(FLAG, constant)
+        goal = (ite(condition, lit("a", E), lit("b", E)), lit("a", E))
+        return rules, prover, condition, goal
+
+    def test_base_keeps_length_and_candidates(self):
+        rules, prover, condition, goal = self._setup()
+        probes = [condition, app(FLAG, app(MK)), app(PEEK, app(GROW, app(MK), lit("a", E)))]
+        length = len(rules)
+        before = [tuple(rules.candidates(term)) for term in probes]
+        assert prover.prove(*goal, facts=[Fact(condition, True)]).proved
+        assert len(rules) == length
+        assert [tuple(rules.candidates(term)) for term in probes] == before
+        assert prover.rules is rules
+
+    def test_fresh_engine_does_not_rewrite_the_condition(self):
+        rules, prover, condition, goal = self._setup()
+        assert prover.prove(*goal, facts=[Fact(condition, True)]).proved
+        assert ProverEngine(rules).simplify(condition) == condition
+
+    def test_goal_needing_the_fact_fails_without_it(self):
+        rules, prover, condition, goal = self._setup()
+        assert prover.prove(*goal, facts=[Fact(condition, True)]).proved
+        # Same prover, so any engine it kept is reused: the goal still
+        # needs the fact.  (Splitting x by constructor would decide the
+        # condition, so that is switched off.)
+        prover.max_constructor_splits = 0
+        assert not prover.prove(*goal).proved
+
+    def test_fact_overlay_matches_after_base(self):
+        rules, prover, condition, _ = self._setup()
+        fact = Fact(app(FLAG, app(MK)), False)
+        engine = prover._engine((), [fact])
+        # The base rule FLAG(mk) -> true comes first, as in a copy of the
+        # base extended by the fact's rule.
+        assert list(engine.rules) == list(rules) + [fact.as_rule()]
+        assert engine.rules.candidates(app(FLAG, app(MK)))[-1] == fact.as_rule()
+        assert engine.simplify(app(FLAG, app(MK))) == true_term()
+
+
+class TestSimplifyMemo:
+    def test_hits_are_counted(self):
+        engine = ProverEngine(RuleSet(list(BASIC_RULES)))
+        term = app(PEEK, app(GROW, fresh_constant("t", T), lit("a", E)))
+        assert engine.simplify(term) == lit("a", E)
+        probes = engine.stats.simplify_probes
+        hits = engine.stats.simplify_hits
+        assert engine.simplify(term) == lit("a", E)
+        assert engine.stats.simplify_probes == probes + 1
+        assert engine.stats.simplify_hits == hits + 1
+        counters = engine.stats.registry.snapshot()["counters"]
+        assert counters["engine.simplify_memo_hits"] == hits + 1
+        assert counters["engine.simplify_memo_probes"] == probes + 1
+
+    def test_hit_costs_no_fuel(self):
+        engine = ProverEngine(RuleSet(list(BASIC_RULES)))
+        term = app(PEEK, app(GROW, fresh_constant("t", T), lit("a", E)))
+        engine.simplify(term)
+        steps = engine.stats.steps
+        engine.simplify(term)
+        assert engine.stats.steps == steps
+
+    def test_memo_is_bounded_by_cache_size(self):
+        engine = ProverEngine(RuleSet(list(BASIC_RULES)), cache_size=3)
+        for index in range(10):
+            engine.simplify(app(PEEK, app(GROW, app(MK), lit(index, E))))
+        assert len(engine._simplified) == 3
+
+    def test_cache_size_zero_disables_the_memo(self):
+        engine = ProverEngine(RuleSet(list(BASIC_RULES)), cache_size=0)
+        term = app(PEEK, app(GROW, app(MK), lit("a", E)))
+        engine.simplify(term)
+        engine.simplify(term)
+        assert engine.stats.simplify_probes == 0
+        assert not engine._simplified
+
+    def test_clear_cache_empties_the_memo(self):
+        engine = ProverEngine(RuleSet(list(BASIC_RULES)))
+        engine.simplify(app(PEEK, app(GROW, app(MK), lit("a", E))))
+        engine.clear_cache()
+        assert not engine._simplified
+
+    def test_memo_keeps_the_depth_headroom(self):
+        # FRONT(ADD^n(NEW)) recurses twice per level (the FRONT rule's
+        # conditional, then FRONT again); a memo wrapper around the
+        # simplifier would double that and fail here with reason "depth".
+        from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
+
+        engine = ProverEngine(RuleSet.from_specification(QUEUE_SPEC))
+        queue = queue_term([str(index) for index in range(350)])
+        assert engine.simplify(app(FRONT, queue)) == engine.normalize(
+            app(FRONT, queue)
+        )
