@@ -193,14 +193,8 @@ def check_sufficient_completeness(
     max_depth: int = 5,
     seed: int = 2026,
     fuel: int = 50_000,
-    workers: Optional[int] = None,
 ) -> CompletenessReport:
-    """Run the full sufficient-completeness check on ``spec``.
-
-    ``workers=N`` shards the reduction-sampling stage across N worker
-    processes (the dominant cost on large grids); the sampled terms,
-    their verdicts, and the report are identical to the serial run.
-    """
+    """Run the full sufficient-completeness check on ``spec``."""
     cls = classification or classify(spec)
     report = CompletenessReport(spec.name, cls)
 
@@ -227,7 +221,7 @@ def check_sufficient_completeness(
     # --- dynamic reduction sampling --------------------------------------
     if not report.missing:
         report.sampled_observations = _sample_observations(
-            spec, cls, report, sample_terms, max_depth, seed, fuel, workers
+            spec, cls, report, sample_terms, max_depth, seed, fuel
         )
     return report
 
@@ -240,7 +234,6 @@ def _sample_observations(
     max_depth: int,
     seed: int,
     fuel: int,
-    workers: Optional[int] = None,
 ) -> int:
     from repro.testing.termgen import GroundTermGenerator
 
@@ -248,20 +241,16 @@ def _sample_observations(
     engine.fuel = fuel
     generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
     toi_ops = set(spec.own_operations())
-    # Draw the whole sample first (generation must not interleave with
-    # evaluation, so the drawn terms match the serial run exactly),
-    # then evaluate as one fault-isolated batch — which is what lets
-    # ``workers`` shard the grid without changing a single verdict.
+    # Draw the whole sample first, then evaluate it as one
+    # fault-isolated batch: a diverging observation is reported stuck
+    # without aborting the rest.
     terms: list[Term] = []
     for observer in cls.defined_operations:
         for _ in range(max(1, sample_terms // max(1, len(cls.defined_operations)))):
             term = generator.observation(observer)
             if term is not None:
                 terms.append(term)
-    try:
-        outcomes = engine.normalize_many_outcomes(terms, workers=workers)
-    finally:
-        engine.close_pools()
+    outcomes = engine.normalize_many_outcomes(terms)
     for term, outcome in zip(terms, outcomes):
         if not outcome.ok:
             report.stuck.append(StuckObservation(term, term))

@@ -64,9 +64,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     status = 0
     for spec in _load_specs(args.file):
-        completeness = check_sufficient_completeness(
-            spec, workers=args.workers
-        )
+        completeness = check_sufficient_completeness(spec)
         consistency = check_consistency(spec)
         print(banner(f"{spec.name}"))
         print(completeness)
@@ -105,7 +103,35 @@ def cmd_prompts(args: argparse.Namespace) -> int:
     return status
 
 
+def _eval_pool(args: argparse.Namespace, engine: RewriteEngine):
+    """The :class:`~repro.parallel.ShardPool` for ``eval --workers N``,
+    or None for in-process evaluation: no ``--workers`` (or N <= 1), or
+    rules the wire format cannot carry, which is said on stderr."""
+    if args.workers is None or args.workers <= 1:
+        return None
+    from repro.parallel import ShardPool, WireError
+
+    try:
+        return ShardPool(
+            engine.rules,
+            args.workers,
+            backend=engine.backend,
+            fuel=engine.fuel,
+            budget=engine.budget,
+            cache_size=engine.cache_size,
+        )
+    except WireError as exc:
+        print(
+            f"-- rules cannot be sent to worker processes ({exc}); "
+            "evaluating in-process",
+            file=sys.stderr,
+        )
+        return None
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
     from repro.runtime import EvaluationBudget
 
     specs = _load_specs(args.file)
@@ -119,31 +145,29 @@ def cmd_eval(args: argparse.Namespace) -> int:
     engine = RewriteEngine.for_specification(
         spec, backend=args.backend, budget=budget
     )
+    pool = _eval_pool(args, engine)
+    evaluator = pool or engine
     failed = False
-    if args.resilient:
-        outcomes = engine.normalize_many_outcomes(
-            terms, workers=args.workers
-        )
-        for outcome in outcomes:
-            if outcome.ok:
-                print(outcome.term)
-            else:
-                failed = True
-                print(f"-- {outcome}", file=sys.stderr)
-                for step in outcome.trace:
-                    print(f"--   cycle: {step}", file=sys.stderr)
-    else:
-        for result in engine.normalize_many(terms, workers=args.workers):
-            print(result)
-    if args.stats:
-        stats = engine.stats
-        line = (
-            f"-- {stats.steps} step(s), "
-            f"{stats.rule_firings} rule firing(s), "
-            f"{stats.builtin_firings} builtin call(s)"
-        )
-        if args.workers is not None and args.workers > 1:
-            pool = engine._pools.get(args.workers)
+    with pool or nullcontext():
+        if args.resilient:
+            for outcome in evaluator.normalize_many_outcomes(terms):
+                if outcome.ok:
+                    print(outcome.term)
+                else:
+                    failed = True
+                    print(f"-- {outcome}", file=sys.stderr)
+                    for step in outcome.trace:
+                        print(f"--   cycle: {step}", file=sys.stderr)
+        else:
+            for result in evaluator.normalize_many(terms):
+                print(result)
+        if args.stats:
+            stats = engine.stats
+            line = (
+                f"-- {stats.steps} step(s), "
+                f"{stats.rule_firings} rule firing(s), "
+                f"{stats.builtin_firings} builtin call(s)"
+            )
             if pool is not None:
                 shipped = pool.metrics_snapshot()
                 firings = sum(
@@ -156,9 +180,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     f" in-process; workers shipped {steps} step(s), "
                     f"{firings} rule firing(s)"
                 )
-        print(line, file=sys.stderr)
-    _dump_metrics(args.metrics_out)
-    engine.close_pools()
+            print(line, file=sys.stderr)
+        _dump_metrics(args.metrics_out)
     if args.resilient and failed:
         return 3
     return 0
@@ -384,13 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report per-axiom firing counts (dead-axiom lint)",
     )
     check.add_argument("--metrics-out", default=None, help=metrics_help)
-    check.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the reduction-sampling stage across N worker "
-        "processes (report is identical to the serial run)",
-    )
     check.set_defaults(run=cmd_check)
 
     show = commands.add_parser("show", help="pretty-print a spec file")
@@ -420,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="shard a multi-term batch across N worker processes "
-        "(default: in-process serial evaluation)",
+        help="shard the batch across a pool of N worker processes "
+        "(default: in-process serial evaluation; rules the wire format "
+        "cannot carry are evaluated in-process, said on stderr)",
     )
     evaluate.add_argument(
         "--backend",

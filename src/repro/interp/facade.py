@@ -103,11 +103,10 @@ def _wrap(interpreter, cls, value: SymbolicValue):
     return interpreter.to_python(value)
 
 
-def _evaluate_terms(cls, terms, workers=None):
+def _evaluate_terms(cls, terms):
     """Batch entry point stamped onto every façade class: normalise a
     sequence of raw terms through the engine's shared-memo batch API and
-    wrap the results exactly as the per-operation methods do.
-    ``workers=N`` shards the batch across worker processes."""
+    wrap the results exactly as the per-operation methods do."""
     interpreter = cls._interpreter
     terms = list(terms)
     with maybe_span(
@@ -115,11 +114,11 @@ def _evaluate_terms(cls, terms, workers=None):
     ):
         return [
             _wrap(interpreter, cls, value)
-            for value in interpreter.value_many(terms, workers=workers)
+            for value in interpreter.value_many(terms)
         ]
 
 
-def _try_evaluate_terms(cls, terms, budget=None, workers=None):
+def _try_evaluate_terms(cls, terms, budget=None):
     """Fault-isolating batch entry point: one result record per term.
 
     Terms that normalise are wrapped exactly as :meth:`evaluate_terms`
@@ -127,18 +126,14 @@ def _try_evaluate_terms(cls, terms, budget=None, workers=None):
     for observations); every other outcome — truncated, diverged, the
     algebra's ``error`` value, a contained fault — stays a structured
     :class:`~repro.runtime.Outcome`, so one pathological term cannot
-    abort the batch or mask its neighbours' results.  ``workers=N``
-    shards the batch across worker processes, the outcome order still
-    matching the input order."""
+    abort the batch or mask its neighbours' results."""
     interpreter = cls._interpreter
     terms = list(terms)
     results = []
     with maybe_span(
         "facade.try_evaluate_terms", cls=cls.__name__, batch=len(terms)
     ):
-        for outcome in interpreter.value_many_outcomes(
-            terms, budget, workers=workers
-        ):
+        for outcome in interpreter.value_many_outcomes(terms, budget):
             if outcome.status == NORMALIZED:
                 results.append(
                     _wrap(
@@ -158,7 +153,6 @@ def facade_class(
     fuel: int = 200_000,
     backend: str = "interpreted",
     budget: Optional[EvaluationBudget] = None,
-    workers: Optional[int] = None,
 ) -> Type[FacadeValue]:
     """Build a Python class executing ``spec`` symbolically.
 
@@ -166,8 +160,7 @@ def facade_class(
     rule modules — behaviourally identical, measurably faster
     (benchmark E7).  ``budget``
     bounds every evaluation the façade performs (fuel, wall-clock
-    deadline, memory caps), and ``workers`` sets the default shard
-    count for the batch entry points.
+    deadline, memory caps).  Every evaluation runs in-process.
 
     >>> Queue = facade_class(QUEUE_SPEC)
     >>> q = Queue.new().add('a').add('b')
@@ -175,7 +168,7 @@ def facade_class(
     'a'
     """
     interpreter = SymbolicInterpreter(
-        spec, fuel=fuel, backend=backend, budget=budget, workers=workers
+        spec, fuel=fuel, backend=backend, budget=budget
     )
     toi = spec.type_of_interest
     cls = type(

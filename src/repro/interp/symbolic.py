@@ -90,7 +90,6 @@ class SymbolicInterpreter:
         fuel: int = 200_000,
         backend: str = "interpreted",
         budget: Optional[EvaluationBudget] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self.spec = spec
         self.engine = RewriteEngine.for_specification(
@@ -98,9 +97,6 @@ class SymbolicInterpreter:
         )
         if budget is None:
             self.engine.fuel = fuel
-        #: Default shard count for the batch entry points (``None`` or
-        #: 1 = serial); per-call ``workers=`` arguments override it.
-        self.workers = workers
 
     # ------------------------------------------------------------------
     def apply(self, operation_name: str, *args: Applicable) -> SymbolicValue:
@@ -129,25 +125,21 @@ class SymbolicInterpreter:
         with _trace.maybe_span("symbolic.value"):
             return SymbolicValue(self, self.engine.normalize(term))
 
-    def value_many(
-        self, terms, workers: Optional[int] = None
-    ) -> list[SymbolicValue]:
+    def value_many(self, terms) -> list[SymbolicValue]:
         """Normalise a batch of terms through the engine's batch API —
         one shared memo pass, so common substructure across the workload
-        is evaluated once.  ``workers=N`` shards the batch across worker
-        processes (default: the interpreter's ``workers`` setting)."""
-        workers = self.workers if workers is None else workers
+        is evaluated once."""
         tracer = _trace.ACTIVE
         if tracer is None:
             return [
                 SymbolicValue(self, term)
-                for term in self.engine.normalize_many(terms, workers=workers)
+                for term in self.engine.normalize_many(terms)
             ]
         terms = list(terms)
         with tracer.span("symbolic.value_many", batch=len(terms)):
             return [
                 SymbolicValue(self, term)
-                for term in self.engine.normalize_many(terms, workers=workers)
+                for term in self.engine.normalize_many(terms)
             ]
 
     def value_outcome(
@@ -162,24 +154,16 @@ class SymbolicInterpreter:
         self,
         terms,
         budget: Optional[EvaluationBudget] = None,
-        workers: Optional[int] = None,
     ) -> list[Outcome]:
         """Fault-isolating batch evaluation: one outcome per term — a
         pathological term yields its own failure record instead of
-        aborting the batch.  ``workers=N`` shards the batch across
-        worker processes (default: the interpreter's ``workers``
-        setting), outcome order still matching input order."""
-        workers = self.workers if workers is None else workers
+        aborting the batch."""
         tracer = _trace.ACTIVE
         if tracer is None:
-            return self.engine.normalize_many_outcomes(
-                terms, budget, workers=workers
-            )
+            return self.engine.normalize_many_outcomes(terms, budget)
         terms = list(terms)
         with tracer.span("symbolic.value_many_outcomes", batch=len(terms)):
-            return self.engine.normalize_many_outcomes(
-                terms, budget, workers=workers
-            )
+            return self.engine.normalize_many_outcomes(terms, budget)
 
     def _coerce(self, argument: Applicable, sort: Sort) -> Term:
         if isinstance(argument, SymbolicValue):

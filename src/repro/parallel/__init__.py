@@ -7,11 +7,12 @@ parallelise by shipping chunks of terms across a portable wire format
 of workers, with serial-identical per-item semantics and worker metrics
 merged back into the process-wide observability view.
 
-The rest of the system reaches this layer through ``workers=N`` on the
-batch entry points (``RewriteEngine.normalize_many`` /
-``normalize_many_outcomes``, ``SymbolicInterpreter.value_many`` /
-``value_many_outcomes``, the facade batch methods, the oracle, the
-model checker) and ``--workers`` on the CLI.
+One rule: sharding means holding a :class:`ShardPool`.  Library
+entry points (engines, the symbolic interpreter, the façades, the
+analyses and the prover) always evaluate in-process; only a pool's
+owner starts worker processes.  There are two owners: a serving
+session (``repro serve --workers N``, supervised) and ``repro eval
+--workers N``, and a caller can build its own pool the same way.
 """
 
 from repro.parallel.pool import ShardPool, close_all_pools

@@ -408,7 +408,6 @@ class RewriteEngine:
         self._cache: "OrderedDict[Term, Term]" = OrderedDict()
         self._simplified: "OrderedDict[Term, Term]" = OrderedDict()
         self._codegen = None  # lazily-built CodegenEngine delegate
-        self._pools: dict = {}  # workers -> ShardPool (None = unavailable)
 
     @classmethod
     def for_specification(
@@ -495,7 +494,6 @@ class RewriteEngine:
         self,
         terms: Iterable[Term],
         budget: Optional[EvaluationBudget] = None,
-        workers: Optional[int] = None,
     ) -> list[Term]:
         """Normalise a batch of terms against one shared memo.
 
@@ -505,22 +503,13 @@ class RewriteEngine:
         checking many instances of the same axioms, the benchmarks
         draining a family of queues) most of the batch is cache hits.
 
-        ``workers=N`` (N > 1) shards the batch across a pool of worker
-        processes (:class:`repro.parallel.ShardPool`), preserving input
-        order and serial semantics; each worker warms its own engine
-        and memo, so cross-item memo sharing becomes shard-local.  If
-        the pool cannot be built (unwireable rules, no multiprocessing)
-        the batch runs serially, recorded as a ``pool_unavailable``
-        fallback in ``stats.fallbacks``.
+        Always in-process.  To shard a batch across worker processes,
+        hold a :class:`repro.parallel.ShardPool` and call its
+        ``normalize_many``, which keeps this contract.
 
         The first limit aborts the whole batch; use
         :meth:`normalize_many_outcomes` for fault isolation.
         """
-        if workers is not None and workers > 1:
-            terms = terms if isinstance(terms, list) else list(terms)
-            pool = self._shard_pool(workers)
-            if pool is not None and len(terms) > 1:
-                return pool.normalize_many(terms, budget)
         if self.backend != "interpreted":
             return self._codegen_engine().normalize_many(terms, budget)
         return [self.normalize(term, budget) for term in terms]
@@ -600,70 +589,16 @@ class RewriteEngine:
         self,
         terms: Iterable[Term],
         budget: Optional[EvaluationBudget] = None,
-        workers: Optional[int] = None,
     ) -> list[Outcome]:
         """Fault-isolating batch evaluation: one outcome per term, the
         shared memo still warming across items, and no term — however
         pathological — able to abort its neighbours.  Budgets apply per
         item (each term gets the full budget, deadline included).
 
-        ``workers=N`` shards the batch across worker processes with the
-        same per-item semantics — the degradation ladder holds
-        shard-locally, and outcome order matches input order."""
-        if workers is not None and workers > 1:
-            terms = terms if isinstance(terms, list) else list(terms)
-            pool = self._shard_pool(workers)
-            if pool is not None and len(terms) > 1:
-                return pool.normalize_many_outcomes(terms, budget)
+        Always in-process; a :class:`repro.parallel.ShardPool` shards
+        the same contract across worker processes (each worker runs
+        this method on its share)."""
         return [self.normalize_outcome(term, budget) for term in terms]
-
-    def _shard_pool(self, workers: int):
-        """The cached :class:`~repro.parallel.ShardPool` for ``workers``
-        shards, rebuilt when the rule set grew or ``engine.fuel`` was
-        adjusted since the pool was built (mirroring the codegen
-        delegate).  ``None`` when pooling is unavailable for this
-        engine — unwireable rules, no multiprocessing — in which case
-        batch calls stay serial (recorded as a ``pool_unavailable``
-        fallback, once)."""
-        pool = self._pools.get(workers)
-        if pool is not None and (
-            pool.rule_count != len(self.rules) or pool.fuel != self.fuel
-        ):
-            pool.close()
-            pool = None
-            del self._pools[workers]
-        if pool is None and workers not in self._pools:
-            try:
-                from repro.parallel import ShardPool
-
-                pool = ShardPool(
-                    self.rules,
-                    workers,
-                    backend=self.backend,
-                    fuel=self.fuel,
-                    budget=self.budget,
-                    cache_size=self.cache_size,
-                )
-            except Exception:  # fault-boundary: unwireable rules -> stay serial
-                self.stats.record_fallback("pool_unavailable")
-                pool = None
-            self._pools[workers] = pool
-        return pool
-
-    def close_pools(self) -> None:
-        """Shut down (and join) any worker pools this engine spawned."""
-        for pool in self._pools.values():
-            if pool is not None:
-                pool.close()
-        self._pools.clear()
-
-    def __enter__(self) -> "RewriteEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # The context-manager form exists for the pools: an engine that
-        # sharded batches must not leave worker processes behind.
-        self.close_pools()
 
     def _codegen_engine(self):
         """The lazily-built codegen delegate, rebuilt if rules were

@@ -159,7 +159,6 @@ class SpecSession:
     def close(self) -> None:
         if self.supervisor is not None:
             self.supervisor.close()
-        self.engine.close_pools()
 
 
 class ReproServer:
@@ -384,6 +383,23 @@ class ReproServer:
             )
         return terms
 
+    @staticmethod
+    def _int_field(
+        request: dict, name: str, default: int, minimum: Optional[int] = 0
+    ) -> int:
+        """An optional integer field of the request body: a JSON
+        integer (not a bool, float or string), and no smaller than
+        ``minimum`` unless that is None."""
+        value = request.get(name, default)
+        if type(value) is not int or (minimum is not None and value < minimum):
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise ServeRequestError(
+                400,
+                "bad_field",
+                f"{name!r} must be an integer{bound}, got {value!r}",
+            )
+        return value
+
     def _budget(self, request: dict):
         try:
             budget = wire.decode_budget(request.get("budget"))
@@ -408,12 +424,15 @@ class ReproServer:
 
     def _h_check(self, request: dict) -> dict:
         session = self._session(request)
+        sample_terms = min(self._int_field(request, "sample_terms", 60), 500)
+        max_depth = min(self._int_field(request, "max_depth", 5), 8)
+        seed = self._int_field(request, "seed", 2026, minimum=None)
         with session.lock:
             completeness = check_sufficient_completeness(
                 session.spec,
-                sample_terms=min(int(request.get("sample_terms", 60)), 500),
-                max_depth=min(int(request.get("max_depth", 5)), 8),
-                seed=int(request.get("seed", 2026)),
+                sample_terms=sample_terms,
+                max_depth=max_depth,
+                seed=seed,
             )
             consistency = check_consistency(session.spec)
         return {
@@ -438,18 +457,28 @@ class ReproServer:
                 400, "bad_goals", "'goals' must be a list of [lhs, rhs] "
                 "index pairs into 'terms'/'text'"
             )
-        fuel = min(int(request.get("fuel", self.limits.max_fuel)), self.limits.max_fuel)
+        for goal in goals:
+            # Indices count from 0: a negative one would silently pick
+            # a term from the end, and a bool is not an index.
+            if not all(
+                type(index) is int and 0 <= index < len(terms)
+                for index in goal
+            ):
+                raise ServeRequestError(
+                    400,
+                    "bad_goals",
+                    f"goal {goal!r}: indices must be integers in "
+                    f"[0, {len(terms)})",
+                )
+        fuel = min(
+            self._int_field(request, "fuel", self.limits.max_fuel),
+            self.limits.max_fuel,
+        )
         results = []
         with session.lock:
             prover = session.prover(fuel)
             for li, ri in goals:
-                try:
-                    lhs_open, rhs_open = terms[li], terms[ri]
-                except (IndexError, TypeError):
-                    raise ServeRequestError(
-                        400, "bad_goals", f"goal [{li}, {ri}] out of range"
-                    )
-                lhs, rhs, _ = skolemize_pair(lhs_open, rhs_open)
+                lhs, rhs, _ = skolemize_pair(terms[li], terms[ri])
                 result = prover.prove(lhs, rhs)
                 results.append(
                     {
@@ -568,6 +597,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         traceparent = getattr(self, "_traceparent", None)
         if traceparent is not None:
             self.send_header("traceparent", traceparent)
@@ -726,13 +757,29 @@ class _Handler(BaseHTTPRequestHandler):
                 error["retry_after"] = retry_after
             outcome["payload"] = {"error": error}
 
+        # Every early return below leaves the body unread, and unread
+        # bytes would be parsed as the next request on a reused
+        # connection, so each one closes it.
         method = _POST_ROUTES.get(self.path)
         if method is None:
+            self.close_connection = True
             return fail(404, "not_found", self.path)
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            # Checked before any read: int() would raise on "abc" and
+            # rfile.read(-1) would block until the peer hangs up.
+            self.close_connection = True
+            return fail(
+                400,
+                "bad_content_length",
+                f"Content-Length must be a non-negative integer, "
+                f"got {raw_length!r}",
+            )
+        length = int(raw_length)
         if length > app.limits.max_body_bytes:
             # Shed before reading or parsing: the hostile case costs a
             # header, not max_body_bytes of memory.
+            self.close_connection = True
             app.admission._shed.inc("body_too_large")
             return fail(
                 413,

@@ -220,7 +220,6 @@ def check_axioms_by_rewriting(
     seed: int = 2026,
     axioms: Optional[tuple[Axiom, ...]] = None,
     backend: str = "interpreted",
-    workers: Optional[int] = None,
 ) -> OracleReport:
     """Model-check the specification against *itself* by rewriting.
 
@@ -234,11 +233,6 @@ def check_axioms_by_rewriting(
     consistent specification passes trivially; the check earns its keep
     as a differential harness (run once per ``backend``) and as a smoke
     test for user-written axioms.
-
-    ``workers=N`` shards each axiom's instance batch across worker
-    processes — the engine (and its pool of warm worker engines)
-    persists across axioms, so the spawn cost amortises over the whole
-    check.
     """
     from repro.rewriting.engine import RewriteEngine
     from repro.testing.termgen import GenerationError, GroundTermGenerator
@@ -264,8 +258,7 @@ def check_axioms_by_rewriting(
             instances=len(instances),
         ):
             outcomes = engine.normalize_many_outcomes(
-                [side for _, lhs, rhs in instances for side in (lhs, rhs)],
-                workers=workers,
+                [side for _, lhs, rhs in instances for side in (lhs, rhs)]
             )
         for i, (sigma, _, _) in enumerate(instances):
             left, right = outcomes[2 * i], outcomes[2 * i + 1]
@@ -277,5 +270,4 @@ def check_axioms_by_rewriting(
                 report.failures.append(
                     OracleFailure(axiom, sigma, left.term, right.term)
                 )
-    engine.close_pools()
     return report

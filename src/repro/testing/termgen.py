@@ -63,10 +63,10 @@ class GroundTermGenerator:
         self.spec = spec
         self.max_depth = max_depth
         self._random = random.Random(seed)
-        self._pools: dict[str, tuple[object, ...]] = dict(DEFAULT_POOLS)
+        self._literals: dict[str, tuple[object, ...]] = dict(DEFAULT_POOLS)
         if pools:
             for name, values in pools.items():
-                self._pools[name] = tuple(values)
+                self._literals[name] = tuple(values)
         self._constructors = self._constructor_table()
         # Recursive constructors per sort, precomputed once rather than
         # refiltered on every generated node.
@@ -92,7 +92,7 @@ class GroundTermGenerator:
         return self._term(sort, budget)
 
     def _term(self, sort: Sort, budget: int) -> Term:
-        pool = self._pools.get(str(sort))
+        pool = self._literals.get(str(sort))
         constructors = self._constructors.get(sort, [])
         if budget <= 1:
             bases = [op for op in constructors if not op.domain]

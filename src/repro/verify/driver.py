@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.algebra.sorts import Sort
 from repro.verify.induction import GeneratorInduction, Lemma
@@ -140,107 +140,15 @@ def _find_operation(prover: EquationalProver, name: str):
     raise ValueError(f"assumption predicate {name!r} not found in rules")
 
 
-@dataclass(frozen=True)
-class RemoteProofSummary:
-    """What a worker-process proof ships home: the verdict and a
-    printable account.  Terms stay in the worker (they would unpickle
-    as unshared copies); the labels, flags and renderings here are all
-    the report surface ever consumes."""
-
-    proved: bool
-    lhs: str
-    rhs: str
-    residual: Optional[tuple[str, str]] = None
-
-    def __str__(self) -> str:
-        verdict = "PROVED" if self.proved else "FAILED"
-        lines = [f"{verdict}: {self.lhs} = {self.rhs}"]
-        if self.residual is not None:
-            lines.append(f"residual: {self.residual[0]} = {self.residual[1]}")
-        return "\n".join(lines)
-
-
-# -- worker-process side of parallel obligation discharge ---------------
-# One prover per worker, built in the initializer from the pickled
-# representation and reused for every obligation the worker draws.
-_WORKER_PROVER: Optional[EquationalProver] = None
-
-
-def _verify_worker_init(representation: Representation, fuel: int) -> None:
-    global _WORKER_PROVER
-    _WORKER_PROVER = make_prover(representation, fuel=fuel)
-
-
-def _verify_worker_run(obligation: ProofObligation) -> RemoteProofSummary:
-    assert _WORKER_PROVER is not None
-    result = _prove_closed(_WORKER_PROVER, obligation)
-    return RemoteProofSummary(
-        proved=result.proved,
-        lhs=str(result.lhs),
-        rhs=str(result.rhs),
-        residual=(
-            (str(result.residual[0]), str(result.residual[1]))
-            if result.residual is not None
-            else None
-        ),
-    )
-
-
-def _discharge_parallel(
-    representation: Representation,
-    obligations: Sequence[ProofObligation],
-    fuel: int,
-    workers: int,
-) -> Optional[list[ObligationOutcome]]:
-    """Prove the obligations across worker processes, in order.
-
-    Returns None when parallel discharge is unavailable (unpicklable
-    representation, no multiprocessing, a worker died) — the caller
-    falls back to the serial loop, so ``workers`` can never cost a
-    verdict.  Proofs are independent, so per-obligation verdicts are
-    identical to the serial run by construction.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        methods = multiprocessing.get_all_start_methods()
-        method = "fork" if "fork" in methods else methods[0]
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(obligations)),
-            mp_context=multiprocessing.get_context(method),
-            initializer=_verify_worker_init,
-            initargs=(representation, fuel),
-        ) as executor:
-            futures = [
-                executor.submit(_verify_worker_run, obligation)
-                for obligation in obligations
-            ]
-            return [
-                ObligationOutcome(obligation, summary.proved, summary)
-                for obligation, summary in zip(
-                    obligations, (f.result() for f in futures)
-                )
-            ]
-    except Exception:  # fault-boundary: broken pool / unpicklable -> serial
-        return None
-
-
 def verify_representation(
     representation: Representation,
     mode: Mode = Mode.REACHABLE,
     lemmas: Sequence[Lemma] = (),
     fuel: int = 100_000,
-    workers: Optional[int] = None,
 ) -> VerificationReport:
     """Discharge every inherent-invariant obligation of
-    ``representation`` in the requested ``mode``.
-
-    ``workers=N`` shards UNCONDITIONAL/CONDITIONAL obligation discharge
-    across N worker processes (obligations are independent closed
-    proofs); per-obligation verdicts match the serial run.  REACHABLE
-    mode stays serial: generator induction threads lemmas through one
-    prover, an inherently sequential proof state.
+    ``representation`` in the requested ``mode``, in process, through
+    one prover (so its engines and memos serve every obligation).
     """
     report = VerificationReport(representation.abstract.name, mode)
     prover = make_prover(representation, fuel=fuel)
@@ -272,13 +180,6 @@ def verify_representation(
     obligations = obligations_for(
         representation, with_assumption_1=with_assumption
     )
-    if workers is not None and workers > 1 and len(obligations) > 1:
-        outcomes = _discharge_parallel(
-            representation, obligations, fuel, workers
-        )
-        if outcomes is not None:
-            report.outcomes.extend(outcomes)
-            return report
     for obligation in obligations:
         proof = _prove_closed(prover, obligation)
         report.outcomes.append(

@@ -146,7 +146,6 @@ def model_check(
     max_instances: int = 400,
     fuel: int = 100_000,
     extra_pools: Optional[dict[str, Sequence[Term]]] = None,
-    workers: Optional[int] = None,
 ) -> ModelCheckReport:
     """Evaluate ``obligation`` on ground instantiations.
 
@@ -159,8 +158,8 @@ def model_check(
 
     Both sides of every instance go through one fault-isolating
     :meth:`~repro.rewriting.engine.RewriteEngine.normalize_many_outcomes`
-    batch; ``workers=N`` shards that batch (the enumeration grid is
-    embarrassingly parallel) with per-instance verdicts unchanged.
+    batch, so one pathological instance is tallied as undecided
+    instead of aborting the rest.
     """
     from repro.spec.prelude import attributes, identifier, item
 
@@ -205,8 +204,7 @@ def model_check(
                     sigma.apply(obligation.lhs),
                     sigma.apply(obligation.rhs),
                 )
-            ],
-            workers=workers,
+            ]
         )
         for i, sigma in enumerate(substitutions):
             left, right = outcomes[2 * i], outcomes[2 * i + 1]
@@ -220,5 +218,4 @@ def model_check(
                         obligation.label, sigma, left.term, right.term
                     )
                 )
-    engine.close_pools()
     return report

@@ -1,9 +1,8 @@
 """Pool lifecycle: no shard worker may outlive its parent (satellite).
 
-Three layers of defence, each tested here:
+Two layers of defence, each tested here:
 
 * ``ShardPool.close()`` joins the workers synchronously;
-* ``RewriteEngine`` is a context manager whose exit closes its pools;
 * the module-level ``atexit`` sweep (:func:`close_all_pools`) reaps
   pools whose owners forgot, so even an exiting interpreter leaves no
   orphans — verified end-to-end with a real child interpreter.
@@ -21,7 +20,6 @@ import time
 from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
 from repro.algebra.terms import App
 from repro.parallel import ShardPool, close_all_pools
-from repro.rewriting.engine import RewriteEngine
 from repro.rewriting.rules import RuleSet
 
 RULES = RuleSet.from_specification(QUEUE_SPEC)
@@ -55,18 +53,6 @@ class TestExplicitClose:
         close_all_pools()
         _assert_all_dead(pids)
         assert all(pool._broken for pool in pools)
-
-
-class TestEngineContextManager:
-    def test_exit_closes_worker_pools(self):
-        subjects = [App(FRONT, (queue_term(["a", "b"]),))] * 4
-        with RewriteEngine(RULES) as engine:
-            engine.normalize_many_outcomes(subjects, workers=2)
-            pool = engine._pools.get(2)
-            assert pool is not None
-            pids = pool.warm()
-            assert pids
-        _assert_all_dead(pids)
 
 
 class TestAtexitSweep:

@@ -103,25 +103,22 @@ class TestLifecycleAndDegradation:
         assert pool.normalize_many_outcomes(subjects) == expected
         assert pool.c_serial_items.value == len(subjects)
 
-    def test_engine_stays_serial_on_unwireable_rules(self):
+    def test_constructor_rejects_unwireable_rules(self):
         from repro.algebra.signature import Operation
         from repro.algebra.sorts import Sort
         from repro.algebra.terms import Var
+        from repro.parallel import WireError
         from repro.rewriting.rules import RewriteRule
 
         sort = Sort("Widget")
         op = Operation("OPAQUE", (sort,), sort, builtin=lambda x: x)
         x = Var("x", sort)
-        engine = RewriteEngine(RuleSet([RewriteRule(App(op, (x,)), x)]))
-        term = App(op, (Err(sort),))
-        # The lambda builtin cannot cross the boundary; the engine must
-        # fall back to serial evaluation rather than fail the batch.
-        assert engine.normalize_many_outcomes(
-            [term, term], workers=2
-        ) == engine.normalize_many_outcomes([term, term])
-        assert engine._pools[2] is None
-        assert engine.stats.fallbacks.get("pool_unavailable") >= 1
-        engine.close_pools()
+        rules = RuleSet([RewriteRule(App(op, (x,)), x)])
+        # A lambda builtin cannot cross the process boundary; the
+        # constructor says so, before any worker starts, so its owner
+        # can choose in-process evaluation instead.
+        with pytest.raises(WireError):
+            ShardPool(rules, 2)
 
 
 class TestObservability:

@@ -168,6 +168,58 @@ class TestRawRequests:
             assert status == 413
             assert payload["error"]["reason"] == "body_too_large"
 
+    def _post_with_length(
+        self, server, length: str, body=b'{"text": []}', path="/v1/normalize"
+    ):
+        """POST with a hand-written ``Content-Length`` header; the
+        short socket timeout turns a handler stuck reading the body
+        into a test failure rather than a 30 s hang."""
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(body)
+            response = conn.getresponse()
+            payload = json.loads(response.read() or b"{}")
+            return response.status, response.getheader("Connection"), payload
+        finally:
+            conn.close()
+
+    def test_non_numeric_content_length_is_400(self, served):
+        server, _ = served
+        status, connection, payload = self._post_with_length(server, "abc")
+        assert status == 400
+        assert payload["error"]["reason"] == "bad_content_length"
+        # The body's extent is unknown, so the connection is not reused.
+        assert connection == "close"
+
+    def test_negative_content_length_is_400_without_reading(self, served):
+        server, _ = served
+        status, connection, payload = self._post_with_length(server, "-1")
+        assert status == 400
+        assert payload["error"]["reason"] == "bad_content_length"
+        assert connection == "close"
+
+    def test_rejections_before_the_read_close_the_connection(self):
+        # The body stays unread, and on a reused connection it would be
+        # parsed as the next request.
+        with _server(
+            limits=ServeLimits(max_body_bytes=64),
+            registry=_metrics.MetricsRegistry("server-body-close-test"),
+        ) as server:
+            body = b"x" * 1024
+            status, connection, _ = self._post_with_length(
+                server, str(len(body)), body
+            )
+            assert (status, connection) == (413, "close")
+            body = b'{"text": []}'
+            status, connection, _ = self._post_with_length(
+                server, str(len(body)), body, path="/v1/nonsense"
+            )
+            assert (status, connection) == (404, "close")
+
     def test_unknown_post_path_is_404(self, served):
         server, _ = served
         status, payload = self._post(server, "/v1/nonsense", b"{}")
@@ -201,6 +253,52 @@ class TestCheckAndProve:
             )
         assert exc.value.status == 400
         assert exc.value.reason == "bad_goals"
+
+
+class TestRequestFields:
+    """Numeric fields and goal indices are checked as sent: a bad one
+    is the caller's 400, never a 500 that counts as a server error."""
+
+    def _rejected(self, server, client, path, body, reason):
+        errors = server.c_errors.value
+        with pytest.raises(ServeError) as exc:
+            client._request("POST", path, body)
+        assert exc.value.status == 400
+        assert exc.value.reason == reason
+        assert server.c_errors.value == errors
+
+    @pytest.mark.parametrize("field", ["sample_terms", "max_depth", "seed"])
+    def test_non_integer_check_field_is_400(self, served, field):
+        server, client = served
+        self._rejected(
+            server, client, "/v1/check", {field: "many"}, "bad_field"
+        )
+
+    def test_non_integer_fuel_is_400(self, served):
+        server, client = served
+        self._rejected(
+            server,
+            client,
+            "/v1/prove",
+            {"text": ["NEW"], "goals": [[0, 0]], "fuel": "x"},
+            "bad_field",
+        )
+
+    @pytest.mark.parametrize(
+        "goal",
+        [[-1, -1], [0.0, 1], [True, 0]],
+        ids=["negative", "non-integer", "bool"],
+    )
+    def test_bad_goal_index_is_400(self, served, goal):
+        # Python indexing would read -1 as terms[-1] and True as terms[1].
+        server, client = served
+        self._rejected(
+            server,
+            client,
+            "/v1/prove",
+            {"text": ["NEW", "NEW"], "goals": [goal]},
+            "bad_goals",
+        )
 
 
 class TestTransportsAndMetrics:

@@ -160,6 +160,40 @@ class TestEval:
         assert captured.out.strip() == "'a'"
         assert "rule firing(s)" in captured.err
 
+    def test_workers_evaluate_through_a_shard_pool(self, queue_file, capsys):
+        code = main(
+            [
+                "eval", queue_file, "FRONT(ADD(ADD(NEW, 'a'), 'b'))",
+                "FRONT(NEW)", "--workers", "2", "--resilient", "--stats",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.splitlines() == ["'a'", "error"]
+        assert "workers shipped" in captured.err
+
+    def test_workers_on_unwireable_rules_say_so(
+        self, queue_file, capsys, monkeypatch
+    ):
+        import repro.parallel
+        from repro.parallel import WireError
+
+        def unwireable(*args, **kwargs):
+            raise WireError("builtin reference is a lambda")
+
+        monkeypatch.setattr(repro.parallel, "ShardPool", unwireable)
+        code = main(
+            [
+                "eval", queue_file, "FRONT(ADD(ADD(NEW, 'a'), 'b'))",
+                "--workers", "2", "--stats",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.strip() == "'a'"
+        assert "evaluating in-process" in captured.err
+        assert "workers shipped" not in captured.err
+
     def test_retired_compiled_backend_rejected(self, queue_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", queue_file, "NEW", "--backend", "compiled"])
