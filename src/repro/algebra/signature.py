@@ -57,6 +57,11 @@ class Operation:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    def __reduce__(self):
+        # Rebuild rather than copy the cached hash: string hashes differ
+        # between processes.
+        return (Operation, (self.name, self.domain, self.range, self.builtin))
+
     @property
     def arity(self) -> int:
         return len(self.domain)

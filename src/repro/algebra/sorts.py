@@ -44,6 +44,28 @@ class Sort:
             # Allow dotted names for qualified sorts; '?' never appears in
             # sort names but the check keeps error messages precise.
             raise ValueError(f"invalid sort name: {self.name!r}")
+        # Sorts are hashed in every leaf term's intern key; the
+        # dataclass-generated hash rebuilds a field tuple per call, so
+        # compute it once.
+        object.__setattr__(self, "_hash", hash((self.name, self.parameters)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        # Rebuild rather than copy the cached hash: string hashes differ
+        # between processes.
+        return (Sort, (self.name, self.parameters))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Sort:
+            return NotImplemented
+        return (
+            self.name == other.name  # type: ignore[attr-defined]
+            and self.parameters == other.parameters  # type: ignore[attr-defined]
+        )
 
     def __str__(self) -> str:
         if self.parameters:

@@ -24,9 +24,11 @@ Hash consing
 ------------
 
 Term nodes are *interned*: construction goes through a per-process
-weak-value table keyed on the node's structural identity, so two
-structurally equal terms built anywhere in the process are the **same
-object**.  Consequences the rest of the system relies on:
+weak-value table, so two structurally equal terms built anywhere in the
+process are the **same object**.  Leaves are keyed structurally; an
+application or conditional is keyed on its operation and the identities
+of its (already interned) children.  Consequences the rest of the system
+relies on:
 
 * equality is identity-first (``a is b`` decides almost every
   comparison the rewrite engine makes — the structural fallback only
@@ -44,6 +46,8 @@ code are garbage collected normally.  :func:`set_interning` /
 :func:`interning_disabled` exist for the E10 ablation benchmark only;
 with interning off, construction allocates fresh nodes and equality
 falls back to the structural definition, so behaviour is unchanged.
+Nodes built over such unshared children stay unshared even after
+interning is switched back on: correct, only without sharing.
 """
 
 from __future__ import annotations
@@ -68,12 +72,27 @@ Position = tuple[int, ...]
 # A hand-rolled weak-value mapping rather than weakref.WeakValueDictionary:
 # constructors probe and fill this table on every term built, and the
 # raw-dict form saves a Python-level wrapper call on each of those
-# operations.  Values are KeyedRefs; a dead referent removes its own
-# entry via _evict (the identity guard keeps a late callback from
-# clobbering a re-interned replacement).
+# operations.  Values are _Refs; a dead referent removes its own entry
+# via _evict (the identity guard keeps a late callback from clobbering a
+# re-interned replacement).
+#
+# Leaves (Var, Lit, Err) are keyed structurally.  While interning is on,
+# the children of an App or Ite are themselves interned, so a node is
+# keyed on its children's *identities*: ``(op, id(a1), ..., id(an))``.
+# The key never outlives the node (its entry is evicted when the node
+# dies, and a live node keeps its children, and so their ids, alive), and
+# building it calls no Python-level __hash__ on the children.
 _INTERNING = True
-_TABLE: dict[tuple, "weakref.KeyedRef"] = {}
-_KeyedRef = weakref.KeyedRef
+
+
+class _Ref(weakref.ref):
+    """A weak reference that remembers its table key; unlike
+    ``weakref.KeyedRef`` it has no Python-level constructor."""
+
+    __slots__ = ("key",)
+
+
+_TABLE: dict[tuple, _Ref] = {}
 
 # Substrate counters, as bare one-element list cells so this bottom
 # layer imports nothing from the observability layer: repro.obs.metrics
@@ -84,9 +103,16 @@ INTERN_HITS = [0]
 INTERN_MISSES = [0]
 
 
-def _evict(ref: "weakref.KeyedRef", _table=_TABLE) -> None:
+def _evict(ref: _Ref, _table=_TABLE) -> None:
     if _table.get(ref.key) is ref:
         del _table[ref.key]
+
+
+def _intern(key: tuple, node: "Term") -> None:
+    INTERN_MISSES[0] += 1
+    ref = _Ref(node, _evict)
+    ref.key = key
+    _TABLE[key] = ref
 
 
 def interning_enabled() -> bool:
@@ -256,8 +282,7 @@ class Var(Term):
         self.sort = sort
         self._hash = hash(key)
         if _INTERNING:
-            INTERN_MISSES[0] += 1
-            _TABLE[key] = _KeyedRef(self, _evict, key)
+            _intern(key, self)
         return self
 
     def __reduce__(self):
@@ -310,8 +335,7 @@ class Lit(Term):
         self.sort = sort
         self._hash = hash(key)
         if _INTERNING:
-            INTERN_MISSES[0] += 1
-            _TABLE[key] = _KeyedRef(self, _evict, key)
+            _intern(key, self)
         return self
 
     def __reduce__(self):
@@ -365,8 +389,7 @@ class Err(Term):
         self.sort = sort
         self._hash = hash(key)
         if _INTERNING:
-            INTERN_MISSES[0] += 1
-            _TABLE[key] = _KeyedRef(self, _evict, key)
+            _intern(key, self)
         return self
 
     def __reduce__(self):
@@ -406,8 +429,18 @@ class App(Term):
     def __new__(cls, op: Operation, args: Sequence[Term] = ()) -> "App":
         if type(args) is not tuple:
             args = tuple(args)
-        key = (cls, op, args)
         if _INTERNING:
+            # ``(op, *map(id, args))``, spelled out for the common
+            # arities: the generic form costs three times as much.
+            arity = len(args)
+            if arity == 2:
+                key = (op, id(args[0]), id(args[1]))
+            elif arity == 1:
+                key = (op, id(args[0]))
+            elif arity == 0:
+                key = (op,)
+            else:
+                key = (op, *map(id, args))
             ref = _TABLE.get(key)
             if ref is not None:
                 cached = ref()
@@ -418,22 +451,19 @@ class App(Term):
             raise SortError(
                 f"{op.name} expects {op.arity} argument(s), got {len(args)}"
             )
-        for expected, arg in zip(op.domain, args):
-            if arg.sort != expected:
-                raise SortError(
-                    f"{op.name}: argument {arg} has sort {arg.sort}, "
-                    f"expected {expected}"
-                )
-        self = object.__new__(cls)
-        self.op = op
-        self.args = args
-        self.sort = op.range
-        self._hash = hash((op.name, op.range, args))
         size = 1
         depth = 0
         ground = True
         haserr = False
-        for arg in args:
+        hashes = [op._hash]
+        for expected, arg in zip(op.domain, args):
+            sort = arg.sort
+            if sort is not expected and sort != expected:
+                raise SortError(
+                    f"{op.name}: argument {arg} has sort {sort}, "
+                    f"expected {expected}"
+                )
+            hashes.append(arg._hash)
             size += arg._size
             if arg._depth > depth:
                 depth = arg._depth
@@ -441,13 +471,17 @@ class App(Term):
                 ground = False
             if not haserr and arg._haserr:
                 haserr = True
+        self = object.__new__(cls)
+        self.op = op
+        self.args = args
+        self.sort = op.range
+        self._hash = hash(tuple(hashes))
         self._size = size
         self._depth = depth + 1
         self._ground = ground
         self._haserr = haserr
         if _INTERNING:
-            INTERN_MISSES[0] += 1
-            _TABLE[key] = _KeyedRef(self, _evict, key)
+            _intern(key, self)
         return self
 
     def __reduce__(self):
@@ -499,35 +533,37 @@ class Ite(Term):
     )
 
     def __new__(cls, cond: Term, then_branch: Term, else_branch: Term) -> "Ite":
-        key = (cls, cond, then_branch, else_branch)
         if _INTERNING:
+            key = (cls, id(cond), id(then_branch), id(else_branch))
             ref = _TABLE.get(key)
             if ref is not None:
                 cached = ref()
                 if cached is not None:
                     INTERN_HITS[0] += 1
                     return cached  # type: ignore[return-value]
-        if cond.sort != BOOLEAN:
+        if cond.sort is not BOOLEAN and cond.sort != BOOLEAN:
             raise SortError(f"if-condition must be Boolean, got {cond.sort}")
-        if then_branch.sort != else_branch.sort:
+        sort = then_branch.sort
+        if else_branch.sort is not sort and else_branch.sort != sort:
             raise SortError(
                 "if-branches must share a sort: "
-                f"{then_branch.sort} vs {else_branch.sort}"
+                f"{sort} vs {else_branch.sort}"
             )
         self = object.__new__(cls)
         self.cond = cond
         self.then_branch = then_branch
         self.else_branch = else_branch
-        self.sort = then_branch.sort
-        self._hash = hash(("__ite__", cond, then_branch, else_branch))
+        self.sort = sort
+        self._hash = hash(
+            ("__ite__", cond._hash, then_branch._hash, else_branch._hash)
+        )
         kids = (cond, then_branch, else_branch)
         self._size = 1 + sum(kid._size for kid in kids)
         self._depth = 1 + max(kid._depth for kid in kids)
         self._ground = all(kid._ground for kid in kids)
         self._haserr = any(kid._haserr for kid in kids)
         if _INTERNING:
-            INTERN_MISSES[0] += 1
-            _TABLE[key] = _KeyedRef(self, _evict, key)
+            _intern(key, self)
         return self
 
     def __reduce__(self):

@@ -158,8 +158,7 @@ def _confront_ground(
 ) -> int:
     from repro.testing.termgen import GenerationError, GroundTermGenerator
 
-    engine = RewriteEngine.for_specification(spec)
-    engine.fuel = fuel
+    engine = RewriteEngine.for_specification(spec, fuel=fuel)
     generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
     checked = 0
     own_axioms = spec.axioms
@@ -167,9 +166,10 @@ def _confront_ground(
         return 0
     per_axiom = max(1, instances // len(own_axioms))
     for axiom in own_axioms:
+        variables = axiom.variables()
         for _ in range(per_axiom):
             try:
-                sigma = generator.substitution_for(axiom.variables())
+                sigma = generator.substitution_for(variables)
             except GenerationError:
                 continue
             lhs = sigma.apply(axiom.lhs)

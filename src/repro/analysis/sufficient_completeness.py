@@ -237,8 +237,7 @@ def _sample_observations(
 ) -> int:
     from repro.testing.termgen import GroundTermGenerator
 
-    engine = RewriteEngine.for_specification(spec)
-    engine.fuel = fuel
+    engine = RewriteEngine.for_specification(spec, fuel=fuel)
     generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
     toi_ops = set(spec.own_operations())
     # Draw the whole sample first, then evaluate it as one

@@ -93,10 +93,8 @@ class SymbolicInterpreter:
     ) -> None:
         self.spec = spec
         self.engine = RewriteEngine.for_specification(
-            spec, backend=backend, budget=budget
+            spec, fuel=fuel, backend=backend, budget=budget
         )
-        if budget is None:
-            self.engine.fuel = fuel
 
     # ------------------------------------------------------------------
     def apply(self, operation_name: str, *args: Applicable) -> SymbolicValue:

@@ -890,17 +890,11 @@ class RewriteEngine:
         discrimination-tree index (head symbol, then argument shapes)."""
         return self.rules.candidates(term)
 
-    def _root_step(self, term: App, budget: list[int]) -> Optional[Term]:
-        builtin = term.op.builtin
-        if builtin is not None and all(isinstance(a, Lit) for a in term.args):
-            self.stats.builtin_firings += 1
-            return self._run_builtin(term)
-        for rule in self._candidates(term):
-            result = rule.apply_at_root(term)
-            if result is not None:
-                self.stats.record_firing(rule, term)
-                return result
-        return None
+    def _fires_undecided(self, rule: "RewriteRule") -> bool:
+        """Hook: may ``rule`` fire when the leading condition of its
+        conditional right-hand side does not decide?  Always here; the
+        prover refuses for recursive definitions (guarded unfolding)."""
+        return True
 
     def _run_builtin(self, term: App) -> Term:
         if _faults.ACTIVE is not None:
@@ -951,12 +945,17 @@ class RewriteEngine:
         no fuel.  Only completed results are stored, so a budget blow-up
         part-way leaves the memo consistent.
 
+        A rule's conditional right-hand side is instantiated one
+        condition at a time: only the branch the condition selects is
+        ever built, as in value mode's ``_F_INST_ITE``.
+
         Subclasses extend it through two hooks: :meth:`_lift` may
         rewrite an application whose arguments are simplified, and
-        :meth:`_root_step` picks the rewrite at its root.  The memo
-        lives here, not in a wrapper, to keep one Python frame per term
-        level: a wrapper would halve the depth that fits under the
-        interpreter's recursion limit."""
+        :meth:`_fires_undecided` may refuse a rule whose leading
+        condition does not decide.  The memo lives here, not in a
+        wrapper, to keep one Python frame per term level: a wrapper
+        would halve the depth that fits under the interpreter's
+        recursion limit."""
         if isinstance(term, (Var, Lit, Err)):
             return term
         memo = self._simplified if self.cache_size > 0 else None
@@ -968,27 +967,7 @@ class RewriteEngine:
                 memo.move_to_end(term)
                 return hit
         if isinstance(term, Ite):
-            cond = self._simplify(term.cond, budget)
-            if isinstance(cond, Err):
-                self.stats.error_propagations += 1
-                result: Term = Err(term.sort)
-            elif is_true(cond):
-                result = self._simplify(term.then_branch, budget)
-            elif is_false(cond):
-                result = self._simplify(term.else_branch, budget)
-            else:
-                then_branch = self._simplify(term.then_branch, budget)
-                else_branch = self._simplify(term.else_branch, budget)
-                if then_branch == else_branch:
-                    result = then_branch
-                elif (
-                    cond is term.cond
-                    and then_branch is term.then_branch
-                    and else_branch is term.else_branch
-                ):
-                    result = term
-                else:
-                    result = Ite(cond, then_branch, else_branch)
+            result: Term = self._instantiate(term, {}, None, budget)
         else:
             assert isinstance(term, App)
             args = []
@@ -1007,18 +986,73 @@ class RewriteEngine:
                 lifted = self._lift(node, budget)
                 if lifted is not None:
                     result = self._simplify(lifted, budget)
+                elif node.op.builtin is not None and all(
+                    isinstance(a, Lit) for a in node.args
+                ):
+                    self.stats.s_builtin[0] += 1
+                    step = self._run_builtin(node)
+                    self._spend(budget, node)
+                    result = self._simplify(step, budget)
                 else:
-                    step = self._root_step(node, budget)
-                    if step is None:
-                        result = node
-                    else:
+                    result = node
+                    for rule in self._candidates(node):
+                        bindings = match_bindings(rule.lhs, node)
+                        if bindings is None:
+                            continue
+                        rhs = rule.rhs
+                        cond = None
+                        if isinstance(rhs, Ite) and not self._fires_undecided(rule):
+                            cond = self._simplify(
+                                apply_bindings(rhs.cond, bindings), budget
+                            )
+                            if not _decided(cond):
+                                continue
+                        self.stats.record_firing(rule, node)
                         self._spend(budget, node)
-                        result = self._simplify(step, budget)
+                        result = self._instantiate(rhs, bindings, cond, budget)
+                        break
         if memo is not None:
             memo[term] = result
             if len(memo) > self.cache_size:
                 memo.popitem(last=False)
         return result
+
+    def _instantiate(
+        self,
+        template: Term,
+        bindings: dict,
+        cond: Optional[Term],
+        budget: BudgetMeter,
+    ) -> Term:
+        """Simplify ``template`` instantiated under ``bindings``, building
+        only the branch each decided condition selects.  ``cond``, when
+        given, is the simplified condition of ``template``.  An undecided
+        condition yields the conditional with both branches simplified,
+        and ``if c then x else x`` collapses to ``x``."""
+        while isinstance(template, Ite):
+            if cond is None:
+                cond = self._simplify(
+                    apply_bindings(template.cond, bindings), budget
+                )
+            if is_true(cond):
+                template = template.then_branch
+            elif is_false(cond):
+                template = template.else_branch
+            elif isinstance(cond, Err):
+                self.stats.s_errprop[0] += 1
+                return Err(template.sort)
+            else:
+                then_branch = self._simplify(
+                    apply_bindings(template.then_branch, bindings), budget
+                )
+                else_branch = self._simplify(
+                    apply_bindings(template.else_branch, bindings), budget
+                )
+                if then_branch == else_branch:
+                    return then_branch
+                return Ite(cond, then_branch, else_branch)
+            cond = None
+        return self._simplify(apply_bindings(template, bindings), budget)
 
     def _lift(self, node: App, budget: BudgetMeter) -> Optional[Term]:
         """Hook: a term to simplify in place of ``node``, whose
@@ -1039,6 +1073,11 @@ class RewriteEngine:
         return self.equal(
             substitution.apply(axiom.lhs), substitution.apply(axiom.rhs)
         )
+
+
+def _decided(cond: Term) -> bool:
+    """Does a simplified condition select a branch (or fail)?"""
+    return is_true(cond) or is_false(cond) or isinstance(cond, Err)
 
 
 def _args_normal(term: Term) -> bool:

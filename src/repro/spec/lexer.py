@@ -25,17 +25,24 @@ The DSL mirrors the paper's notation as closely as plain text allows::
       (6) REMOVE(ADD(q, i)) = if IS_EMPTY?(q) then NEW
                               else ADD(REMOVE(q), i)
 
-Identifiers may contain letters, digits, ``_``, ``.`` and a trailing
-``?`` (the paper's ``IS_EMPTY?``, ``IS.NEWSTACK?``).  ``--`` starts a
-comment running to end of line.  String literals (single or double
-quoted) and integers become :class:`~repro.algebra.terms.Lit` leaves.
+Identifiers start with an ASCII letter or ``_`` and continue with
+ASCII letters, digits, ``_`` and ``.``, with an optional trailing ``?``
+(the paper's ``IS_EMPTY?``, ``IS.NEWSTACK?``).  Integers are ASCII
+digits.  Any other character outside a comment or string literal —
+including non-ASCII letters and digits such as ``é`` or ``²`` — is a
+:class:`LexError`.  ``--`` starts a comment running to end of line.
+String literals (single or double quoted, on one line) and integers
+become :class:`~repro.algebra.terms.Lit` leaves.
+
+Tokens come from one compiled pattern, matched at each position in
+turn; columns count characters from 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
-from typing import Iterator
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -54,8 +61,7 @@ class TokenKind(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -65,11 +71,17 @@ class Token:
         return f"{self.text!r} at line {self.line}, column {self.column}"
 
 
-class LexError(Exception):
-    """Raised on characters the DSL does not use."""
+class ParseError(Exception):
+    """Raised on syntax or sort errors in a specification text."""
 
 
-_SINGLE_CHAR = {
+class LexError(ParseError):
+    """Raised on characters the DSL does not use (a kind of
+    :class:`ParseError`, so callers need catch only that)."""
+
+
+_PUNCTUATION = {
+    "->": TokenKind.ARROW,
     ":": TokenKind.COLON,
     ",": TokenKind.COMMA,
     "=": TokenKind.EQUALS,
@@ -79,87 +91,71 @@ _SINGLE_CHAR = {
     "]": TokenKind.RBRACKET,
 }
 
+#: One alternative per token class; ``lastgroup`` names the match.
+#: Layout and comments are skipped, a quote with no closing quote on its
+#: line is an unterminated string, and anything else fails to match.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r]+)
+    | (?P<newline>\n)
+    | (?P<comment>--[^\n]*)
+    | (?P<punct>->|[:,=()\[\]])
+    | '(?P<squote>[^'\n]*)'
+    | "(?P<dquote>[^"\n]*)"
+    | (?P<quote>['"])
+    | (?P<int>[0-9]+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*\??)
+    """,
+    re.VERBOSE,
+)
 
-def _is_ident_start(char: str) -> bool:
-    return char.isalpha() or char == "_"
+#: Token kinds of the value-carrying groups (punctuation maps by text).
+_GROUP_KINDS = {
+    "ident": TokenKind.IDENT,
+    "int": TokenKind.INT,
+    "squote": TokenKind.STRING,
+    "dquote": TokenKind.STRING,
+}
 
-
-def _is_ident_char(char: str) -> bool:
-    return char.isalnum() or char in "_."
+# Tokens are built with tuple.__new__, skipping the NamedTuple's
+# Python-level constructor.
+_new_token = tuple.__new__
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source`` into a list ending with an EOF token."""
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     line = 1
-    column = 1
-    i = 0
+    line_start = 0  # offset of the current line's first character
+    pos = 0
     n = len(source)
-    while i < n:
-        char = source[i]
-        if char == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if char in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("->", i):
-            tokens.append(Token(TokenKind.ARROW, "->", line, column))
-            i += 2
-            column += 2
-            continue
-        if char in _SINGLE_CHAR:
-            tokens.append(Token(_SINGLE_CHAR[char], char, line, column))
-            i += 1
-            column += 1
-            continue
-        if char in "'\"":
-            quote = char
-            j = i + 1
-            while j < n and source[j] != quote:
-                if source[j] == "\n":
-                    raise LexError(
-                        f"unterminated string at line {line}, column {column}"
-                    )
-                j += 1
-            if j >= n:
+    while pos < n:
+        found = match(source, pos)
+        if found is None:
+            raise LexError(
+                f"unexpected character {source[pos]!r} at line {line}, "
+                f"column {pos - line_start + 1}"
+            )
+        group = found.lastgroup
+        column = pos - line_start + 1
+        pos = found.end()
+        if group == "punct":
+            text = found.group()
+            kind = _PUNCTUATION[text]
+        elif group in _GROUP_KINDS:
+            text = found.group(group)
+            kind = _GROUP_KINDS[group]
+        else:
+            if group == "newline":
+                line += 1
+                line_start = pos
+            elif group == "quote":
                 raise LexError(
                     f"unterminated string at line {line}, column {column}"
                 )
-            text = source[i + 1 : j]
-            tokens.append(Token(TokenKind.STRING, text, line, column))
-            column += j + 1 - i
-            i = j + 1
-            continue
-        if char.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token(TokenKind.INT, source[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if _is_ident_start(char):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            if j < n and source[j] == "?":
-                j += 1
-            tokens.append(Token(TokenKind.IDENT, source[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        raise LexError(f"unexpected character {char!r} at line {line}, column {column}")
-    tokens.append(Token(TokenKind.EOF, "", line, column))
+            continue  # layout or a comment
+        append(_new_token(Token, (kind, text, line, column)))
+    append(_new_token(Token, (TokenKind.EOF, "", line, pos - line_start + 1)))
     return tokens
-
-
-def iter_tokens(source: str) -> Iterator[Token]:
-    return iter(tokenize(source))

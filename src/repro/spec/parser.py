@@ -32,16 +32,12 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.algebra.signature import Operation, Signature
-from repro.algebra.sorts import BOOLEAN, Sort
+from repro.algebra.signature import Operation, Signature, SignatureError
+from repro.algebra.sorts import BOOLEAN, Sort, SortError
 from repro.algebra.terms import App, Err, Ite, Lit, Term, Var
 from repro.spec.axioms import Axiom
-from repro.spec.lexer import Token, TokenKind, tokenize
-from repro.spec.specification import Specification
-
-
-class ParseError(Exception):
-    """Raised on syntax or sort errors in a specification text."""
+from repro.spec.lexer import ParseError, Token, TokenKind, tokenize
+from repro.spec.specification import Specification, SpecificationError
 
 
 _KEYWORDS = {"type", "uses", "operations", "vars", "axioms", "if", "then", "else", "error"}
@@ -69,6 +65,18 @@ class _Parser:
             raise ParseError(f"expected {what}, found {token}")
         return token
 
+    def _error(self, token: Token, problem: object) -> ParseError:
+        """A :class:`ParseError` for a sort or signature ``problem`` the
+        text causes at ``token``."""
+        return ParseError(
+            f"{problem} at line {token.line}, column {token.column}"
+        )
+
+    def _too_deep(self) -> ParseError:
+        """The error for input nested deeper than the recursive descent
+        can follow (it ran out of Python stack)."""
+        return ParseError(f"input nested too deeply near {self._peek()}")
+
     def _expect_keyword(self, word: str) -> Token:
         token = self._next()
         if token.kind is not TokenKind.IDENT or token.text != word:
@@ -92,17 +100,18 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------------
     def parse_spec(self) -> Specification:
-        self._expect_keyword("type")
-        name = self._expect(TokenKind.IDENT, "type name").text
+        type_token = self._expect_keyword("type")
+        name_token = self._expect(TokenKind.IDENT, "type name")
+        name = name_token.text
 
-        parameter_names: list[str] = []
+        parameter_tokens: list[Token] = []
         if self._peek().kind is TokenKind.LBRACKET:
             self._next()
-            parameter_names.append(self._expect(TokenKind.IDENT, "parameter sort").text)
+            parameter_tokens.append(self._expect(TokenKind.IDENT, "parameter sort"))
             while self._peek().kind is TokenKind.COMMA:
                 self._next()
-                parameter_names.append(
-                    self._expect(TokenKind.IDENT, "parameter sort").text
+                parameter_tokens.append(
+                    self._expect(TokenKind.IDENT, "parameter sort")
                 )
             self._expect(TokenKind.RBRACKET, "']'")
 
@@ -115,10 +124,11 @@ class _Parser:
                 uses.append(self._resolve_use())
 
         signature = Signature()
-        toi = Sort(name)
+        toi = self._new_sort(name_token)
         signature.add_sort(toi)
-        for param in parameter_names:
-            signature.add_sort(Sort(param))
+        parameters = tuple(self._new_sort(token) for token in parameter_tokens)
+        for param in parameters:
+            signature.add_sort(param)
         known_sorts: dict[str, Sort] = {str(s): s for s in signature.sorts}
         for used in uses:
             for sort in used.full_signature().sorts:
@@ -152,8 +162,16 @@ class _Parser:
                     f"found {self._peek()}"
                 )
 
-        parameters = tuple(Sort(p) for p in parameter_names)
-        return Specification(name, signature, toi, axioms, uses, parameters)
+        try:
+            return Specification(name, signature, toi, axioms, uses, parameters)
+        except (SpecificationError, SignatureError) as exc:
+            raise self._error(type_token, exc) from None
+
+    def _new_sort(self, token: Token) -> Sort:
+        try:
+            return Sort(token.text)
+        except ValueError as exc:
+            raise self._error(token, exc) from None
 
     def _resolve_use(self) -> Specification:
         token = self._expect(TokenKind.IDENT, "used specification name")
@@ -187,7 +205,10 @@ class _Parser:
             range_token = self._expect(TokenKind.IDENT, "range sort")
             range_sort = self._sort_named(range_token, known_sorts)
             operation = Operation(name_token.text, tuple(domain), range_sort)
-            signature.add_operation(operation)
+            try:
+                signature.add_operation(operation)
+            except SignatureError as exc:
+                raise self._error(name_token, exc) from None
             declared.append(operation)
         return declared
 
@@ -226,6 +247,7 @@ class _Parser:
         axioms: list[Axiom] = []
         while not self._at_section_or_eof():
             label = ""
+            start = self._peek()
             if self._peek().kind is TokenKind.LPAREN:
                 # A parenthesised label only when followed by IDENT/INT + ')'.
                 save = self._pos
@@ -246,7 +268,7 @@ class _Parser:
             try:
                 axioms.append(Axiom(lhs, rhs, label))
             except Exception as exc:  # fault-boundary: invalid axiom surfaces as a parse error
-                raise ParseError(f"bad axiom {lhs} = {rhs}: {exc}") from exc
+                raise self._error(start, f"bad axiom {lhs} = {rhs}: {exc}") from exc
         return axioms
 
     def _parse_term(
@@ -265,7 +287,10 @@ class _Parser:
             else_branch = self._parse_term(
                 operations, variables, then_branch.sort
             )
-            return Ite(cond, then_branch, else_branch)
+            try:
+                return Ite(cond, then_branch, else_branch)
+            except SortError as exc:
+                raise self._error(token, exc) from None
         if token.kind is TokenKind.IDENT and token.text == "error":
             self._next()
             if expected is None:
@@ -310,7 +335,10 @@ class _Parser:
                         )
                     )
                 self._expect(TokenKind.RPAREN, f"')' closing {name}")
-                return App(operation, args)
+                try:
+                    return App(operation, args)
+                except SortError as exc:
+                    raise self._error(token, exc) from None
             # A bare identifier: a variable if declared, else a constant op.
             if name in variables:
                 return variables[name]
@@ -358,7 +386,10 @@ def parse_specification(
     if environment:
         env.update(environment)
     parser = _Parser(tokenize(source), env)
-    spec = parser.parse_spec()
+    try:
+        spec = parser.parse_spec()
+    except RecursionError:
+        raise parser._too_deep() from None
     trailing = parser._peek()
     if trailing.kind is not TokenKind.EOF:
         raise ParseError(f"unexpected input after specification: {trailing}")
@@ -384,7 +415,10 @@ def parse_term(
         op.name: op for op in spec.full_signature().operations
     }
     parser = _Parser(tokenize(source), {})
-    term = parser._parse_term(operations, dict(variables or {}), expected)
+    try:
+        term = parser._parse_term(operations, dict(variables or {}), expected)
+    except RecursionError:
+        raise parser._too_deep() from None
     trailing = parser._peek()
     if trailing.kind is not TokenKind.EOF:
         raise ParseError(f"unexpected input after term: {trailing}")
@@ -402,7 +436,10 @@ def parse_specifications(
     parser = _Parser(tokenize(source), env)
     specs: list[Specification] = []
     while parser._peek().kind is not TokenKind.EOF:
-        spec = parser.parse_spec()
+        try:
+            spec = parser.parse_spec()
+        except RecursionError:
+            raise parser._too_deep() from None
         parser._environment[spec.name] = spec
         specs.append(spec)
     return specs

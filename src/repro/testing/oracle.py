@@ -188,9 +188,10 @@ def check_axioms(
     generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
     report = OracleReport(spec.name)
     for axiom in axioms if axioms is not None else spec.axioms:
+        variables = axiom.variables()
         for _ in range(instances_per_axiom):
             try:
-                sigma = generator.substitution_for(axiom.variables())
+                sigma = generator.substitution_for(variables)
             except GenerationError:
                 continue
             env = {
@@ -241,10 +242,11 @@ def check_axioms_by_rewriting(
     generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
     report = OracleReport(spec.name)
     for axiom in axioms if axioms is not None else spec.axioms:
+        variables = axiom.variables()
         instances: list[tuple[Substitution, Term, Term]] = []
         for _ in range(instances_per_axiom):
             try:
-                sigma = generator.substitution_for(axiom.variables())
+                sigma = generator.substitution_for(variables)
             except GenerationError:
                 continue
             instances.append(

@@ -131,10 +131,13 @@ class GroundTermGenerator:
         return App(operation, args)
 
     def substitution_for(self, variables: Iterable) -> "object":
-        """A ground substitution covering ``variables``."""
+        """A ground substitution covering ``variables``.  Terms are drawn
+        in variable-name order, so the result does not depend on the
+        order ``variables`` come in (a set's order changes with the
+        process's hash seed)."""
         from repro.algebra.substitution import Substitution
 
         mapping = {}
-        for variable in variables:
+        for variable in sorted(variables, key=lambda v: (v.name, v.sort)):
             mapping[variable] = self.term(variable.sort)
         return Substitution(mapping)

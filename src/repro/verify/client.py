@@ -232,27 +232,34 @@ def parse_client_program(
         keyword = next_keyword()
         if keyword is None:
             break
-        parser._next()
-        if keyword == "input":
-            name = parser._expect(TokenKind.IDENT, "input name").text
-            parser._expect(TokenKind.COLON, "':'")
-            sort_name = parser._expect(TokenKind.IDENT, "sort").text
-            sort = sorts.get(sort_name)
-            if sort is None:
-                raise ParseError(f"unknown sort {sort_name!r}")
-            scope[name] = program.input(name, sort)
-        elif keyword == "let":
-            name = parser._expect(TokenKind.IDENT, "binding name").text
-            colon = parser._next()
-            equals = parser._next()
-            if colon.kind is not TokenKind.COLON or equals.kind is not TokenKind.EQUALS:
-                raise ParseError(f"expected ':=' after let {name}")
-            term = parser._parse_term(operations, scope, expected=None)
-            bound = program.let(name, term)
-            scope[name] = Var(name, bound.sort)
-        else:  # assert
-            lhs = parser._parse_term(operations, scope, expected=None)
-            parser._expect(TokenKind.EQUALS, "'='")
-            rhs = parser._parse_term(operations, scope, expected=lhs.sort)
-            program.assert_equal(lhs, rhs)
+        keyword_token = parser._next()
+        try:
+            if keyword == "input":
+                name = parser._expect(TokenKind.IDENT, "input name").text
+                parser._expect(TokenKind.COLON, "':'")
+                sort_name = parser._expect(TokenKind.IDENT, "sort").text
+                sort = sorts.get(sort_name)
+                if sort is None:
+                    raise ParseError(f"unknown sort {sort_name!r}")
+                scope[name] = program.input(name, sort)
+            elif keyword == "let":
+                name = parser._expect(TokenKind.IDENT, "binding name").text
+                colon = parser._next()
+                equals = parser._next()
+                if colon.kind is not TokenKind.COLON or equals.kind is not TokenKind.EQUALS:
+                    raise ParseError(f"expected ':=' after let {name}")
+                term = parser._parse_term(operations, scope, expected=None)
+                bound = program.let(name, term)
+                scope[name] = Var(name, bound.sort)
+            else:  # assert
+                lhs = parser._parse_term(operations, scope, expected=None)
+                parser._expect(TokenKind.EQUALS, "'='")
+                rhs = parser._parse_term(operations, scope, expected=lhs.sort)
+                program.assert_equal(lhs, rhs)
+        except ClientProgramError as exc:
+            # A well-formed line that redefines a name or equates terms
+            # of different sorts.
+            raise parser._error(keyword_token, exc) from None
+        except RecursionError:
+            raise parser._too_deep() from None
     return program

@@ -45,10 +45,10 @@ from repro.algebra.matching import match_bindings
 from repro.algebra.signature import Operation
 from repro.algebra.sorts import Sort
 from repro.algebra.substitution import apply_bindings
-from repro.algebra.terms import App, Err, Ite, Lit, Term, Var, map_terms
+from repro.algebra.terms import App, Ite, Term, Var, map_terms
 from repro.spec.prelude import boolean_term, is_false, is_true
 from repro.obs.trace import maybe_span
-from repro.rewriting.engine import RewriteEngine, RewriteLimitError
+from repro.rewriting.engine import RewriteEngine, RewriteLimitError, _decided
 from repro.rewriting.rules import RewriteRule, RuleSet
 from repro.runtime.budget import BudgetMeter
 from repro.verify.skolem import fresh_constant, is_skolem
@@ -58,7 +58,7 @@ class ProverEngine(RewriteEngine):
     """The rewrite engine extended for symbolic proof work.
 
     Two extensions over the base engine's ``simplify``, both through its
-    hooks (:meth:`_lift` and :meth:`_root_step`):
+    hooks (:meth:`_lift` and :meth:`_fires_undecided`):
 
     * **conditional lifting** — ``f(if c then a else b)`` becomes
       ``if c then f(a) else f(b)``;
@@ -91,43 +91,25 @@ class ProverEngine(RewriteEngine):
             )
         return cache[key]
 
-    def _guard_decides(self, result: Term, budget: BudgetMeter) -> bool:
-        """After a speculative unfold, does the outermost condition
-        settle?  Non-conditional bodies always count as progress."""
-        if not isinstance(result, Ite):
-            return True
-        cond = self._simplify(result.cond, budget)
-        return is_true(cond) or is_false(cond) or isinstance(cond, Err)
-
-    def _root_step(self, term: App, budget: BudgetMeter):
-        builtin = term.op.builtin
-        if builtin is not None and all(isinstance(a, Lit) for a in term.args):
-            self.stats.builtin_firings += 1
-            return self._run_builtin(term)
-        for rule in self._candidates(term):
-            result = rule.apply_at_root(term)
-            if result is None:
-                continue
-            if self._is_recursive(rule) and not self._guard_decides(
-                result, budget
-            ):
-                continue
-            self.stats.record_firing(rule)
-            return result
-        return None
+    def _fires_undecided(self, rule: RewriteRule) -> bool:
+        """Guarded unfolding: a recursive definition fires only when its
+        leading condition decides under the current rules."""
+        return not self._is_recursive(rule)
 
     def _match_root(self, term: App, budget: BudgetMeter):
         """Value-mode hook: apply the same unfolding guard as
-        :meth:`_root_step`, so ``normalize`` on open terms cannot unfold
-        a recursive definition whose guard does not decide."""
+        ``simplify``, so ``normalize`` on open terms cannot unfold a
+        recursive definition whose guard does not decide.  Only the
+        guard is instantiated to test it."""
         for rule in self._candidates(term):
             bindings = match_bindings(rule.lhs, term)
             if bindings is None:
                 continue
-            if self._is_recursive(rule) and not self._guard_decides(
-                apply_bindings(rule.rhs, bindings), budget
-            ):
-                continue
+            rhs = rule.rhs
+            if isinstance(rhs, Ite) and not self._fires_undecided(rule):
+                cond = self._simplify(apply_bindings(rhs.cond, bindings), budget)
+                if not _decided(cond):
+                    continue
             self.stats.record_firing(rule)
             return rule, bindings
         return None, None

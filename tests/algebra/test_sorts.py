@@ -80,3 +80,44 @@ class TestCheckKnown:
     def test_error_lists_known_sorts(self):
         with pytest.raises(SortError, match="A"):
             check_known(Sort("C"), [Sort("A")], "ctx")
+
+
+def test_cached_hashes_survive_pickling_across_hash_seeds():
+    """Sorts and operations cache their hash, which depends on the
+    process's string-hash seed: a pickle must carry the fields, not the
+    hash, or the copy would miss every dict keyed by the original."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    build = (
+        "from repro.algebra.signature import Operation\n"
+        "from repro.algebra.sorts import Sort\n"
+        "queue = Sort('Queue', (Sort('Item'),))\n"
+        "objects = [queue, Operation('ADD', (queue, Sort('Item')), queue)]\n"
+    )
+    dump = build + (
+        "import pickle, sys\n"
+        "sys.stdout.buffer.write(pickle.dumps(objects))\n"
+    )
+    load = build + (
+        "import pickle, sys\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert loaded == objects\n"
+        "assert [hash(o) for o in loaded] == [hash(o) for o in objects]\n"
+        "print('ok')\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+
+    def run(script, seed, stdin=b""):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            input=stdin,
+            capture_output=True,
+            check=True,
+        ).stdout
+
+    assert run(load, "2", run(dump, "1")).strip() == b"ok"

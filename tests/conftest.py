@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.algebra import Sort, make_signature
 from repro.adt.queue import QUEUE_SPEC
@@ -10,6 +13,11 @@ from repro.adt.stack import STACK_SPEC
 from repro.adt.array import ARRAY_SPEC
 from repro.adt.symboltable import SYMBOLTABLE_SPEC, symboltable_representation
 from repro.rewriting import RewriteEngine
+
+# A longer search for the nightly CI jobs: HYPOTHESIS_PROFILE=nightly.
+# Tests that pin their own example counts keep them.
+settings.register_profile("nightly", max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

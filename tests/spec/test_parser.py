@@ -230,6 +230,60 @@ class TestErrors:
             parse_specification(MINIMAL + "\nbogus trailing ( tokens")
 
 
+class TestDeclaredErrorsOnly:
+    """Sort, signature and number problems in the text surface as a
+    ParseError that names the line, not as the library's own errors."""
+
+    def test_invalid_type_name(self):
+        with pytest.raises(ParseError, match="invalid sort name.*line 2"):
+            parse_specification("\ntype a..b\n")
+
+    def test_invalid_parameter_sort_name(self):
+        with pytest.raises(ParseError, match="line 1, column 9"):
+            parse_specification("type T [a..b]\n")
+
+    def test_non_ascii_digit_literal(self):
+        source = MINIMAL + "  (F3) IS_UP?(UP) = \u00b2\n"
+        with pytest.raises(ParseError, match="line 13"):
+            parse_specification(source)
+
+    def test_non_boolean_condition(self):
+        source = """type T
+        operations
+          MKT: -> T
+          F: T -> T
+        vars
+          t: T
+        axioms
+          F(t) = if t then t else MKT
+        """
+        with pytest.raises(ParseError, match="Boolean.*line 8"):
+            parse_specification(source)
+
+    def test_argument_of_the_wrong_sort(self):
+        source = """type T
+        uses Boolean
+        operations
+          MKT: -> T
+          F: T -> T
+        vars
+          t: T
+        axioms
+          F(true) = t
+        """
+        with pytest.raises(ParseError, match="line 9"):
+            parse_specification(source)
+
+    def test_operation_redeclared_with_another_profile(self):
+        source = """type T
+        operations
+          MKT: -> T
+          MKT: T -> T
+        """
+        with pytest.raises(ParseError, match="declared twice.*line 4"):
+            parse_specification(source)
+
+
 class TestMultipleSpecs:
     def test_later_specs_may_use_earlier(self):
         source = """

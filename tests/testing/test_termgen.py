@@ -80,3 +80,49 @@ class TestObservation:
         sigma = generator.substitution_for(axiom.variables())
         assert set(sigma) == axiom.variables()
         assert sigma.is_ground()
+
+
+class TestSubstitutionOrder:
+    """Ground instances depend on the seed only: not on the order the
+    variables come in, which for a set follows the hash seed."""
+
+    def test_variable_order_does_not_matter(self, symboltable_spec):
+        for axiom in symboltable_spec.axioms:
+            variables = list(axiom.variables())
+            forward = GroundTermGenerator(symboltable_spec, seed=5)
+            backward = GroundTermGenerator(symboltable_spec, seed=5)
+            for _ in range(5):
+                assert forward.substitution_for(
+                    variables
+                ) == backward.substitution_for(variables[::-1])
+
+    def test_instances_agree_across_hash_seeds(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.adt.symboltable import SYMBOLTABLE_SPEC as spec\n"
+            "from repro.testing.termgen import GroundTermGenerator\n"
+            "generator = GroundTermGenerator(spec, seed=1)\n"
+            "for axiom in spec.axioms:\n"
+            "    for _ in range(3):\n"
+            "        sigma = generator.substitution_for(axiom.variables())\n"
+            "        print(sigma.apply(axiom.lhs))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]

@@ -81,6 +81,14 @@ class TestParseClientProgram:
         with pytest.raises(ParseError, match="input/let/assert"):
             parse_client_program("frobnicate q", QUEUE_SPEC)
 
+    def test_redefinition_is_a_parse_error_with_its_line(self):
+        with pytest.raises(ParseError, match="already defined at line 2"):
+            parse_client_program("input i: Item\ninput i: Item", QUEUE_SPEC)
+
+    def test_mismatched_assertion_sorts_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="sorts.*line 2"):
+            parse_client_program("input i: Item\nassert NEW = i", QUEUE_SPEC)
+
     def test_str_round_trips_shape(self):
         source = """
         input i: Item
