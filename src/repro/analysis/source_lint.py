@@ -17,7 +17,7 @@ Two rules over ``src/repro``:
    observability work (ISSUE 5) routes diagnostics through
    :mod:`repro.obs` (structured trace events, metrics snapshots) and
    renders them in :mod:`repro.report` / the CLI.  A stray ``print`` in
-   library code bypasses both the sampling knob and the JSONL sinks, so
+   library code bypasses both the sampling knob and the trace export, so
    it is flagged everywhere except the presentation allowlist
    (``report/``, ``cli.py``, and this linter, whose output *is* its
    interface).  A deliberate exception elsewhere takes a justified

@@ -9,9 +9,9 @@ Five subcommands, mirroring the workflows the paper describes::
     python -m repro eval FILE TERM    normalise TERM under the (last)
                                       specification in FILE
     python -m repro trace FILE TERM   normalise TERM with the span tracer
-                                      on, emitting a JSONL trace and a
-                                      per-rule self-time profile
-    python -m repro trace-diff A B    compare two JSONL traces: per-rule
+                                      on, emitting an OTLP/JSON trace and
+                                      a per-rule self-time profile
+    python -m repro trace-diff A B    compare two OTLP/JSON traces: per-rule
                                       firing-count and self-time deltas
     python -m repro compile FILE      scope/type-check a Block program
                                       [--dialect plain|knows]
@@ -191,6 +191,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import Tracer, firing_counts, rule_profile, tracing
+    from repro.obs.otlp import read_otlp_spans, to_otlp
     from repro.report import format_rule_profile
     from repro.rewriting.engine import RewriteLimitError
     from repro.runtime import EvaluationBudget
@@ -204,48 +205,40 @@ def cmd_trace(args: argparse.Namespace) -> int:
     engine = RewriteEngine.for_specification(
         spec, backend=args.backend, budget=budget
     )
-    sink = open(args.out, "w") if args.out else None
     failure = None
-    try:
-        tracer = Tracer(sink=sink, sample=args.sample)
-        with tracing(tracer):
-            try:
-                result = engine.normalize(term)
-            except RewriteLimitError as exc:
-                failure = exc
-    finally:
-        if sink is not None:
-            sink.close()
+    tracer = Tracer(sample=args.sample)
+    with tracing(tracer):
+        try:
+            result = engine.normalize(term)
+        except RewriteLimitError as exc:
+            failure = exc
+    document = to_otlp(
+        tracer.events,
+        tracer.trace_id,
+        span_hex=tracer.span_hex,
+        resource={"service.name": "repro-cli"},
+    )
+    rendered = json.dumps(document, indent=2)
     if args.out is None:
-        for event in tracer.events:
-            print(json.dumps(event, default=str))
+        print(rendered)
+    else:
+        with open(args.out, "w") as handle:
+            handle.write(rendered + "\n")
     if failure is not None:
         print(f"-- {failure}", file=sys.stderr)
     else:
         print(f"-- normal form: {result}", file=sys.stderr)
-    counts = firing_counts(tracer.events)
+    spans = read_otlp_spans(document)
+    counts = firing_counts(spans)
     print(
         f"-- {len(tracer.events)} trace event(s), "
         f"{sum(counts.values())} rule firing(s) across "
         f"{len(counts)} rule(s)",
         file=sys.stderr,
     )
-    profile = rule_profile(tracer.events)
+    profile = rule_profile(spans)
     if profile:
         print(format_rule_profile(profile, limit=args.top), file=sys.stderr)
-    if args.otlp_out:
-        from repro.obs.otlp import to_otlp
-
-        document = to_otlp(
-            tracer.events,
-            tracer.trace_id,
-            span_hex=tracer.span_hex,
-            resource={"service.name": "repro-cli"},
-        )
-        with open(args.otlp_out, "w") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"-- OTLP document written to {args.otlp_out}", file=sys.stderr)
     _dump_metrics(args.metrics_out)
     return 3 if failure is not None else 0
 
@@ -253,10 +246,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_trace_diff(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import profile_diff, read_trace
+    from repro.obs import profile_diff
+    from repro.obs.otlp import check_otlp_file, read_otlp_spans
     from repro.report import format_profile_diff
 
-    diff = profile_diff(read_trace(args.trace_a), read_trace(args.trace_b))
+    sides = []
+    for path in (args.trace_a, args.trace_b):
+        docs, problems = check_otlp_file(path)
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
+        if problems:
+            return 2
+        sides.append([span for doc in docs for span in read_otlp_spans(doc)])
+    diff = profile_diff(*sides)
     if args.json:
         print(json.dumps(diff, indent=2))
     else:
@@ -327,8 +329,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
-    from repro.obs import Tracer
-    from repro.obs import trace as _trace
     from repro.serve import ReproServer, ServeLimits
 
     specs = _load_specs(args.file)
@@ -340,9 +340,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         queue_timeout=args.queue_timeout,
     )
-    sink = open(args.trace_out, "w") if args.trace_out else None
-    if sink is not None:
-        _trace.ACTIVE = Tracer(sink=sink, sample=args.trace_sample or 1.0)
     server = ReproServer(
         specs,
         backend=args.backend,
@@ -367,9 +364,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.close()
-        if sink is not None:
-            _trace.ACTIVE = None
-            sink.close()
     return 0
 
 
@@ -472,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = commands.add_parser(
         "trace",
-        help="normalise a term with the span tracer on, emitting a "
-        "JSONL trace and a per-rule self-time profile",
+        help="normalise a term with the span tracer on, emitting an "
+        "OTLP/JSON trace and a per-rule self-time profile",
     )
     trace.add_argument("file")
     trace.add_argument("term")
@@ -497,14 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--out",
         default=None,
-        help="write the JSONL trace to FILE (default: stdout)",
-    )
-    trace.add_argument(
-        "--otlp-out",
-        default=None,
         metavar="FILE",
-        help="also write the trace as one OTLP/JSON document to FILE "
-        "(ResourceSpans, ready for any OpenTelemetry consumer)",
+        help="write the trace as one OTLP/JSON document to FILE "
+        "(default: stdout)",
     )
     trace.add_argument(
         "--top",
@@ -517,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_diff = commands.add_parser(
         "trace-diff",
-        help="compare two JSONL traces: per-rule firing-count and "
+        help="compare two OTLP/JSON traces: per-rule firing-count and "
         "self-time deltas (B minus A), biggest movers first",
     )
     trace_diff.add_argument("trace_a")
@@ -618,18 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds a queued request waits before being shed with 503",
     )
     serve.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="emit per-request JSONL span events to FILE",
-    )
-    serve.add_argument(
         "--trace-sample",
         type=float,
         default=None,
         metavar="FRACTION",
         help="fraction of requests to trace (0.0-1.0; default 1.0 when "
-        "any trace/OTLP output is configured, otherwise tracing is off)",
+        "an OTLP output is configured, otherwise tracing is off)",
     )
     serve.add_argument(
         "--otlp-out",

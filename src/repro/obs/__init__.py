@@ -12,13 +12,15 @@ without adding dependencies or measurable overhead when disabled:
   discrimination-tree shape memo) live in :data:`repro.obs.metrics.GLOBAL`;
   :func:`repro.obs.metrics.aggregate_snapshot` merges everything for
   ``--metrics-out``.
-* :mod:`repro.obs.trace` — a span tracer emitting JSONL events
+* :mod:`repro.obs.trace` — a span tracer recording events in memory
   (span start/end, rewrite steps with rule id and subject summary,
   budget exhaustions, fault hits) behind a deterministic sampling knob.
   Disabled is the default, and the disabled check is one ``is None``
   test on a module global.
-* :mod:`repro.obs.profile` — post-processing of traces into a
-  per-rule self-time profile: which axiom costs the most.
+* :mod:`repro.obs.otlp` — the one trace format: OTLP/JSON documents,
+  their file reader and span-tree validator, and the daemon's exporter.
+* :mod:`repro.obs.profile` — analyses of OTLP span records: per-rule
+  firing counts and a self-time profile (which axiom costs the most).
 """
 
 from repro.obs.metrics import (
@@ -37,17 +39,9 @@ from repro.obs.metrics import (
     substrate_counters,
     suggest_fuel_budget,
 )
-from repro.obs.profile import profile_diff, rule_profile, top_rules
+from repro.obs.profile import firing_counts, profile_diff, rule_profile
 from repro.obs.prometheus import render_prometheus
-from repro.obs.trace import (
-    Tracer,
-    firing_counts,
-    install,
-    maybe_span,
-    read_trace,
-    rule_id,
-    tracing,
-)
+from repro.obs.trace import Tracer, install, maybe_span, rule_id, tracing
 
 __all__ = [
     "Counter",
@@ -68,11 +62,9 @@ __all__ = [
     "profile_diff",
     "register_snapshot_source",
     "render_prometheus",
-    "read_trace",
     "rule_id",
     "rule_profile",
     "substrate_counters",
     "suggest_fuel_budget",
-    "top_rules",
     "tracing",
 ]

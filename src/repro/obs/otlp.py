@@ -1,17 +1,19 @@
-"""OTLP/JSON export for JSONL traces.
+"""OTLP/JSON: the one form in which a ``repro`` trace leaves memory.
 
-Converts the tracer's event stream (span_start / span_end pairs plus
-the point events inside them) into the OpenTelemetry Protocol's JSON
-encoding — one ``{"resourceSpans": [...]}`` document per trace — so
-any OTLP-speaking backend (Jaeger, Tempo, an OpenTelemetry collector)
-can ingest ``repro`` traces without this repo growing a dependency.
+Converts the tracer's in-memory event buffer (span_start / span_end
+pairs plus the point events inside them) into the OpenTelemetry
+Protocol's JSON encoding — one ``{"resourceSpans": [...]}`` document
+per trace — so any OTLP-speaking backend (Jaeger, Tempo, an
+OpenTelemetry collector) can ingest ``repro`` traces without this repo
+growing a dependency.  The analyses in :mod:`repro.obs.profile` read
+the same span records, so the export keeps what they need: one
+``firings`` span event per rule, with scalar ``rule`` and ``count``.
 
-The JSONL form keeps span ids as small process-local ints; the OTLP
-form needs 16-hex ids that stay unique when several processes
-contribute to one distributed trace, so :func:`to_otlp` takes the
-originating tracer's ``span_hex`` mapping (a random per-process base)
-and falls back to zero-padded ints for offline conversions of a single
-process's trace file.
+The tracer keeps span ids as small process-local ints; the OTLP form
+needs 16-hex ids that stay unique when several processes contribute to
+one distributed trace, so :func:`to_otlp` takes the originating
+tracer's ``span_hex`` mapping (a random per-process base) and falls
+back to zero-padded ints when none is given.
 
 A span whose parent lives in *another* process (the daemon's
 ``serve.request`` under the client's span) carries the remote parent's
@@ -20,14 +22,13 @@ exported span keeps that ``parentSpanId`` and is stamped with a
 ``repro.parent.remote`` attribute so :func:`validate_otlp` knows the
 dangling link is deliberate.
 
-:class:`OTLPExporter` is the sink: one JSON document per line to a
-file, or an HTTP POST per trace to an ``--otlp-endpoint`` (the
+:class:`OTLPExporter` is the daemon's sink: one JSON document per line
+to a file, or an HTTP POST per trace to an ``--otlp-endpoint`` (the
 standard ``/v1/traces`` shape).  Export failures are recorded, never
 raised — tracing must not take down serving.
 
-Run ``python -m repro.obs.otlp trace.jsonl --out trace.otlp.json`` to
-convert offline, or ``--validate`` to check the span-tree invariants
-CI enforces.
+Run ``python -m repro.obs.otlp FILE`` to check a trace file's
+span-tree invariants.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from typing import Callable, Iterable, Optional
 
 __all__ = [
     "OTLPExporter",
+    "TraceFileError",
+    "check_otlp_file",
+    "read_otlp_file",
     "read_otlp_spans",
     "to_otlp",
     "validate_otlp",
@@ -69,7 +73,10 @@ def _attrs(mapping: dict) -> list[dict]:
 
 
 def _nanos(ts: float) -> str:
-    return str(int(ts * 1e9))
+    # The tracer stamps epoch seconds rounded to the microsecond; a
+    # double near 1.8e18 ns is exact only to 256 ns, so scaling straight
+    # to nanoseconds would smear every stamp off its microsecond.
+    return str(round(ts * 1_000_000) * 1000)
 
 
 def to_otlp(
@@ -78,13 +85,13 @@ def to_otlp(
     span_hex: Optional[Callable[[int], str]] = None,
     resource: Optional[dict] = None,
 ) -> dict:
-    """Build one OTLP/JSON trace document from JSONL trace events.
+    """Build one OTLP/JSON trace document from a tracer's events.
 
     ``span_hex`` maps process-local int span ids to 16-hex OTLP ids
-    (pass the tracer's own mapping when exporting live; offline
-    conversion defaults to zero-padded ints).  Point events become
-    span events on their enclosing span; an unclosed span is exported
-    with its start time as its end time rather than dropped.
+    (pass the tracer's own mapping; the default is zero-padded ints).
+    Point events become span events on their enclosing span (an event
+    outside every span has nowhere to go and is dropped); an unclosed
+    span is exported with its start time as its end time.
     """
     if span_hex is None:
         span_hex = lambda sid: f"{sid:016x}"  # noqa: E731
@@ -122,24 +129,30 @@ def to_otlp(
             if record is not None:
                 record["endTimeUnixNano"] = _nanos(event.get("ts", 0.0))
         elif kind is not None and sid in spans:
-            fields = {
-                key: value
-                for key, value in event.items()
-                if key not in ("ev", "span", "ts")
-            }
             if kind == "firings":
-                # The counts dict would explode into one attribute per
-                # rule; total it and keep the detail in JSONL form.
-                counts = fields.pop("counts", {})
-                fields["firings"] = sum(counts.values())
-                fields["rules"] = len(counts)
-            spans[sid]["events"].append(
-                {
-                    "name": kind,
-                    "timeUnixNano": _nanos(event.get("ts", 0.0)),
-                    "attributes": _attrs(fields),
-                }
-            )
+                # One span event per rule keeps the per-rule counts in
+                # scalar attributes, as OTLP wants them.
+                records = [
+                    {"rule": rule, "count": n}
+                    for rule, n in event["counts"].items()
+                ]
+            else:
+                records = (
+                    {
+                        key: value
+                        for key, value in event.items()
+                        if key not in ("ev", "span", "ts")
+                    },
+                )
+            time_nanos = _nanos(event.get("ts", 0.0))
+            for fields in records:
+                spans[sid]["events"].append(
+                    {
+                        "name": kind,
+                        "timeUnixNano": time_nanos,
+                        "attributes": _attrs(fields),
+                    }
+                )
     resource_attrs = {"service.name": "repro"}
     if resource:
         resource_attrs.update(resource)
@@ -180,7 +193,8 @@ def validate_otlp(doc: dict) -> list[str]:
     * every ``parentSpanId`` resolves to a span in the document, unless
       the span is explicitly marked ``repro.parent.remote`` (its parent
       lives in another process's export);
-    * spans end no earlier than they start;
+    * span and span-event times are integer nanoseconds, and spans
+      end no earlier than they start;
     * when the document contains ``serve.request`` spans, every
       ``worker.*`` span must sit under one — worker evaluation that
       doesn't nest under a request means context propagation broke.
@@ -209,9 +223,13 @@ def validate_otlp(doc: dict) -> list[str]:
             problems.append(
                 f"span {name!r} ({sid}): parent {parent} not in document"
             )
-        if int(span.get("endTimeUnixNano", 0)) < int(
-            span.get("startTimeUnixNano", 0)
-        ):
+        times = [span.get("startTimeUnixNano"), span.get("endTimeUnixNano")]
+        times += [e.get("timeUnixNano") for e in span.get("events", [])]
+        if not all(str(time).isdecimal() for time in times):
+            problems.append(
+                f"span {name!r} ({sid}): a time is not integer nanoseconds"
+            )
+        elif int(times[1]) < int(times[0]):
             problems.append(f"span {name!r} ({sid}): ends before it starts")
     has_requests = any(
         span.get("name") == "serve.request" for span in spans
@@ -240,8 +258,8 @@ def validate_otlp(doc: dict) -> list[str]:
 class OTLPExporter:
     """Ships OTLP/JSON trace documents to a file sink or HTTP endpoint.
 
-    ``path`` appends one JSON document per line (a JSONL stream of
-    traces — the shape the CI artifact and the offline validator read);
+    ``path`` appends one OTLP/JSON document per line, one per trace
+    (the shape the CI artifact and :func:`read_otlp_file` read);
     ``endpoint`` POSTs each document to an OTLP/HTTP collector's
     ``/v1/traces``.  Both may be set.  Failures increment ``errors``
     and are otherwise swallowed: the exporter sits on the daemon's
@@ -300,71 +318,89 @@ class OTLPExporter:
         return doc
 
 
+class TraceFileError(ValueError):
+    """A trace file that cannot be read as OTLP/JSON documents."""
+
+
 def read_otlp_file(path: str) -> list[dict]:
-    """Parse OTLP/JSON trace documents: line-delimited (the exporter's
-    append format) or one pretty-printed document (``repro trace
-    --otlp-out``)."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    """Parse OTLP/JSON trace documents: one document (``repro trace
+    --out``) or one per line (the exporter's append format).
+
+    Raises :class:`TraceFileError` for a file that cannot be read, a
+    line that is not JSON, or a document that is not nested
+    ``resourceSpans``/``scopeSpans``/``spans`` objects.
+    """
     try:
-        return [
-            json.loads(line) for line in text.splitlines() if line.strip()
-        ]
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceFileError(f"{path}: cannot read ({exc})") from None
+    try:
+        docs = [json.loads(text)]
     except ValueError:
-        return [json.loads(text)]
+        docs = []
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                docs.append(json.loads(line))
+            except ValueError as exc:
+                raise TraceFileError(
+                    f"{path}: line {number} is not JSON ({exc})"
+                ) from None
+    for index, doc in enumerate(docs):
+        try:
+            spans = read_otlp_spans(doc)
+        except (AttributeError, TypeError):  # not nested objects and lists
+            spans = None
+        if spans is None or not all(isinstance(s, dict) for s in spans):
+            raise TraceFileError(
+                f"{path}: trace[{index}] is not an OTLP document "
+                "(expected resourceSpans > scopeSpans > spans objects)"
+            )
+    return docs
+
+
+def check_otlp_file(path: str) -> tuple[list[dict], list[str]]:
+    """Read and validate a trace file: its documents, and every
+    violation found, each prefixed with ``path`` (a file that does not
+    parse yields no documents and one violation; a file with no
+    documents is a violation)."""
+    try:
+        docs = read_otlp_file(path)
+    except TraceFileError as exc:
+        return [], [str(exc)]
+    problems = [
+        f"{path}: trace[{index}]: {problem}"
+        for index, doc in enumerate(docs)
+        for problem in validate_otlp(doc)
+    ]
+    if not docs:
+        problems.append(f"{path}: no trace documents")
+    return docs, problems
 
 
 def main(argv=None) -> int:
-    """Offline convert/validate: ``python -m repro.obs.otlp``."""
+    """Validate a trace file: ``python -m repro.obs.otlp FILE``."""
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Convert a JSONL trace to OTLP/JSON, or validate "
-        "an OTLP/JSON trace file's span-tree invariants."
-    )
-    parser.add_argument("path", help="input trace file")
-    parser.add_argument(
-        "--out", default=None, help="write OTLP/JSON here (convert mode)"
+        description="Validate an OTLP/JSON trace file's span-tree "
+        "invariants; exits 1 on any violation."
     )
     parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="treat input as OTLP/JSON documents and validate them",
+        "path", help="trace file: one OTLP/JSON document, or one per line"
     )
     args = parser.parse_args(argv)
-
-    if args.validate:
-        docs = read_otlp_file(args.path)
-        failures = 0
-        total_spans = 0
-        for index, doc in enumerate(docs):
-            total_spans += len(read_otlp_spans(doc))
-            for problem in validate_otlp(doc):
-                print(f"trace[{index}]: {problem}")  # allow-print: CLI output
-                failures += 1
-        print(  # allow-print: CLI output
-            f"{len(docs)} trace(s), {total_spans} span(s), "
-            f"{failures} violation(s)"
-        )
-        return 1 if failures else 0
-
-    from repro.obs.trace import new_trace_id, read_trace
-
-    events = read_trace(args.path)
-    doc = to_otlp(events, new_trace_id())
-    problems = validate_otlp(doc)
-    rendered = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(  # allow-print: CLI output
-            f"wrote {len(read_otlp_spans(doc))} span(s) to {args.out}"
-        )
-    else:
-        print(rendered)  # allow-print: CLI output
+    docs, problems = check_otlp_file(args.path)
     for problem in problems:
-        print(f"warning: {problem}")  # allow-print: CLI output
-    return 0
+        print(problem)  # allow-print: CLI output
+    total_spans = sum(len(read_otlp_spans(doc)) for doc in docs)
+    print(  # allow-print: CLI output
+        f"{len(docs)} trace(s), {total_spans} span(s), "
+        f"{len(problems)} violation(s)"
+    )
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

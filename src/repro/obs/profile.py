@@ -1,28 +1,72 @@
-"""Per-rule self-time attribution: "which axiom costs the most".
+"""Trace analysis over OTLP span records: "which axiom costs the most".
 
-A trace (see :mod:`repro.obs.trace`) carries timestamps on every event.
-Within one span, the interval from a ``step`` event to the next event
-boundary (the following step, or the span's end) is time spent building
-and reducing the fired rule's right-hand side — so it is attributed to
-that rule as *self time*.  The codegen backend's aggregated ``firings``
-events carry no per-step timestamps; their rules receive a share of the
-enclosing span's duration proportional to their firing counts, which is
-an estimate (and flagged as such in the profile rows).
+Every analysis here reads the span records of an OTLP/JSON trace
+document (:func:`repro.obs.otlp.read_otlp_spans`).  A live caller
+passes the spans of ``to_otlp(tracer.events, ...)``; an offline caller
+passes the spans of the file it read — the same path, so a profile
+read back from a file equals the live one exactly.
 
-The result is deliberately a plain list of dicts — JSON-ready for
-``--metrics-out``-style dumps and directly renderable by
-:func:`repro.report.pretty.format_rule_profile`.
+Within one span, the interval from a ``step`` event to the next step
+(or the span's end) is time spent building and reducing the fired
+rule's right-hand side — so it is attributed to that rule as *self
+time*.  The codegen backend's ``firings`` events carry no per-step
+timestamps; their rules receive a share of the enclosing span's
+duration proportional to their firing counts, which is an estimate
+(and flagged as such in the profile rows).
+
+The results are deliberately plain lists of dicts — JSON-ready and
+directly renderable by :func:`repro.report.pretty.format_rule_profile`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
-__all__ = ["profile_diff", "rule_profile", "top_rules"]
+__all__ = ["attributes", "firing_counts", "profile_diff", "rule_profile"]
 
 
-def rule_profile(events: Iterable[dict]) -> list[dict]:
-    """Aggregate a trace into per-rule rows.
+def attributes(record: dict) -> dict:
+    """A span's or span event's OTLP attribute list as a plain dict
+    (``intValue`` strings back to ints)."""
+    decoded = {}
+    for attr in record.get("attributes", []):
+        value = attr.get("value", {})
+        if "intValue" in value:
+            decoded[attr.get("key")] = int(value["intValue"])
+        else:
+            decoded[attr.get("key")] = next(iter(value.values()), None)
+    return decoded
+
+
+def _rule_events(span: dict):
+    """``(name, time_ns, rule, count)`` for the span's ``step`` and
+    ``firings`` events."""
+    for event in span.get("events", []):
+        name = event.get("name")
+        if name == "step" or name == "firings":
+            attrs = attributes(event)
+            yield (
+                name,
+                int(event["timeUnixNano"]),
+                attrs["rule"],
+                attrs.get("count", 1),
+            )
+
+
+def firing_counts(spans: Iterable[dict]) -> dict[str, int]:
+    """Per-rule firing counts from a trace's span records: one per
+    ``step`` event, plus the ``count`` of each codegen ``firings``
+    event.  With sampling off, this matches the metrics registry's
+    ``engine.rule_firings`` family exactly, on either backend."""
+    counts: dict[str, int] = {}
+    for span in spans:
+        for _, _, rule, n in _rule_events(span):
+            counts[rule] = counts.get(rule, 0) + n
+    return counts
+
+
+def rule_profile(spans: Iterable[dict]) -> list[dict]:
+    """Aggregate a trace's span records into per-rule rows.
 
     Returns rows ``{"rule", "firings", "self_s", "share", "estimated"}``
     sorted by self time (then firings) descending.  ``share`` is the
@@ -30,12 +74,6 @@ def rule_profile(events: Iterable[dict]) -> list[dict]:
     when any of the rule's time came from proportional attribution of a
     codegen ``firings`` event rather than step timestamps.
     """
-    events = list(events)
-    span_end: dict = {}
-    for event in events:
-        if event.get("ev") == "span_end" and "span" in event:
-            span_end[event["span"]] = event
-
     firings: dict[str, int] = {}
     self_s: dict[str, float] = {}
     estimated: dict[str, bool] = {}
@@ -45,33 +83,27 @@ def rule_profile(events: Iterable[dict]) -> list[dict]:
         self_s[rule] = self_s.get(rule, 0.0) + seconds
         estimated[rule] = estimated.get(rule, False) or est
 
-    # Exact attribution: step-to-next-boundary deltas within a span.
-    steps_by_span: dict = {}
-    for event in events:
-        if event.get("ev") == "step":
-            steps_by_span.setdefault(event.get("span"), []).append(event)
-    for span, steps in steps_by_span.items():
-        steps.sort(key=lambda e: e["ts"])
-        end = span_end.get(span)
-        for i, step in enumerate(steps):
-            if i + 1 < len(steps):
-                boundary = steps[i + 1]["ts"]
-            elif end is not None:
-                boundary = end["ts"]
-            else:  # span never closed (error unwind): no interval
-                boundary = step["ts"]
-            charge(step["rule"], 1, max(0.0, boundary - step["ts"]), False)
-
-    # Proportional attribution for the codegen backend's aggregates.
-    for event in events:
-        if event.get("ev") != "firings":
-            continue
-        counts = event["counts"]
-        total = sum(counts.values())
-        end = span_end.get(event.get("span"))
-        duration = (end["dur_us"] / 1e6) if end is not None else 0.0
-        for rule, count in counts.items():
-            charge(rule, count, duration * count / total, True)
+    for span in spans:
+        start = int(span["startTimeUnixNano"])
+        end = int(span["endTimeUnixNano"])
+        steps = []
+        aggregated = []
+        for name, time_ns, rule, n in _rule_events(span):
+            if name == "step":
+                steps.append((time_ns, rule))
+            else:
+                aggregated.append((rule, n))
+        # Exact attribution: step-to-next-boundary deltas.  An unclosed
+        # span exports with its end at its start, so its last step
+        # gets no interval.
+        steps.sort(key=lambda step: step[0])
+        for i, (time_ns, rule) in enumerate(steps):
+            boundary = steps[i + 1][0] if i + 1 < len(steps) else end
+            charge(rule, 1, max(0, boundary - time_ns) / 1e9, False)
+        # Proportional attribution for the codegen backend's counts.
+        total = sum(n for _, n in aggregated) or 1
+        for rule, n in aggregated:
+            charge(rule, n, (end - start) / 1e9 * n / total, True)
 
     grand_total = sum(self_s.values())
     rows = [
@@ -90,18 +122,11 @@ def rule_profile(events: Iterable[dict]) -> list[dict]:
     return rows
 
 
-def top_rules(
-    events: Iterable[dict], limit: Optional[int] = 10
-) -> list[dict]:
-    """The ``limit`` most expensive rules of a trace (all, if None)."""
-    rows = rule_profile(events)
-    return rows if limit is None else rows[:limit]
-
-
 def profile_diff(
-    events_a: Iterable[dict], events_b: Iterable[dict]
+    spans_a: Iterable[dict], spans_b: Iterable[dict]
 ) -> list[dict]:
-    """Per-rule deltas between two traces (``b`` minus ``a``).
+    """Per-rule deltas between two traces' span records (``b`` minus
+    ``a``).
 
     Profiles both traces with :func:`rule_profile` and joins the rows by
     rule id.  Each output row carries both sides' firing counts and self
@@ -112,8 +137,8 @@ def profile_diff(
     ``abs(self_s_delta)`` (then ``abs(firings_delta)``) descending —
     the biggest movers first, in either direction.
     """
-    rows_a = {row["rule"]: row for row in rule_profile(events_a)}
-    rows_b = {row["rule"]: row for row in rule_profile(events_b)}
+    rows_a = {row["rule"]: row for row in rule_profile(spans_a)}
+    rows_b = {row["rule"]: row for row in rule_profile(spans_b)}
     diff = []
     for rule in rows_a.keys() | rows_b.keys():
         a = rows_a.get(rule)

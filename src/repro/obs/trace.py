@@ -1,4 +1,4 @@
-"""The span tracer: JSONL trace events with context propagation.
+"""The span tracer: in-memory trace events with context propagation.
 
 A :class:`Tracer` records a tree of **spans** (named, timed scopes with
 parent links) and the point events that happen inside them — rewrite
@@ -8,7 +8,7 @@ follows the fault registry's pattern: a module-global :data:`ACTIVE`
 that instrumented code checks with one attribute load, so the disabled
 path costs a ``None`` test and nothing else.
 
-Event schema (one JSON object per line when written to a sink)::
+Event schema (the dicts in :attr:`Tracer.events`)::
 
     {"ev": "span_start", "span": 3, "parent": 1, "name": "engine.normalize",
      "ts": 12.345678, ...attrs}
@@ -22,9 +22,9 @@ Event schema (one JSON object per line when written to a sink)::
 ``step`` events are emitted per rule firing by the interpreted backend;
 the codegen backend's generated functions count firings in flat lists, so
 it emits one aggregated ``firings`` event per evaluation with the
-per-rule deltas.  :func:`firing_counts` folds both forms into one
-per-rule count dict, which — with sampling off — matches the metrics
-registry's firing family exactly, on either backend.
+per-rule deltas.  A trace leaves memory only as OTLP/JSON
+(:func:`repro.obs.otlp.to_otlp`); raw events cross only between the
+processes of one evaluation, into another tracer's buffer.
 
 Sampling: the ``sample`` knob (0.0–1.0) decides, deterministically by
 running credit rather than by random draw, whether each **top-level**
@@ -40,14 +40,13 @@ W3C ``traceparent`` triple (``trace_id``/``span_id``/``sampled``) across
 process boundaries — the client sends it, the daemon honours its
 sampling decision, and shard workers ship their span batches home for
 :meth:`Tracer.merge_remote_events` to graft into the parent's tree.
-Span ids are small process-local ints in the JSONL form; the OTLP
-export maps them through :meth:`Tracer.span_hex` (a per-tracer random
-base) so ids from different processes never collide inside one trace.
+Span ids are small process-local ints in the buffer; the OTLP export
+maps them through :meth:`Tracer.span_hex` (a per-tracer random base)
+so ids from different processes never collide inside one trace.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -63,12 +62,10 @@ __all__ = [
     "ACTIVE",
     "TraceContext",
     "Tracer",
-    "firing_counts",
     "install",
     "maybe_span",
     "new_span_id_hex",
     "new_trace_id",
-    "read_trace",
     "rule_id",
     "tracing",
 ]
@@ -150,15 +147,10 @@ class _Scope(threading.local):
 
 
 class Tracer:
-    """Records trace events, in memory and optionally to a JSONL sink.
+    """Records trace events in memory, in ``self.events`` (as dicts).
 
     Parameters
     ----------
-    sink:
-        A writable text stream; each event is written as one JSON line
-        as it happens.  Events are *also* retained in ``self.events``
-        (as dicts) so post-processing — the per-rule profile, the CLI
-        summary — needs no re-parse.
     sample:
         Fraction of top-level spans to record (see module docstring).
     trace_id:
@@ -173,13 +165,11 @@ class Tracer:
 
     def __init__(
         self,
-        sink=None,
         sample: float = 1.0,
         trace_id: Optional[str] = None,
     ) -> None:
         if not 0.0 <= sample <= 1.0:
             raise ValueError(f"sample must be in [0, 1], got {sample}")
-        self.sink = sink
         self.sample = sample
         self.trace_id = trace_id if trace_id is not None else new_trace_id()
         self.events: list[dict] = []
@@ -204,8 +194,6 @@ class Tracer:
     def _emit(self, event: dict) -> None:
         with self._emit_lock:
             self.events.append(event)
-            if self.sink is not None:
-                self.sink.write(json.dumps(event, default=str) + "\n")
 
     def _sampled(self, forced: Optional[bool]) -> bool:
         if forced is not None:
@@ -457,29 +445,3 @@ def maybe_span(name: str, **attrs):
     if tracer is None:
         return nullcontext()
     return tracer.span(name, **attrs)
-
-
-# ----------------------------------------------------------------------
-# Trace analysis
-# ----------------------------------------------------------------------
-def firing_counts(events: Iterable[dict]) -> dict[str, int]:
-    """Per-rule firing counts from a trace: one per ``step`` event,
-    plus the aggregated ``firings`` deltas the codegen backend emits.
-    With sampling off, this matches the metrics registry's
-    ``engine.rule_firings`` family exactly."""
-    counts: dict[str, int] = {}
-    for event in events:
-        kind = event.get("ev")
-        if kind == "step":
-            rule = event["rule"]
-            counts[rule] = counts.get(rule, 0) + 1
-        elif kind == "firings":
-            for rule, n in event["counts"].items():
-                counts[rule] = counts.get(rule, 0) + n
-    return counts
-
-
-def read_trace(path) -> list[dict]:
-    """Parse a JSONL trace file back into event dicts."""
-    with open(path, encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]

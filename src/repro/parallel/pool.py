@@ -648,8 +648,8 @@ def _worker_main(conn, parent_end, spec_wire: dict, fault_injector) -> None:
 
 def _worker_init(spec_wire: dict, fault_injector=None) -> None:
     _WORKER_SPECS[spec_wire["key"]] = spec_wire
-    # Tracing stays parent-side: a forked worker would otherwise append
-    # to the parent's JSONL sink through an inherited file handle.
+    # Tracing stays parent-side: a forked copy of the parent's tracer
+    # would record events that nobody reads.
     _trace.ACTIVE = None
     # A forked worker also inherits the parent's registered snapshot
     # sources — other live pools, whose metrics_snapshot() would replay
@@ -699,10 +699,10 @@ def _worker_run(
     budget = wire.decode_budget(budget_wire)
     if traced:
         # The parent recorded this batch, so re-arm a share-lifetime
-        # child tracer (the initializer disarmed tracing: a forked
-        # worker would otherwise write the parent's JSONL sink through
-        # an inherited handle).  Its events ship home in the reply;
-        # the parent re-parents them under its batch span.
+        # child tracer (the initializer disarmed tracing: a forked copy
+        # of the parent's tracer would record events that nobody
+        # reads).  Its events ship home in the reply; the parent
+        # re-parents them under its batch span.
         tracer = _trace.Tracer(sample=1.0)
         with _trace.tracing(tracer):
             with tracer.span(

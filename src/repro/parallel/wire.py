@@ -355,8 +355,8 @@ def encode_span_events(events: Sequence[dict]) -> dict:
     """A worker's trace-event batch, shipped home with its reply.
 
     Span events are already wire-shaped (flat dicts of primitives, plus
-    the per-rule count dict on ``firings`` events) — the tracer emits
-    them straight to JSONL — so the codec's job is the version envelope
+    the per-rule count dict on ``firings`` events) — the tracer builds
+    them JSON-ready — so the codec's job is the version envelope
     and a structural check at *encode* time, in the worker, where a
     non-portable event would be a tracer bug worth failing loudly on.
     """

@@ -25,8 +25,8 @@ Robustness is the headline:
   after repeated crashes;
 * **observability of failure** — ``/metrics`` renders the PR-5 registry
   in Prometheus text exposition format, ``/healthz`` and ``/readyz``
-  report liveness and readiness, and each request emits a span event
-  into the JSONL tracer when one is installed.
+  report liveness and readiness, and each traced request exports its
+  spans as one OTLP/JSON document.
 
 :mod:`repro.serve.client` is the matching stdlib client: timeouts and
 jittered retry on 429/503.

@@ -227,28 +227,21 @@ class ReproServer:
         self._thread: Optional[threading.Thread] = None
         self._started = time.monotonic()
         # -- distributed tracing -------------------------------------
-        # The daemon traces requests when any trace surface is asked
-        # for (an OTLP sink, an explicit sample rate, an access log
-        # that wants trace ids) or when the process already has a
-        # tracer installed (``repro serve --trace-out``).  With none of
-        # those, ``self.tracer`` stays None and the request path pays
-        # one attribute test — the ≤1% disabled-overhead budget.
+        # The daemon traces requests when a trace surface is asked
+        # for (an OTLP sink or an explicit sample rate).  Without one,
+        # ``self.tracer`` stays None and the request path pays one
+        # attribute test — the ≤1% disabled-overhead budget.
         self.exporter: Optional[OTLPExporter] = (
             OTLPExporter(path=otlp_path, endpoint=otlp_endpoint)
             if (otlp_path or otlp_endpoint)
             else None
         )
-        self._owns_tracer = False
         self._previous_tracer: Optional[_trace.Tracer] = None
-        if _trace.ACTIVE is not None:
-            self.tracer: Optional[_trace.Tracer] = _trace.ACTIVE
-        elif trace_sample is not None or self.exporter is not None:
-            self.tracer = _trace.Tracer(
-                sample=1.0 if trace_sample is None else trace_sample
-            )
-            self._owns_tracer = True
-        else:
-            self.tracer = None
+        self.tracer: Optional[_trace.Tracer] = (
+            _trace.Tracer(sample=1.0 if trace_sample is None else trace_sample)
+            if trace_sample is not None or self.exporter is not None
+            else None
+        )
         self._access_log_path = access_log
         self._access_log_handle = None
         self._access_log_lock = threading.Lock()
@@ -291,7 +284,7 @@ class ReproServer:
             )
         self._httpd.daemon_threads = True
         self._httpd.app = self  # type: ignore[attr-defined]
-        if self._owns_tracer:
+        if self.tracer is not None:
             # Engines and shard pools read the module-global tracer;
             # the daemon's request spans must enclose their spans, so
             # the server's tracer becomes the process's for its
@@ -327,7 +320,7 @@ class ReproServer:
             self._thread = None
         for session in self.sessions.values():
             session.close()
-        if self._owns_tracer and _trace.ACTIVE is self.tracer:
+        if self.tracer is not None and _trace.ACTIVE is self.tracer:
             _trace.install(self._previous_tracer)
         handle, self._access_log_handle = self._access_log_handle, None
         if handle is not None:

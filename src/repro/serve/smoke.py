@@ -121,19 +121,17 @@ def _traced_exercise(host: str, port: int) -> None:
 def _validate_otlp_artifact(path: str) -> None:
     """Every daemon-exported OTLP document must hold the span-tree
     invariants, and at least one must reach the shard workers."""
-    from repro.obs.otlp import read_otlp_file, read_otlp_spans, validate_otlp
+    from repro.obs.otlp import check_otlp_file, read_otlp_spans
 
-    documents = read_otlp_file(path)
-    assert documents, f"no OTLP documents exported to {path}"
-    worker_docs = 0
-    for index, document in enumerate(documents):
-        problems = validate_otlp(document)
-        assert not problems, f"trace[{index}] invalid: {problems}"
-        if any(
+    documents, problems = check_otlp_file(path)
+    assert not problems, f"exported traces invalid: {problems}"
+    worker_docs = sum(
+        any(
             span["name"] == "worker.chunk"
             for span in read_otlp_spans(document)
-        ):
-            worker_docs += 1
+        )
+        for document in documents
+    )
     assert worker_docs > 0, "no exported trace reached a shard worker"
     print(  # allow-print: smoke script progress
         f"smoke: {len(documents)} OTLP trace(s) valid, "

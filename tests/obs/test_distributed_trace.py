@@ -14,8 +14,17 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.otlp import to_otlp, validate_otlp
-from repro.obs.trace import Tracer, firing_counts
+from repro.obs.otlp import read_otlp_spans, to_otlp, validate_otlp
+from repro.obs.profile import firing_counts
+from repro.obs.trace import Tracer
+
+
+def _firing_counts(tracer: Tracer) -> dict[str, int]:
+    """Per-rule firing counts of the tracer's trace, read as every
+    trace analysis reads it: through its OTLP span records."""
+    return firing_counts(
+        read_otlp_spans(to_otlp(tracer.events, tracer.trace_id))
+    )
 
 
 class TestSpanHex:
@@ -92,7 +101,7 @@ class TestMergeRemoteEvents:
         # firings event inside the nested span.
         firing = next(e for e in local.events if e["ev"] == "firings")
         assert firing["span"] in mapping.values()
-        assert firing_counts(local.events) == {"r1": 3}
+        assert _firing_counts(local) == {"r1": 3}
 
     def test_truncated_batch_drops_unknown_span_reference(self):
         local = Tracer()
@@ -175,7 +184,7 @@ class TestForcedSamplingOnMutedTracer:
             e["name"] for e in tracer.events if e["ev"] == "span_start"
         ]
         assert names == ["serve.request", "serve.evaluate"]
-        assert firing_counts(tracer.events) == {"r1": 2}
+        assert _firing_counts(tracer) == {"r1": 2}
         # And the mute is really back: a plain span records nothing.
         with tracer.span("serve.request") as again:
             assert again is None

@@ -1,5 +1,6 @@
 """Tests for the OTLP/JSON export: W3C context, document shape,
-span-tree validation, the exporter sinks, and the offline CLI.
+span-tree validation, the exporter sinks, the trace-file reader, and
+the offline validator.
 
 The export is consumed by tooling outside this repository, so these
 tests pin the *wire* contract: attribute typing (OTLP wants intValue
@@ -15,12 +16,14 @@ import pytest
 
 from repro.obs.otlp import (
     OTLPExporter,
+    TraceFileError,
     read_otlp_file,
     read_otlp_spans,
     to_otlp,
     validate_otlp,
 )
 from repro.obs.otlp import main as otlp_main
+from repro.obs.profile import attributes
 from repro.obs.trace import TraceContext, Tracer
 
 
@@ -118,15 +121,22 @@ class TestToOtlp:
         # int branch (bool is an int subclass in Python).
         assert req_attrs["retries"] == {"intValue": "0"}
         assert eval_attrs["ok"] == {"boolValue": True}
-        # The firings point event collapses its per-rule counts dict
-        # into totals on a span event (the detail stays in the JSONL).
-        (firing_event,) = evaluate["events"]
-        assert firing_event["name"] == "firings"
-        event_attrs = {
-            a["key"]: a["value"] for a in firing_event["attributes"]
+        # The firings point event becomes one span event per rule, its
+        # count a scalar attribute: the export loses no per-rule detail.
+        per_rule = {}
+        for firing_event in evaluate["events"]:
+            assert firing_event["name"] == "firings"
+            event_attrs = {
+                a["key"]: a["value"] for a in firing_event["attributes"]
+            }
+            per_rule[event_attrs["rule"]["stringValue"]] = event_attrs[
+                "count"
+            ]
+        assert per_rule == {
+            "r1": {"intValue": "2"},
+            "r2": {"intValue": "5"},
         }
-        assert event_attrs["firings"] == {"intValue": "7"}
-        assert event_attrs["rules"] == {"intValue": "2"}
+        assert attributes(evaluate["events"][1]) == {"rule": "r2", "count": 5}
 
     def test_remote_parent_marks_cross_process_link(self):
         tracer = Tracer()
@@ -147,6 +157,20 @@ class TestToOtlp:
             end = int(span["endTimeUnixNano"])
             assert start > 10**18  # nanoseconds since the epoch
             assert end >= start
+
+    def test_timestamps_keep_whole_microseconds(self):
+        # The tracer stamps microseconds; near 1.8e18 ns a double is
+        # exact only to 256 ns, so the conversion must not scale the
+        # float straight to nanoseconds.
+        events = [
+            {"ev": "span_start", "span": 1, "name": "s",
+             "ts": 1792304843.121812},
+            {"ev": "span_end", "span": 1, "name": "s",
+             "ts": 1792304843.999999},
+        ]
+        (span,) = read_otlp_spans(to_otlp(events, "ab" * 16))
+        assert span["startTimeUnixNano"] == "1792304843121812000"
+        assert span["endTimeUnixNano"] == "1792304843999999000"
 
 
 class TestValidate:
@@ -195,7 +219,7 @@ class TestValidate:
 
 class TestExporter:
     def test_file_sink_appends_one_document_per_export(self, tmp_path):
-        path = tmp_path / "traces.jsonl"
+        path = tmp_path / "traces.otlp.jsonl"
         exporter = OTLPExporter(path=str(path))
         for _ in range(2):
             tracer, events = _sample_events()
@@ -218,26 +242,74 @@ class TestExporter:
 
 
 class TestOfflineCli:
-    def test_convert_jsonl_trace_to_otlp(self, tmp_path, capsys):
+    def test_validates_the_cli_trace_document(self, tmp_path, capsys):
         tracer, events = _sample_events()
-        source = tmp_path / "trace.jsonl"
-        source.write_text(
-            "".join(json.dumps(event) + "\n" for event in events)
+        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        path = tmp_path / "trace.otlp.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        assert otlp_main([str(path)]) == 0
+        assert "1 trace(s), 2 span(s), 0 violation(s)" in (
+            capsys.readouterr().out
         )
-        out = tmp_path / "trace.otlp.json"
-        assert otlp_main([str(source), "--out", str(out)]) == 0
-        (doc,) = read_otlp_file(str(out))
-        assert validate_otlp(doc) == []
-        assert len(read_otlp_spans(doc)) == 2
 
     def test_validate_passes_clean_and_fails_corrupt(self, tmp_path, capsys):
         tracer, events = _sample_events()
         doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
-        clean = tmp_path / "clean.jsonl"
+        clean = tmp_path / "clean.otlp.jsonl"
         clean.write_text(json.dumps(doc) + "\n")
-        assert otlp_main([str(clean), "--validate"]) == 0
+        assert otlp_main([str(clean)]) == 0
         read_otlp_spans(doc)[1]["parentSpanId"] = "deadbeefdeadbeef"
-        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt = tmp_path / "corrupt.otlp.jsonl"
         corrupt.write_text(json.dumps(doc) + "\n")
-        assert otlp_main([str(corrupt), "--validate"]) == 1
+        assert otlp_main([str(corrupt)]) == 1
         assert "violation" in capsys.readouterr().out
+
+    def _fails_with(self, path, capsys, expected: str) -> None:
+        assert otlp_main([str(path)]) == 1
+        out = capsys.readouterr().out
+        assert expected in out
+        assert "violation(s)" in out
+
+    def test_non_numeric_end_time_is_a_violation(self, tmp_path, capsys):
+        tracer, events = _sample_events()
+        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        read_otlp_spans(doc)[0]["endTimeUnixNano"] = "soon"
+        path = tmp_path / "bad-time.json"
+        path.write_text(json.dumps(doc))
+        self._fails_with(path, capsys, "not integer nanoseconds")
+
+    def test_line_that_is_not_json_is_a_violation(self, tmp_path, capsys):
+        tracer, events = _sample_events()
+        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        path = tmp_path / "bad-line.otlp.jsonl"
+        path.write_text(json.dumps(doc) + "\n{not json\n")
+        self._fails_with(path, capsys, "line 2 is not JSON")
+
+    def test_top_level_array_is_a_violation(self, tmp_path, capsys):
+        tracer, events = _sample_events()
+        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([doc]))
+        self._fails_with(path, capsys, "not an OTLP document")
+        with pytest.raises(TraceFileError):
+            read_otlp_file(str(path))
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"resourceSpans": 5},
+            {"resourceSpans": [{"scopeSpans": [{"spans": ["not a span"]}]}]},
+        ],
+        ids=["spans-not-a-list", "span-not-an-object"],
+    )
+    def test_misshapen_document_is_a_violation(
+        self, tmp_path, capsys, document
+    ):
+        path = tmp_path / "misshapen.json"
+        path.write_text(json.dumps(document))
+        self._fails_with(path, capsys, "not an OTLP document")
+
+    def test_empty_file_is_a_violation(self, tmp_path, capsys):
+        path = tmp_path / "empty.otlp.jsonl"
+        path.write_text("")
+        self._fails_with(path, capsys, "no trace documents")

@@ -1,27 +1,35 @@
-"""Tests for the span tracer (:mod:`repro.obs.trace`) and the
-per-rule profile (:mod:`repro.obs.profile`)."""
+"""Tests for the span tracer (:mod:`repro.obs.trace`) and the trace
+analyses over OTLP span records (:mod:`repro.obs.profile`)."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.algebra.terms import app
 from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
 from repro.obs import trace as trace_mod
-from repro.obs.profile import profile_diff, rule_profile, top_rules
+from repro.obs.otlp import read_otlp_file, read_otlp_spans, to_otlp
+from repro.obs.profile import firing_counts, profile_diff, rule_profile
 from repro.obs.trace import (
     Tracer,
-    firing_counts,
     install,
     maybe_span,
-    read_trace,
     rule_id,
     tracing,
 )
+from repro.report import format_rule_profile
 from repro.rewriting import RewriteEngine
 from repro.rewriting import codegen as codegen_mod
 from repro.rewriting import engine as engine_mod
 from repro.rewriting.engine import RewriteLimitError
+
+
+def _spans(events: list[dict]) -> list[dict]:
+    """The OTLP span records of a tracer's events — the one input
+    every trace analysis reads."""
+    return read_otlp_spans(to_otlp(events, "ab" * 16))
 
 
 class TestSpans:
@@ -126,27 +134,32 @@ class TestInstallation:
 class TestFiringEvents:
     def test_firing_counts_folds_steps_and_aggregates(self):
         events = [
-            {"ev": "step", "rule": "r1", "ts": 0.0},
-            {"ev": "step", "rule": "r1", "ts": 0.1},
-            {"ev": "firings", "counts": {"r1": 3, "r2": 5}, "ts": 0.2},
+            {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
+            {"ev": "step", "span": 1, "rule": "r1", "ts": 0.0},
+            {"ev": "step", "span": 1, "rule": "r1", "ts": 0.1},
+            {"ev": "firings", "span": 1, "counts": {"r1": 3, "r2": 5},
+             "ts": 0.2},
             {"ev": "span_end", "span": 1, "ts": 0.3},
         ]
-        assert firing_counts(events) == {"r1": 5, "r2": 5}
+        assert firing_counts(_spans(events)) == {"r1": 5, "r2": 5}
 
     def test_empty_firings_not_emitted(self):
         tracer = Tracer()
         tracer.firings({})
         assert tracer.events == []
 
-    def test_sink_round_trips_through_read_trace(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with open(path, "w") as sink:
-            tracer = Tracer(sink=sink)
-            with tracer.span("s"):
-                tracer.step("rule-r", subject=None)
-        events = read_trace(path)
-        assert events == tracer.events
-        assert events[1]["rule"] == "rule-r"
+    def test_trace_file_reads_back_the_live_analyses(self, tmp_path):
+        engine = RewriteEngine.for_specification(QUEUE_SPEC)
+        tracer = Tracer()
+        with tracing(tracer):
+            engine.normalize(app(FRONT, queue_term(range(5))))
+        live = to_otlp(tracer.events, tracer.trace_id, tracer.span_hex)
+        path = tmp_path / "trace.otlp.json"
+        path.write_text(json.dumps(live))
+        (read_back,) = read_otlp_file(str(path))
+        spans = read_otlp_spans(read_back)
+        assert firing_counts(spans) == firing_counts(read_otlp_spans(live))
+        assert rule_profile(spans) == rule_profile(read_otlp_spans(live))
 
 
 class TestEngineIntegration:
@@ -155,7 +168,7 @@ class TestEngineIntegration:
         tracer = Tracer()
         with tracing(tracer):
             engine.normalize(app(FRONT, queue_term(range(5))))
-        traced = firing_counts(tracer.events)
+        traced = firing_counts(_spans(tracer.events))
         registry = {
             rule_id(rule): count
             for rule, count in engine.stats.firings.counts.items()
@@ -172,7 +185,7 @@ class TestEngineIntegration:
         tracer = Tracer()
         with tracing(tracer):
             engine.normalize(app(FRONT, queue_term(range(5))))
-        traced = firing_counts(tracer.events)
+        traced = firing_counts(_spans(tracer.events))
         registry = {
             rule_id(rule): count
             for rule, count in engine.stats.firings.counts.items()
@@ -230,7 +243,7 @@ class TestRuleProfile:
             {"ev": "span_end", "span": 1, "name": "s", "ts": 5.0,
              "dur_us": 5e6},
         ]
-        rows = rule_profile(events)
+        rows = rule_profile(_spans(events))
         by_rule = {row["rule"]: row for row in rows}
         assert by_rule["fast"]["self_s"] == pytest.approx(1.0)
         assert by_rule["slow"]["self_s"] == pytest.approx(3.0)
@@ -246,21 +259,37 @@ class TestRuleProfile:
             {"ev": "span_end", "span": 1, "name": "s", "ts": 4.0,
              "dur_us": 4e6},
         ]
-        by_rule = {row["rule"]: row for row in rule_profile(events)}
+        by_rule = {row["rule"]: row for row in rule_profile(_spans(events))}
         assert by_rule["a"]["self_s"] == pytest.approx(3.0)
         assert by_rule["b"]["self_s"] == pytest.approx(1.0)
         assert by_rule["a"]["estimated"] and by_rule["b"]["estimated"]
+
+    def test_firings_events_share_their_span_once(self):
+        # Several evaluations under one span (a shard worker's chunk)
+        # split the span's duration between them; they do not each
+        # claim all of it.
+        events = [
+            {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
+            {"ev": "firings", "span": 1, "counts": {"a": 3}, "ts": 1.0},
+            {"ev": "firings", "span": 1, "counts": {"a": 1, "b": 4},
+             "ts": 2.0},
+            {"ev": "span_end", "span": 1, "name": "s", "ts": 4.0},
+        ]
+        by_rule = {row["rule"]: row for row in rule_profile(_spans(events))}
+        assert by_rule["a"]["firings"] == 4
+        assert by_rule["a"]["self_s"] == pytest.approx(2.0)
+        assert by_rule["b"]["self_s"] == pytest.approx(2.0)
 
     def test_unclosed_span_charges_no_interval(self):
         events = [
             {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
             {"ev": "step", "span": 1, "rule": "r", "ts": 1.0},
         ]
-        (row,) = rule_profile(events)
+        (row,) = rule_profile(_spans(events))
         assert row["firings"] == 1
         assert row["self_s"] == 0.0
 
-    def test_top_rules_limits_rows(self):
+    def test_every_rule_gets_a_row_and_the_table_limits_them(self):
         events = [
             {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
             {"ev": "firings", "span": 1,
@@ -268,14 +297,17 @@ class TestRuleProfile:
             {"ev": "span_end", "span": 1, "name": "s", "ts": 1.0,
              "dur_us": 1e6},
         ]
-        assert len(top_rules(events, limit=3)) == 3
-        assert len(top_rules(events, limit=None)) == 5
+        rows = rule_profile(_spans(events))
+        assert [row["rule"] for row in rows] == ["r4", "r3", "r2", "r1", "r0"]
+        table = format_rule_profile(rows, limit=3)
+        assert "r2" in table and "r1" not in table
 
 
 class TestProfileDiff:
     @staticmethod
     def _trace(steps):
-        """One span with a step per (rule, ts) pair, closed at ts 10."""
+        """The span records of one span with a step per (rule, ts)
+        pair, closed at ts 10."""
         events = [{"ev": "span_start", "span": 1, "name": "s", "ts": 0.0}]
         events.extend(
             {"ev": "step", "span": 1, "rule": rule, "ts": ts}
@@ -285,7 +317,7 @@ class TestProfileDiff:
             {"ev": "span_end", "span": 1, "name": "s", "ts": 10.0,
              "dur_us": 10e6}
         )
-        return events
+        return _spans(events)
 
     def test_deltas_are_b_minus_a(self):
         a = self._trace([("r", 0.0), ("r", 2.0)])

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
 from repro.algebra.terms import App
-from repro.obs.trace import Tracer, firing_counts, tracing
+from repro.obs.otlp import read_otlp_spans, to_otlp
+from repro.obs.profile import firing_counts
+from repro.obs.trace import Tracer, tracing
 from repro.parallel import ShardPool
 from repro.rewriting.engine import RewriteEngine
 from repro.rewriting.rules import RuleSet
@@ -29,6 +31,14 @@ def _subjects(count: int) -> list:
         App(FRONT, (queue_term([f"p{i}", f"q{i}", f"r{i}"]),))
         for i in range(count)
     ]
+
+
+def _firing_counts(tracer: Tracer) -> dict[str, int]:
+    """Per-rule firing counts of the tracer's trace, read as every
+    trace analysis reads it: through its OTLP span records."""
+    return firing_counts(
+        read_otlp_spans(to_otlp(tracer.events, tracer.trace_id))
+    )
 
 
 def _spans(tracer: Tracer, name: str) -> list[dict]:
@@ -58,7 +68,7 @@ def test_traced_firings_match_metrics_and_serial():
         shipped = pool.metrics_snapshot()["families"]["engine.rule_firings"]
     assert all(outcome.ok for outcome in outcomes)
 
-    traced = firing_counts(tracer.events)
+    traced = _firing_counts(tracer)
     assert traced == shipped == expected
 
 
@@ -93,4 +103,4 @@ def test_trace_and_metrics_agree_even_with_memoisation():
         with tracing(tracer):
             pool.normalize_many_outcomes(_subjects(8))
         shipped = pool.metrics_snapshot()["families"]["engine.rule_firings"]
-    assert firing_counts(tracer.events) == shipped
+    assert _firing_counts(tracer) == shipped

@@ -160,7 +160,7 @@ class TestTraceparentNegotiation:
     def test_unsampled_incoming_context_is_honoured(self, tmp_path):
         # The caller said sampled=0: the daemon must not record, and
         # the echo must keep the flag down.
-        otlp = tmp_path / "unsampled.jsonl"
+        otlp = tmp_path / "unsampled.otlp.jsonl"
         with _server(trace_sample=1.0, otlp_path=str(otlp)) as server:
             host, port = server.address
             import http.client

@@ -258,68 +258,82 @@ class TestProve:
         assert "NOT PROVED" in capsys.readouterr().out
 
 
+def _trace_events(document: dict) -> list[dict]:
+    """Every span event of an OTLP trace document, in span order."""
+    from repro.obs.otlp import read_otlp_spans
+
+    return [
+        event
+        for span in read_otlp_spans(document)
+        for event in span["events"]
+    ]
+
+
 class TestTrace:
     TERM = "FRONT(ADD(ADD(NEW, 'a'), 'b'))"
 
-    def test_stdout_jsonl_with_summary_on_stderr(self, queue_file, capsys):
+    def test_stdout_otlp_with_summary_on_stderr(self, queue_file, capsys):
+        from repro.obs.otlp import read_otlp_spans
+        from repro.obs.profile import attributes
+
         assert main(["trace", queue_file, self.TERM]) == 0
         captured = capsys.readouterr()
-        events = [
-            json.loads(line) for line in captured.out.splitlines() if line
-        ]
-        assert events[0]["ev"] == "span_start"
-        assert events[0]["backend"] == "interpreted"
-        assert events[-1]["ev"] == "span_end"
-        steps = [e for e in events if e["ev"] == "step"]
-        assert steps and all("rule" in e and "subject" in e for e in steps)
+        document = json.loads(captured.out)
+        (span,) = read_otlp_spans(document)
+        assert span["name"] == "engine.normalize"
+        assert attributes(span)["backend"] == "interpreted"
+        steps = [e for e in span["events"] if e["name"] == "step"]
+        assert steps and all(
+            {"rule", "subject"} <= set(attributes(e)) for e in steps
+        )
         assert "normal form: 'a'" in captured.err
         assert "rule firing(s)" in captured.err
         # The per-rule profile table renders on stderr.
         assert "self_s" in captured.err
 
     def test_out_file_keeps_stdout_clean(self, queue_file, tmp_path, capsys):
-        from repro.obs import read_trace
+        from repro.obs.otlp import read_otlp_file
 
-        out = tmp_path / "trace.jsonl"
+        out = tmp_path / "trace.otlp.json"
         code = main(
             ["trace", queue_file, self.TERM, "--out", str(out)]
         )
         assert code == 0
         assert capsys.readouterr().out == ""
-        events = read_trace(out)
-        assert any(e["ev"] == "step" for e in events)
+        (document,) = read_otlp_file(str(out))
+        assert any(e["name"] == "step" for e in _trace_events(document))
 
     def test_compiled_backend_emits_aggregated_firings(
         self, queue_file, capsys
     ):
+        from repro.obs.profile import attributes
+
         code = main(
             ["trace", queue_file, self.TERM, "--backend", "codegen"]
         )
         assert code == 0
-        events = [
-            json.loads(line)
-            for line in capsys.readouterr().out.splitlines()
-            if line
-        ]
-        kinds = [e["ev"] for e in events]
+        events = _trace_events(json.loads(capsys.readouterr().out))
+        kinds = {e["name"] for e in events}
         assert "firings" in kinds and "step" not in kinds
+        for event in events:
+            assert {"rule", "count"} == set(attributes(event))
 
     def test_sample_zero_suppresses_all_events(self, queue_file, capsys):
+        from repro.obs.otlp import read_otlp_spans
+
         assert main(
             ["trace", queue_file, self.TERM, "--sample", "0.0"]
         ) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert read_otlp_spans(json.loads(captured.out)) == []
         assert "0 trace event(s)" in captured.err
 
     def test_budget_exhaustion_exits_three(self, queue_file, capsys):
         code = main(["trace", queue_file, self.TERM, "--fuel", "1"])
         assert code == 3
         captured = capsys.readouterr()
-        events = [
-            json.loads(line) for line in captured.out.splitlines() if line
-        ]
-        assert any(e["ev"] == "budget_exhausted" for e in events)
+        events = _trace_events(json.loads(captured.out))
+        assert any(e["name"] == "budget_exhausted" for e in events)
 
     def test_metrics_out_writes_aggregate_snapshot(
         self, queue_file, tmp_path, capsys
@@ -341,11 +355,12 @@ class TestTrace:
         self, queue_file, tmp_path, backend
     ):
         # The acceptance criterion, end to end and hermetically: in a
-        # fresh process, the JSONL trace's per-rule counts must equal
-        # the metrics snapshot's firing family exactly.
-        from repro.obs import firing_counts, read_trace
+        # fresh process, the OTLP trace file's per-rule counts must
+        # equal the metrics snapshot's firing family exactly.
+        from repro.obs import firing_counts
+        from repro.obs.otlp import read_otlp_file, read_otlp_spans
 
-        out = tmp_path / "trace.jsonl"
+        out = tmp_path / "trace.otlp.json"
         metrics = tmp_path / "metrics.json"
         env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
         proc = subprocess.run(
@@ -357,10 +372,46 @@ class TestTrace:
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        traced = firing_counts(read_trace(out))
+        (document,) = read_otlp_file(str(out))
+        traced = firing_counts(read_otlp_spans(document))
         snapshot = json.loads(metrics.read_text())
         assert traced == snapshot["families"]["engine.rule_firings"]
         assert sum(traced.values()) > 0
+
+    @pytest.mark.parametrize("backend", ["interpreted", "codegen"])
+    def test_profile_reads_back_from_the_out_file_exactly(
+        self, queue_file, tmp_path, capsys, monkeypatch, backend
+    ):
+        # One analysis path: the profile of the live document the CLI
+        # built equals, row for row and to the nanosecond, the profile
+        # of the file it wrote.
+        from repro.obs import otlp, rule_profile
+
+        live = []
+        real_to_otlp = otlp.to_otlp
+
+        def capturing(*args, **kwargs):
+            live.append(real_to_otlp(*args, **kwargs))
+            return live[-1]
+
+        monkeypatch.setattr(otlp, "to_otlp", capturing)
+        out = tmp_path / "trace.otlp.json"
+        term = "FRONT(REMOVE(ADD(ADD(ADD(NEW, 'a'), 'b'), 'c')))"
+        assert main(
+            ["trace", queue_file, term, "--backend", backend,
+             "--out", str(out)]
+        ) == 0
+        (document,) = otlp.read_otlp_file(str(out))
+        expected = rule_profile(otlp.read_otlp_spans(live[0]))
+        assert expected
+        assert rule_profile(otlp.read_otlp_spans(document)) == expected
+
+
+def _late_end(document: dict) -> str:
+    """A trace document whose first span ends at a non-numeric time."""
+    span = document["resourceSpans"][0]["scopeSpans"][0]["spans"][0]
+    span["endTimeUnixNano"] = "later"
+    return json.dumps(document)
 
 
 class TestTraceDiff:
@@ -381,9 +432,9 @@ class TestTraceDiff:
     def test_table_reports_per_rule_deltas(
         self, queue_file, tmp_path, capsys
     ):
-        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.jsonl",
+        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.otlp.json",
                         "interpreted")
-        b = self._trace(queue_file, tmp_path, self.TERM_B, "b.jsonl",
+        b = self._trace(queue_file, tmp_path, self.TERM_B, "b.otlp.json",
                         "interpreted")
         capsys.readouterr()
         assert main(["trace-diff", a, b]) == 0
@@ -395,9 +446,9 @@ class TestTraceDiff:
         assert "+1" in captured.out
 
     def test_json_rows_round_trip(self, queue_file, tmp_path, capsys):
-        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.jsonl",
+        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.otlp.json",
                         "interpreted")
-        b = self._trace(queue_file, tmp_path, self.TERM_B, "b.jsonl",
+        b = self._trace(queue_file, tmp_path, self.TERM_B, "b.otlp.json",
                         "codegen")
         capsys.readouterr()
         assert main(["trace-diff", a, b, "--json"]) == 0
@@ -409,7 +460,7 @@ class TestTraceDiff:
     def test_identical_traces_have_no_firing_deltas(
         self, queue_file, tmp_path, capsys
     ):
-        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.jsonl",
+        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.otlp.json",
                         "interpreted")
         capsys.readouterr()
         assert main(
@@ -419,9 +470,9 @@ class TestTraceDiff:
     def test_firing_delta_fails_when_requested(
         self, queue_file, tmp_path, capsys
     ):
-        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.jsonl",
+        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.otlp.json",
                         "interpreted")
-        b = self._trace(queue_file, tmp_path, self.TERM_B, "b.jsonl",
+        b = self._trace(queue_file, tmp_path, self.TERM_B, "b.otlp.json",
                         "interpreted")
         capsys.readouterr()
         assert main(
@@ -434,9 +485,9 @@ class TestTraceDiff:
         # The backend-differential invariant through the CLI: the same
         # term traced on the interpreted and codegen backends diffs to
         # all-zero firing deltas.
-        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.jsonl",
+        a = self._trace(queue_file, tmp_path, self.TERM_A, "a.otlp.json",
                         "interpreted")
-        b = self._trace(queue_file, tmp_path, self.TERM_A, "b.jsonl",
+        b = self._trace(queue_file, tmp_path, self.TERM_A, "b.otlp.json",
                         "codegen")
         capsys.readouterr()
         assert main(
@@ -444,7 +495,31 @@ class TestTraceDiff:
         ) == 0
 
     def test_missing_file_reports_cleanly(self, capsys):
-        assert main(["trace-diff", "/no/such/a.jsonl", "/no/b.jsonl"]) == 2
+        assert main(
+            ["trace-diff", "/no/such/a.otlp.json", "/no/b.otlp.json"]
+        ) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt, expected",
+        [
+            (lambda doc: json.dumps(doc) + "\n{not json\n",
+             "line 2 is not JSON"),
+            (lambda doc: json.dumps([doc]), "not an OTLP document"),
+            (_late_end, "not integer nanoseconds"),
+        ],
+        ids=["line-not-json", "top-level-array", "non-numeric-end"],
+    )
+    def test_malformed_file_reports_violations(
+        self, queue_file, tmp_path, capsys, corrupt, expected
+    ):
+        good = self._trace(queue_file, tmp_path, self.TERM_A, "a.otlp.json",
+                           "interpreted")
+        bad = tmp_path / "bad.otlp.json"
+        bad.write_text(corrupt(json.loads(Path(good).read_text())))
+        capsys.readouterr()
+        assert main(["trace-diff", good, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert expected in err and "Traceback" not in err
 
 
 class TestMetricsOut:
