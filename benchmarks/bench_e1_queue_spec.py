@@ -24,12 +24,14 @@ def test_e1_sufficient_completeness(benchmark):
     assert result.unambiguous
     benchmark.extra_info["missing_cases"] = len(result.missing)
     benchmark.extra_info["observations_sampled"] = result.sampled_observations
+    benchmark.extra_info["observations_complete_to"] = result.sampled_complete_to
 
 
 def test_e1_consistency(benchmark):
     result = benchmark(check_consistency, QUEUE_SPEC)
     assert result.consistent
     benchmark.extra_info["ground_instances"] = result.ground_instances_checked
+    benchmark.extra_info["ground_complete_to"] = result.ground_complete_to
 
 
 def test_e1_verdict_table(benchmark):

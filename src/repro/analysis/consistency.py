@@ -12,9 +12,10 @@ combines three increasingly expensive detectors:
    completion classifies the residue (joinable everywhere → consistent;
    a pair joining two distinct values → inconsistent; otherwise
    inconclusive, with the offending equations reported).
-3. **Ground confrontation** — random ground instances of every axiom are
-   evaluated by the engine; any instance whose two sides normalise
-   differently is a concrete witness of inconsistency.
+3. **Ground confrontation** — the smallest ground instances of every
+   axiom (:mod:`repro.testing.termgen`) are evaluated by the engine; any
+   instance whose two sides normalise differently is a concrete witness
+   of inconsistency.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.rewriting.completion import CompletionResult, CompletionStatus, compl
 from repro.rewriting.engine import RewriteEngine, RewriteLimitError
 from repro.rewriting.ordering import Precedence
 from repro.rewriting.rules import RuleSet
+from repro.testing.termgen import GroundTermEnumerator, hypothesis, prefix, tighter
 
 
 class Verdict(Enum):
@@ -66,6 +68,9 @@ class ConsistencyReport:
     completion: Optional[CompletionResult] = None
     ground_witnesses: list[GroundWitness] = field(default_factory=list)
     ground_instances_checked: int = 0
+    ground_undecided: int = 0  # hit a rewrite limit: not checked
+    #: Every instance up to this total size was checked (None: all were).
+    ground_complete_to: Optional[int] = None
 
     @property
     def consistent(self) -> bool:
@@ -83,9 +88,13 @@ class ConsistencyReport:
         if self.ground_witnesses:
             lines.append("ground witnesses:")
             lines.extend(f"  {witness}" for witness in self.ground_witnesses)
-        lines.append(
-            f"(ground instances checked: {self.ground_instances_checked})"
+        verdict = "checked" if self.ground_witnesses else "holds for all"
+        checked = hypothesis(
+            self.ground_instances_checked,
+            self.ground_complete_to,
+            self.ground_undecided,
         )
+        lines.append(f"(ground instances: {verdict} {checked})")
         return "\n".join(lines)
 
 
@@ -109,8 +118,6 @@ def _find_direct_clashes(axioms: tuple[Axiom, ...]) -> list[str]:
 def check_consistency(
     spec: Specification,
     ground_instances: int = 40,
-    max_depth: int = 5,
-    seed: int = 2026,
     completion_rounds: int = 6,
     fuel: int = 50_000,
 ) -> ConsistencyReport:
@@ -124,9 +131,7 @@ def check_consistency(
         return report
 
     # Ground confrontation first: cheap, and a witness is decisive.
-    report.ground_instances_checked = _confront_ground(
-        spec, report, ground_instances, max_depth, seed, fuel
-    )
+    _confront_ground(spec, report, ground_instances, fuel)
     if report.ground_witnesses:
         report.verdict = Verdict.INCONSISTENT
         return report
@@ -149,39 +154,31 @@ def check_consistency(
 
 
 def _confront_ground(
-    spec: Specification,
-    report: ConsistencyReport,
-    instances: int,
-    max_depth: int,
-    seed: int,
-    fuel: int,
-) -> int:
-    from repro.testing.termgen import GenerationError, GroundTermGenerator
-
+    spec: Specification, report: ConsistencyReport, instances: int, fuel: int
+) -> None:
+    """Evaluate both sides of each axiom's smallest ground instances,
+    an equal share of ``instances`` per axiom."""
+    if not spec.axioms:
+        return
     engine = RewriteEngine.for_specification(spec, fuel=fuel)
-    generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
-    checked = 0
-    own_axioms = spec.axioms
-    if not own_axioms:
-        return 0
-    per_axiom = max(1, instances // len(own_axioms))
-    for axiom in own_axioms:
-        variables = axiom.variables()
-        for _ in range(per_axiom):
-            try:
-                sigma = generator.substitution_for(variables)
-            except GenerationError:
-                continue
-            lhs = sigma.apply(axiom.lhs)
-            rhs = sigma.apply(axiom.rhs)
-            checked += 1
+    enumerator = GroundTermEnumerator(spec)
+    per_axiom = max(1, instances // len(spec.axioms))
+    for axiom in spec.axioms:
+        taken, complete_to = prefix(
+            enumerator.substitutions(axiom.lhs, axiom.rhs), per_axiom
+        )
+        for size, sigma in taken:
+            lhs, rhs = sigma.apply(axiom.lhs), sigma.apply(axiom.rhs)
             try:
                 normal_lhs = engine.normalize(lhs)
                 normal_rhs = engine.normalize(rhs)
             except RewriteLimitError:
+                report.ground_undecided += 1
+                complete_to = tighter(complete_to, size - 1)
                 continue
+            report.ground_instances_checked += 1
             if normal_lhs != normal_rhs:
                 report.ground_witnesses.append(
                     GroundWitness(axiom, lhs, rhs, normal_lhs, normal_rhs)
                 )
-    return checked
+        report.ground_complete_to = tighter(report.ground_complete_to, complete_to)

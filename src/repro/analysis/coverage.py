@@ -1,16 +1,16 @@
 """Axiom coverage: which equations actually do work.
 
-A lint pass complementing sufficient completeness: run a sample of
+A lint pass complementing sufficient completeness: run the smallest
 ground observations through the engine and record which axioms ever
-fire.  An axiom that never fires on a representative sample is either
+fire.  An axiom that never fires on them is either
 
 * *shadowed* — an earlier axiom with an overlapping left-hand side
   always wins (an overlap the consistency checker reports only when the
   results disagree), or
 * *unreachable* — its left-hand side describes terms the constructors
   cannot produce, or
-* simply under-sampled, which the report's firing counts make easy to
-  judge.
+* needs a larger observation than the sample reached, which the
+  report's firing counts and completeness bound make easy to judge.
 
 The analysis is dynamic and advisory (a clean completeness report plus
 full coverage is strong evidence the specification is exactly the set of
@@ -20,10 +20,12 @@ facts intended, with nothing dead).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.spec.specification import Specification
 from repro.rewriting.engine import RewriteEngine, RewriteLimitError
 from repro.rewriting.rules import RuleSet, rule_from_axiom
+from repro.testing.termgen import GroundTermEnumerator, hypothesis, prefix, tighter
 
 
 @dataclass
@@ -31,6 +33,9 @@ class AxiomCoverageReport:
     spec_name: str
     firing_counts: dict[str, int] = field(default_factory=dict)
     observations_run: int = 0
+    undecided: int = 0  # hit a rewrite limit: not among observations_run
+    #: Every observation up to this argument size was run (None: all were).
+    complete_to: Optional[int] = None
 
     @property
     def uncovered(self) -> list[str]:
@@ -42,10 +47,8 @@ class AxiomCoverageReport:
         return not self.uncovered
 
     def __str__(self) -> str:
-        lines = [
-            f"axiom coverage for {self.spec_name} "
-            f"({self.observations_run} observation(s))"
-        ]
+        checked = hypothesis(self.observations_run, self.complete_to, self.undecided)
+        lines = [f"axiom coverage for {self.spec_name} ({checked})"]
         for label, count in self.firing_counts.items():
             marker = "" if count else "   <- never fired"
             lines.append(f"  {label}: {count}{marker}")
@@ -55,39 +58,37 @@ class AxiomCoverageReport:
 def check_axiom_coverage(
     spec: Specification,
     observations: int = 200,
-    max_depth: int = 6,
-    seed: int = 2026,
     fuel: int = 100_000,
 ) -> AxiomCoverageReport:
-    """Sample ground observations and report per-axiom firing counts.
+    """Run the smallest ground observations and report per-axiom firing
+    counts.
 
     Only this level's own axioms are reported (used levels are theirs to
     cover); the rule order is the specification's, so shadowing by an
     earlier axiom shows up exactly as it would in execution.
     """
     from repro.analysis.classify import classify
-    from repro.testing.termgen import GroundTermGenerator
 
     rules = {axiom: rule_from_axiom(axiom) for axiom in spec.all_axioms()}
     ruleset = RuleSet(rules.values())
     engine = RewriteEngine(ruleset, fuel=fuel, cache_size=0)
 
     cls = classify(spec)
-    generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
-    run = 0
+    enumerator = GroundTermEnumerator(spec)
+    report = AxiomCoverageReport(spec.name)
     per_operation = max(1, observations // max(1, len(cls.defined_operations)))
     for operation in cls.defined_operations:
-        for _ in range(per_operation):
-            term = generator.observation(operation)
-            if term is None:
-                continue
-            run += 1
+        taken, complete_to = prefix(enumerator.observations(operation), per_operation)
+        for size, term in taken:
             try:
                 engine.normalize(term)
             except RewriteLimitError:
+                report.undecided += 1
+                complete_to = tighter(complete_to, size - 1)
                 continue
+            report.observations_run += 1
+        report.complete_to = tighter(report.complete_to, complete_to)
 
-    report = AxiomCoverageReport(spec.name, observations_run=run)
     for axiom in spec.axioms:
         label = axiom.label or str(axiom)
         report.firing_counts[label] = engine.stats.firing_count(

@@ -73,13 +73,12 @@ def lint_specification(
     spec: Specification,
     with_coverage: bool = True,
     observations: int = 150,
-    seed: int = 2026,
 ) -> LintReport:
     """Run every specification check and combine the verdicts."""
-    completeness = check_sufficient_completeness(spec, seed=seed)
-    consistency = check_consistency(spec, seed=seed)
+    completeness = check_sufficient_completeness(spec)
+    consistency = check_consistency(spec)
     coverage = (
-        check_axiom_coverage(spec, observations=observations, seed=seed)
+        check_axiom_coverage(spec, observations=observations)
         if with_coverage
         else None
     )

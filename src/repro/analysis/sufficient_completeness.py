@@ -18,7 +18,7 @@ This module implements the check in two cooperating parts:
 2. **Reduction certification.**  Case coverage alone does not guarantee
    that right-hand sides bottom out.  The checker certifies termination
    against a recursive path ordering with constructors below defined
-   operations, and additionally normalises a fuzzed sample of ground
+   operations, and additionally normalises the smallest ground
    observations, checking each normal form is constructor-only.
 
 The combination is sound for the paper's class of specifications and is
@@ -39,6 +39,7 @@ from repro.analysis.classify import Classification, classify
 from repro.rewriting.engine import RewriteEngine
 from repro.rewriting.ordering import Precedence, rule_decreases
 from repro.rewriting.rules import rule_from_axiom
+from repro.testing.termgen import GroundTermEnumerator, hypothesis, prefix, tighter
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,8 @@ class CompletenessReport:
     non_decreasing: list[NonDecreasingAxiom] = field(default_factory=list)
     stuck: list[StuckObservation] = field(default_factory=list)
     sampled_observations: int = 0
+    #: Every observation up to this argument size was sampled (None: all).
+    sampled_complete_to: Optional[int] = None
 
     @property
     def sufficiently_complete(self) -> bool:
@@ -127,7 +130,8 @@ class CompletenessReport:
             if items:
                 lines.append(f"{group}:")
                 lines.extend(f"  {item}" for item in items)
-        lines.append(f"(ground observations sampled: {self.sampled_observations})")
+        sampled = hypothesis(self.sampled_observations, self.sampled_complete_to)
+        lines.append(f"(ground observations sampled: {sampled})")
         return "\n".join(lines)
 
 
@@ -190,8 +194,6 @@ def check_sufficient_completeness(
     spec: Specification,
     classification: Optional[Classification] = None,
     sample_terms: int = 60,
-    max_depth: int = 5,
-    seed: int = 2026,
     fuel: int = 50_000,
 ) -> CompletenessReport:
     """Run the full sufficient-completeness check on ``spec``."""
@@ -220,9 +222,7 @@ def check_sufficient_completeness(
 
     # --- dynamic reduction sampling --------------------------------------
     if not report.missing:
-        report.sampled_observations = _sample_observations(
-            spec, cls, report, sample_terms, max_depth, seed, fuel
-        )
+        _sample_observations(spec, cls, report, sample_terms, fuel)
     return report
 
 
@@ -231,31 +231,27 @@ def _sample_observations(
     cls: Classification,
     report: CompletenessReport,
     sample_terms: int,
-    max_depth: int,
-    seed: int,
     fuel: int,
-) -> int:
-    from repro.testing.termgen import GroundTermGenerator
-
+) -> None:
     engine = RewriteEngine.for_specification(spec, fuel=fuel)
-    generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
+    enumerator = GroundTermEnumerator(spec)
     toi_ops = set(spec.own_operations())
-    # Draw the whole sample first, then evaluate it as one
+    # Take the whole sample first, then evaluate it as one
     # fault-isolated batch: a diverging observation is reported stuck
     # without aborting the rest.
     terms: list[Term] = []
+    per_observer = max(1, sample_terms // max(1, len(cls.defined_operations)))
     for observer in cls.defined_operations:
-        for _ in range(max(1, sample_terms // max(1, len(cls.defined_operations)))):
-            term = generator.observation(observer)
-            if term is not None:
-                terms.append(term)
+        taken, complete_to = prefix(enumerator.observations(observer), per_observer)
+        terms.extend(term for _, term in taken)
+        report.sampled_complete_to = tighter(report.sampled_complete_to, complete_to)
     outcomes = engine.normalize_many_outcomes(terms)
     for term, outcome in zip(terms, outcomes):
         if not outcome.ok:
             report.stuck.append(StuckObservation(term, term))
         elif _mentions(outcome.term, toi_ops, cls):
             report.stuck.append(StuckObservation(term, outcome.term))
-    return len(terms)
+    report.sampled_observations = len(terms)
 
 
 def _mentions(term: Term, toi_ops: set, cls: Classification) -> bool:

@@ -17,7 +17,10 @@ Surface:
     budget exhaustion and injected faults resolve *per item*; the
     process and its other requests keep serving.
 ``POST /v1/check``
-    sufficient-completeness + consistency analysis of a loaded spec.
+    sufficient-completeness + consistency analysis of a loaded spec;
+    ``sample_terms`` bounds the observations, and the reply says how
+    many ground instances were checked and to which size they are
+    complete.  ``seed`` and ``max_depth`` are refused (400).
 ``POST /v1/prove``
     closed equations over a loaded spec's axioms, via the equational
     prover (terms skolemise first, so variables mean "for all").
@@ -377,19 +380,15 @@ class ReproServer:
         return terms
 
     @staticmethod
-    def _int_field(
-        request: dict, name: str, default: int, minimum: Optional[int] = 0
-    ) -> int:
+    def _int_field(request: dict, name: str, default: int) -> int:
         """An optional integer field of the request body: a JSON
-        integer (not a bool, float or string), and no smaller than
-        ``minimum`` unless that is None."""
+        integer (not a bool, float or string), and not negative."""
         value = request.get(name, default)
-        if type(value) is not int or (minimum is not None and value < minimum):
-            bound = "" if minimum is None else f" >= {minimum}"
+        if type(value) is not int or value < 0:
             raise ServeRequestError(
                 400,
                 "bad_field",
-                f"{name!r} must be an integer{bound}, got {value!r}",
+                f"{name!r} must be an integer >= 0, got {value!r}",
             )
         return value
 
@@ -417,15 +416,17 @@ class ReproServer:
 
     def _h_check(self, request: dict) -> dict:
         session = self._session(request)
+        for name in ("seed", "max_depth"):
+            # Checks enumerate the smallest instances: nothing to seed,
+            # and the count alone bounds the cost.
+            if name in request:
+                raise ServeRequestError(
+                    400, "bad_field", f"{name!r} is not a field of /v1/check"
+                )
         sample_terms = min(self._int_field(request, "sample_terms", 60), 500)
-        max_depth = min(self._int_field(request, "max_depth", 5), 8)
-        seed = self._int_field(request, "seed", 2026, minimum=None)
         with session.lock:
             completeness = check_sufficient_completeness(
-                session.spec,
-                sample_terms=sample_terms,
-                max_depth=max_depth,
-                seed=seed,
+                session.spec, sample_terms=sample_terms
             )
             consistency = check_consistency(session.spec)
         return {
@@ -437,6 +438,9 @@ class ReproServer:
             "non_decreasing": [str(n) for n in completeness.non_decreasing],
             "stuck": [str(s) for s in completeness.stuck],
             "sampled_observations": completeness.sampled_observations,
+            "sampled_complete_to": completeness.sampled_complete_to,
+            "ground_instances_checked": consistency.ground_instances_checked,
+            "ground_complete_to": consistency.ground_complete_to,
         }
 
     def _h_prove(self, request: dict) -> dict:

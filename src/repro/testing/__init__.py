@@ -1,4 +1,4 @@
-"""Spec-based testing: ground-term generation and the axiom oracle.
+"""Spec-based testing: ground-term enumeration and the axiom oracle.
 
 The hypothesis strategies live in :mod:`repro.testing.strategies`; they
 are not re-exported here, so importing the package needs no test-only
@@ -7,7 +7,7 @@ dependency."""
 from repro.testing.termgen import (
     DEFAULT_POOLS,
     GenerationError,
-    GroundTermGenerator,
+    GroundTermEnumerator,
 )
 from repro.testing.oracle import (
     BindingError,
@@ -34,7 +34,7 @@ from repro.testing.bindings import (
 __all__ = [
     "DEFAULT_POOLS",
     "GenerationError",
-    "GroundTermGenerator",
+    "GroundTermEnumerator",
     "BindingError",
     "ERROR",
     "ImplementationBinding",

@@ -6,8 +6,8 @@ valuable as a vehicle for facilitating the testing of software."
 
 An :class:`ImplementationBinding` maps each operation of a specification
 to a Python callable; the oracle then evaluates both sides of every
-axiom on generated ground instances *through the implementation* and
-compares results.  The paper's ``error`` corresponds to the callable
+axiom on its smallest ground instances *through the implementation*
+and compares results.  The paper's ``error`` corresponds to the callable
 raising :class:`~repro.spec.errors.AlgebraError`; two sides are equal
 when they produce equal values or both error.
 """
@@ -23,6 +23,7 @@ from repro.obs.trace import maybe_span
 from repro.spec.axioms import Axiom
 from repro.spec.errors import AlgebraError
 from repro.spec.specification import Specification
+from repro.testing.termgen import GroundTermEnumerator, hypothesis, prefix, tighter
 
 
 class _ErrorValue:
@@ -155,20 +156,17 @@ class OracleReport:
     #: (budget exhaustion, diagnosed divergence, contained faults).
     #: Undecided is not unequal: they count separately from failures.
     undecided: int = 0
+    #: Every instance up to this total size was checked (None: all were).
+    complete_to: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def __str__(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        suffix = (
-            f", {self.undecided} undecided" if self.undecided else ""
-        )
-        lines = [
-            f"axiom oracle for {self.spec_name}: {verdict} "
-            f"({self.instances_checked} instance(s){suffix})"
-        ]
+        verdict = "PASS, holds for all" if self.ok else "FAIL, checked"
+        checked = hypothesis(self.instances_checked, self.complete_to, self.undecided)
+        lines = [f"axiom oracle for {self.spec_name}: {verdict} {checked}"]
         lines.extend(f"  {failure}" for failure in self.failures[:10])
         return "\n".join(lines)
 
@@ -176,24 +174,19 @@ class OracleReport:
 def check_axioms(
     binding: ImplementationBinding,
     instances_per_axiom: int = 25,
-    max_depth: int = 5,
-    seed: int = 2026,
     axioms: Optional[tuple[Axiom, ...]] = None,
 ) -> OracleReport:
-    """Evaluate every axiom of the binding's spec on random ground
-    instances through the implementation."""
-    from repro.testing.termgen import GenerationError, GroundTermGenerator
-
+    """Evaluate every axiom of the binding's spec on its smallest
+    ground instances through the implementation."""
     spec = binding.spec
-    generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
+    enumerator = GroundTermEnumerator(spec)
     report = OracleReport(spec.name)
     for axiom in axioms if axioms is not None else spec.axioms:
-        variables = axiom.variables()
-        for _ in range(instances_per_axiom):
-            try:
-                sigma = generator.substitution_for(variables)
-            except GenerationError:
-                continue
+        taken, complete_to = prefix(
+            enumerator.substitutions(axiom.lhs, axiom.rhs), instances_per_axiom
+        )
+        report.complete_to = tighter(report.complete_to, complete_to)
+        for _, sigma in taken:
             env = {
                 variable: binding.evaluate(term, {})
                 for variable, term in sigma.items()
@@ -217,8 +210,6 @@ def _values_equal(left: object, right: object) -> bool:
 def check_axioms_by_rewriting(
     spec: Specification,
     instances_per_axiom: int = 25,
-    max_depth: int = 5,
-    seed: int = 2026,
     axioms: Optional[tuple[Axiom, ...]] = None,
     backend: str = "interpreted",
 ) -> OracleReport:
@@ -226,50 +217,57 @@ def check_axioms_by_rewriting(
 
     The same ground instances :func:`check_axioms` would feed a Python
     implementation are instead normalised with the rewrite engine and
-    compared as normal forms — both sides of every instance in one
-    :meth:`~repro.rewriting.engine.RewriteEngine.normalize_many_outcomes`
-    batch, so the shared substructure across an axiom's instances is
-    evaluated once and one pathological instance cannot abort its
-    neighbours (it is tallied in ``report.undecided`` instead).  A
+    compared as normal forms (:func:`compare_by_rewriting`).  A
     consistent specification passes trivially; the check earns its keep
     as a differential harness (run once per ``backend``) and as a smoke
     test for user-written axioms.
     """
     from repro.rewriting.engine import RewriteEngine
-    from repro.testing.termgen import GenerationError, GroundTermGenerator
 
     engine = RewriteEngine.for_specification(spec, backend=backend)
-    generator = GroundTermGenerator(spec, seed=seed, max_depth=max_depth)
+    enumerator = GroundTermEnumerator(spec)
     report = OracleReport(spec.name)
     for axiom in axioms if axioms is not None else spec.axioms:
-        variables = axiom.variables()
-        instances: list[tuple[Substitution, Term, Term]] = []
-        for _ in range(instances_per_axiom):
-            try:
-                sigma = generator.substitution_for(variables)
-            except GenerationError:
-                continue
-            instances.append(
-                (sigma, sigma.apply(axiom.lhs), sigma.apply(axiom.rhs))
-            )
+        taken, complete_to = prefix(
+            enumerator.substitutions(axiom.lhs, axiom.rhs), instances_per_axiom
+        )
         with maybe_span(
             "oracle.axiom",
             spec=spec.name,
             backend=backend,
             label=axiom.label or str(axiom.lhs),
-            instances=len(instances),
+            instances=len(taken),
         ):
-            outcomes = engine.normalize_many_outcomes(
-                [side for _, lhs, rhs in instances for side in (lhs, rhs)]
+            unequal = compare_by_rewriting(
+                engine, axiom.lhs, axiom.rhs, taken, complete_to, report
             )
-        for i, (sigma, _, _) in enumerate(instances):
-            left, right = outcomes[2 * i], outcomes[2 * i + 1]
-            if not (left.ok and right.ok):
-                report.undecided += 1
-                continue  # divergent/truncated: not an inequality
-            report.instances_checked += 1
-            if left.term != right.term:
-                report.failures.append(
-                    OracleFailure(axiom, sigma, left.term, right.term)
-                )
+        report.failures += [OracleFailure(axiom, *u) for u in unequal]
     return report
+
+
+def compare_by_rewriting(
+    engine, lhs: Term, rhs: Term, taken: list, complete_to, report
+) -> list[tuple[Substitution, Term, Term]]:
+    """Normalise both sides of each ``(size, substitution)`` in ``taken``
+    in one :meth:`~repro.rewriting.engine.RewriteEngine.normalize_many_outcomes`
+    batch, so shared substructure is evaluated once and one
+    pathological instance cannot abort its neighbours, and tally the
+    result into ``report``.  An instance stopped short of a normal form
+    is undecided (not an inequality) and lowers ``complete_to`` below its
+    size.  Returns the substitution and both normal forms of each
+    unequal instance."""
+    outcomes = engine.normalize_many_outcomes(
+        [side for _, sigma in taken for side in (sigma.apply(lhs), sigma.apply(rhs))]
+    )
+    unequal = []
+    for i, (size, sigma) in enumerate(taken):
+        left, right = outcomes[2 * i], outcomes[2 * i + 1]
+        if not (left.ok and right.ok):
+            report.undecided += 1
+            complete_to = tighter(complete_to, size - 1)
+            continue
+        report.instances_checked += 1
+        if left.term != right.term:
+            unequal.append((sigma, left.term, right.term))
+    report.complete_to = tighter(report.complete_to, complete_to)
+    return unequal

@@ -9,45 +9,33 @@ Python values of the abstract type for direct property testing.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from hypothesis import strategies as st
 
-from repro.algebra.signature import Operation
 from repro.algebra.sorts import Sort
 from repro.algebra.terms import App, Lit, Term
 from repro.spec.specification import Specification
-from repro.testing.termgen import DEFAULT_POOLS
+from repro.testing.termgen import (
+    DEFAULT_POOLS,
+    GroundTermEnumerator,
+    constructor_table,
+)
 from repro.testing.oracle import ImplementationBinding
-
-
-def constructor_table(spec: Specification) -> dict[Sort, list[Operation]]:
-    """Free constructors per sort (operations never rewritten away)."""
-    heads = {axiom.head.name for axiom in spec.all_axioms()}
-    table: dict[Sort, list[Operation]] = {}
-    for operation in spec.full_signature().operations:
-        if operation.name in heads or operation.builtin is not None:
-            continue
-        table.setdefault(operation.range, []).append(operation)
-    return table
 
 
 def term_strategy(
     spec: Specification,
     sort: Sort,
     max_leaves: int = 12,
-    pools: Optional[dict[str, Sequence[object]]] = None,
 ) -> st.SearchStrategy[Term]:
-    """Ground constructor terms of ``sort`` under ``spec``."""
+    """Ground constructor terms of ``sort`` under ``spec``, with literals
+    drawn from :data:`~repro.testing.termgen.DEFAULT_POOLS`."""
     table = constructor_table(spec)
-    literal_pools = dict(DEFAULT_POOLS)
-    if pools:
-        for name, values in pools.items():
-            literal_pools[name] = tuple(values)
-
     # Fail fast on uninhabited sorts (st.deferred would only surface the
     # problem at draw time).
-    _check_inhabited(sort, table, literal_pools, spec)
+    if not GroundTermEnumerator(spec).inhabited(sort):
+        raise ValueError(f"sort {sort} is uninhabited under {spec.name}")
 
     cache: dict[Sort, st.SearchStrategy[Term]] = {}
 
@@ -60,7 +48,7 @@ def term_strategy(
 
     def build(target: Sort) -> st.SearchStrategy[Term]:
         alternatives: list[st.SearchStrategy[Term]] = []
-        pool = literal_pools.get(str(target))
+        pool = DEFAULT_POOLS.get(str(target))
         if pool:
             alternatives.append(
                 st.sampled_from(pool).map(lambda v, s=target: Lit(v, s))
@@ -69,18 +57,16 @@ def term_strategy(
         bases = [op for op in constructors if not op.domain]
         recursives = [op for op in constructors if op.domain]
         alternatives.extend(st.just(App(op, ())) for op in bases)
-        if not alternatives and not recursives:
-            raise ValueError(f"sort {target} is uninhabited under {spec.name}")
-        base = st.one_of(alternatives) if alternatives else None
         extensions = [
             st.tuples(*[for_sort(s) for s in op.domain]).map(
                 lambda args, o=op: App(o, args)
             )
             for op in recursives
         ]
-        if base is None:
-            # Purely recursive sorts cannot terminate; guarded above.
+        if not alternatives:
+            # Inhabited, so every term goes through another sort.
             return st.one_of(extensions)
+        base = st.one_of(alternatives)
         if not extensions:
             return base
         return st.recursive(
@@ -100,45 +86,6 @@ def term_strategy(
         )
 
     return for_sort(sort)
-
-
-def _check_inhabited(
-    sort: Sort,
-    table: dict[Sort, list[Operation]],
-    pools: dict[str, Sequence[object]],
-    spec: Specification,
-) -> None:
-    """Raise ValueError unless ground terms of ``sort`` exist.
-
-    Least-fixed-point over the constructor table: a sort is inhabited
-    when it has a literal pool or some constructor whose whole domain is
-    inhabited.
-    """
-    inhabited: set[Sort] = {
-        s
-        for s in table
-        if any(not op.domain for op in table[s])
-    }
-    for name, pool in pools.items():
-        if not pool:
-            continue
-        try:
-            inhabited.add(Sort(name))
-        except ValueError:
-            continue  # pool key is not a plain sort name
-    changed = True
-    while changed:
-        changed = False
-        for target, constructors in table.items():
-            if target in inhabited:
-                continue
-            for op in constructors:
-                if all(s in inhabited for s in op.domain):
-                    inhabited.add(target)
-                    changed = True
-                    break
-    if sort not in inhabited:
-        raise ValueError(f"sort {sort} is uninhabited under {spec.name}")
 
 
 def value_strategy(

@@ -22,6 +22,7 @@ from enum import Enum, auto
 from typing import Sequence
 
 from repro.algebra.sorts import Sort
+from repro.testing.termgen import constructor_table
 from repro.verify.induction import GeneratorInduction, Lemma
 from repro.verify.obligations import ProofObligation, obligations_for
 from repro.verify.prover import EquationalProver, Fact, ProofResult
@@ -83,18 +84,11 @@ class VerificationReport:
 def _constructor_table(
     representation: Representation,
 ) -> dict[Sort, tuple]:
-    """Free constructors of every concrete sort, for constructor splits."""
-
-    table: dict[Sort, list] = {}
-    concrete = representation.concrete
-    heads = {axiom.head.name for axiom in concrete.all_axioms()}
-    for operation in concrete.full_signature().operations:
-        if operation.name in heads or operation.builtin is not None:
-            continue
-        table.setdefault(operation.range, []).append(operation)
-    # Only offer splitting for the representation sort: splitting e.g.
-    # Boolean constants is never useful and splitting Arrays explodes.
+    """Free constructors of the representation sort, for constructor
+    splits: splitting e.g. Boolean constants is never useful and
+    splitting Arrays explodes."""
     rep = representation.rep_sort
+    table = constructor_table(representation.concrete)
     return {rep: tuple(table.get(rep, ()))}
 
 

@@ -10,15 +10,20 @@ why the paper needs Assumption 1.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.algebra.substitution import Substitution
 from repro.algebra.terms import App, Term
 from repro.obs.trace import maybe_span
 from repro.rewriting.engine import RewriteEngine
+from repro.testing.oracle import compare_by_rewriting
+from repro.testing.termgen import (
+    GroundTermEnumerator,
+    hypothesis,
+    prefix,
+    variables_in_order,
+)
 from repro.verify.obligations import ProofObligation
 from repro.verify.representation import Representation
 
@@ -45,177 +50,107 @@ class ModelCheckReport:
     instances_checked: int = 0
     counterexamples: list[Counterexample] = field(default_factory=list)
     #: Instances that stopped short of normal forms (budget exhaustion,
-    #: divergence, contained faults) — skipped, not counterexamples.
+    #: divergence, contained faults) — skipped, not counterexamples, and
+    #: not among ``instances_checked``.
     undecided: int = 0
+    #: Every instance up to this total size was checked (None: all were).
+    complete_to: Optional[int] = None
 
     @property
     def holds(self) -> bool:
         return not self.counterexamples
 
     def __str__(self) -> str:
-        verdict = "holds" if self.holds else "FAILS"
-        suffix = f", {self.undecided} undecided" if self.undecided else ""
-        lines = [
-            f"obligation ({self.obligation_label}) {verdict} on "
-            f"{self.instances_checked} ground instance(s){suffix}"
-        ]
+        verdict = "holds for all" if self.holds else "FAILS, checked"
+        checked = hypothesis(self.instances_checked, self.complete_to, self.undecided)
+        lines = [f"obligation ({self.obligation_label}) {verdict} {checked}"]
         lines.extend(f"  {ce}" for ce in self.counterexamples[:5])
         return "\n".join(lines)
 
 
 def reachable_states(
-    representation: Representation,
-    depth: int,
-    identifiers: Sequence[str] = ("x", "y", "z"),
-    attribute_values: Sequence[object] = ("int", "real"),
-    limit: int = 200,
-    seed: int = 7,
+    representation: Representation, depth: int, limit: int = 200
 ) -> list[Term]:
     """Ground representation values built from the generators.
 
     Breadth-first composition of the generator operations up to
-    ``depth`` applications, with literal pools for the non-representation
-    arguments.  Results are *normalised* concrete terms (stacks of
-    arrays), deduplicated.  ``limit`` caps the frontier per level (a
-    random sample keeps variety when the space explodes).
+    ``depth`` applications.  Literal arguments come from the one literal
+    table (:data:`~repro.testing.termgen.DEFAULT_POOLS`), taken up to
+    renaming where the rules allow: an argument is a literal the state
+    already holds, or the first one it does not.  Results are
+    *normalised* concrete terms (stacks of arrays), deduplicated, in
+    generation order; ``limit`` caps the frontier per level, keeping the
+    first states generated.
     """
-    from repro.spec.prelude import attributes, identifier
-
-    engine = RewriteEngine(representation.rules())
-    rng = random.Random(seed)
+    rules = representation.rules()
+    engine = RewriteEngine(rules)
+    enumerator = GroundTermEnumerator(representation.concrete, rules)
     rep_sort = representation.rep_sort
-    id_terms = [identifier(name) for name in identifiers]
-    attr_terms = [attributes(value) for value in attribute_values]
+    generators = [d.operation for d in representation.generator_definitions()]
+    seen: dict[Term, None] = {}
 
-    states: list[Term] = []
-    seen: set[Term] = set()
-    frontier: list[Term] = []
+    def successors(state: Optional[Term]) -> list[Term]:
+        """New states from a generator on ``state`` (or on no state)."""
+        found = []
+        for operation in generators:
+            if (rep_sort in operation.domain) != (state is not None):
+                continue
+            columns = [
+                [state] if sort == rep_sort else enumerator.leaves(sort)
+                for sort in operation.domain
+            ]
+            for _, args in enumerator.product(columns):
+                outcome = engine.normalize_outcome(App(operation, args))
+                if outcome.ok and outcome.term not in seen:
+                    seen[outcome.term] = None
+                    found.append(outcome.term)
+        return found
+
     with maybe_span("modelcheck.reachable_states", depth=depth):
-        for definition in representation.generator_definitions():
-            if rep_sort not in definition.operation.domain:
-                base = engine.normalize(App(definition.operation, ()))
-                if base not in seen:
-                    seen.add(base)
-                    states.append(base)
-                    frontier.append(base)
-
+        frontier = successors(None)
         for _ in range(depth):
-            next_frontier: list[Term] = []
-            for state in frontier:
-                for definition in representation.generator_definitions():
-                    operation = definition.operation
-                    if rep_sort not in operation.domain:
-                        continue
-                    arg_choices: list[list[Term]] = []
-                    for sort in operation.domain:
-                        if sort == rep_sort:
-                            arg_choices.append([state])
-                        elif str(sort) == "Identifier":
-                            arg_choices.append(list(id_terms))
-                        elif str(sort) == "Attributelist":
-                            arg_choices.append(list(attr_terms))
-                        else:
-                            arg_choices.append([])
-                    if any(not choices for choices in arg_choices):
-                        continue
-                    for combo in itertools.product(*arg_choices):
-                        outcome = engine.normalize_outcome(
-                            App(operation, combo)
-                        )
-                        if not outcome.ok:
-                            continue
-                        value = outcome.term
-                        if value not in seen:
-                            seen.add(value)
-                            states.append(value)
-                            next_frontier.append(value)
-            if len(next_frontier) > limit:
-                next_frontier = rng.sample(next_frontier, limit)
-            frontier = next_frontier
-            if not frontier:
-                break
-    return states
+            frontier = [new for state in frontier for new in successors(state)]
+            frontier = frontier[:limit]
+    return list(seen)
 
 
 def model_check(
     obligation: ProofObligation,
     representation: Representation,
     rep_values: Iterable[Term],
-    identifiers: Sequence[str] = ("x", "y", "z"),
-    attribute_values: Sequence[object] = ("int", "real"),
     max_instances: int = 400,
     fuel: int = 100_000,
-    extra_pools: Optional[dict[str, Sequence[Term]]] = None,
 ) -> ModelCheckReport:
-    """Evaluate ``obligation`` on ground instantiations.
+    """Evaluate ``obligation`` on its smallest ground instantiations.
 
     Representation variables range over ``rep_values`` (pass reachable
     states for the conditional-correctness reading, or include raw
     unreachable terms such as ``NEWSTACK`` to hunt for the paper's
-    Assumption 1 counterexample); other variables range over the literal
-    pools.  ``extra_pools`` maps sort names to term pools for sorts
-    beyond the built-in Identifier/Attributelist/Item trio.
-
-    Both sides of every instance go through one fault-isolating
-    :meth:`~repro.rewriting.engine.RewriteEngine.normalize_many_outcomes`
-    batch, so one pathological instance is tallied as undecided
-    instead of aborting the rest.
+    Assumption 1 counterexample); other variables range over the ground
+    terms of their sort, literals up to renaming where the rules allow
+    (:class:`~repro.testing.termgen.GroundTermEnumerator`).  Instances come
+    in increasing total size, ``max_instances`` bounds them, and they
+    are compared by :func:`~repro.testing.oracle.compare_by_rewriting`.
     """
-    from repro.spec.prelude import attributes, identifier, item
-
-    engine = RewriteEngine(representation.rules(), fuel=fuel)
+    rules = representation.rules()
+    engine = RewriteEngine(rules, fuel=fuel)
+    enumerator = GroundTermEnumerator(representation.concrete, rules)
     report = ModelCheckReport(obligation.label)
-    variables = sorted(
-        obligation.lhs.variables() | obligation.rhs.variables(),
-        key=lambda v: v.name,
-    )
-    custom = {name: list(terms) for name, terms in (extra_pools or {}).items()}
-    pools: list[list[Term]] = []
-    for variable in variables:
-        sort_name = str(variable.sort)
-        if variable.sort == representation.rep_sort:
-            pools.append(list(rep_values))
-        elif sort_name in custom:
-            pools.append(custom[sort_name])
-        elif sort_name == "Identifier":
-            pools.append([identifier(name) for name in identifiers])
-        elif sort_name == "Attributelist":
-            pools.append([attributes(value) for value in attribute_values])
-        elif sort_name == "Item":
-            pools.append([item(value) for value in ("a", "b", 1)])
-        else:
-            raise ValueError(
-                f"no ground pool for variable {variable} of sort "
-                f"{variable.sort}"
-            )
+    variables = variables_in_order(obligation.lhs, obligation.rhs)
+    rep_values = list(rep_values)
+    columns = [
+        rep_values if v.sort == representation.rep_sort else enumerator.column(v.sort)
+        for v in variables
+    ]
 
     with maybe_span("modelcheck.obligation", label=obligation.label):
+        taken, complete_to = prefix(enumerator.product(columns), max_instances)
         substitutions = [
-            Substitution(dict(zip(variables, combo)))
-            for combo in itertools.islice(
-                itertools.product(*pools), max_instances
-            )
+            (size, Substitution(dict(zip(variables, values))))
+            for size, values in taken
         ]
-        outcomes = engine.normalize_many_outcomes(
-            [
-                side
-                for sigma in substitutions
-                for side in (
-                    sigma.apply(obligation.lhs),
-                    sigma.apply(obligation.rhs),
-                )
-            ]
+        unequal = compare_by_rewriting(
+            engine, obligation.lhs, obligation.rhs, substitutions, complete_to, report
         )
-        for i, sigma in enumerate(substitutions):
-            left, right = outcomes[2 * i], outcomes[2 * i + 1]
-            report.instances_checked += 1
-            if not (left.ok and right.ok):
-                report.undecided += 1
-                continue
-            if left.term != right.term:
-                report.counterexamples.append(
-                    Counterexample(
-                        obligation.label, sigma, left.term, right.term
-                    )
-                )
+    report.counterexamples = [Counterexample(obligation.label, *u) for u in unequal]
     return report

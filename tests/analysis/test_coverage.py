@@ -66,7 +66,32 @@ class TestDeadAxiomDetection:
 
 
 class TestDeterminism:
-    def test_same_seed_same_counts(self, queue_spec):
-        first = check_axiom_coverage(queue_spec, seed=5)
-        second = check_axiom_coverage(queue_spec, seed=5)
+    def test_repeated_runs_same_counts(self, queue_spec):
+        first = check_axiom_coverage(queue_spec)
+        second = check_axiom_coverage(queue_spec)
         assert first.firing_counts == second.firing_counts
+        assert first.complete_to == second.complete_to
+
+
+class TestUndecided:
+    def test_diverging_observation_is_undecided(self):
+        spec = parse_specification(
+            """
+            type L
+            uses Boolean
+            operations
+              MKL: -> L
+              WIND: L -> L
+              SPIN: L -> L
+            vars
+              l: L
+            axioms
+              SPIN(MKL) = MKL
+              SPIN(WIND(l)) = SPIN(SPIN(WIND(l)))
+            """
+        )
+        report = check_axiom_coverage(spec, observations=2, fuel=2000)
+        # SPIN(MKL) is run; SPIN(WIND(MKL)) runs out of fuel.
+        assert (report.observations_run, report.undecided) == (1, 1)
+        assert report.complete_to == 1
+        assert "1 undecided" in str(report)

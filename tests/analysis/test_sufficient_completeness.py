@@ -87,9 +87,12 @@ class TestCompleteSpecs:
         assert report.unambiguous
 
     def test_report_samples_observations(self, queue_spec):
+        # Ten per observer: the smallest queues up to renaming of items.
         report = check_sufficient_completeness(queue_spec, sample_terms=30)
-        assert report.sampled_observations > 0
+        assert report.sampled_observations == 30
+        assert report.sampled_complete_to == 8
         assert not report.stuck
+        assert "30 instances, complete to size 8" in str(report)
 
 
 class TestIncompleteSpecs:
@@ -156,3 +159,21 @@ class TestNonTermination:
         report = check_sufficient_completeness(spec, sample_terms=0)
         assert report.non_decreasing
         assert not report.sufficiently_complete
+
+    def test_smallest_stuck_observation_reported(self):
+        source = """
+        type L
+        uses Boolean
+        operations
+          MKL: -> L
+          WIND: L -> L
+          SPIN: L -> L
+        vars
+          l: L
+        axioms
+          SPIN(MKL) = MKL
+          SPIN(WIND(l)) = SPIN(SPIN(WIND(l)))
+        """
+        spec = parse_specification(source)
+        report = check_sufficient_completeness(spec, sample_terms=2, fuel=2000)
+        assert [str(s.term) for s in report.stuck] == ["SPIN(WIND(MKL))"]

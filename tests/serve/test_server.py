@@ -230,10 +230,18 @@ class TestRawRequests:
 class TestCheckAndProve:
     def test_check_reports_queue_complete(self, served):
         _, client = served
-        reply = client.check(spec="Queue", sample_terms=20, max_depth=4)
+        reply = client.check(spec="Queue", sample_terms=20)
         assert reply["sufficiently_complete"] is True
         assert reply["consistent"] is True
-        assert reply["sampled_observations"] > 0
+        # N and k: the smallest observations and axiom instances.
+        assert (reply["sampled_observations"], reply["sampled_complete_to"]) == (
+            18,
+            6,
+        )
+        assert (
+            reply["ground_instances_checked"],
+            reply["ground_complete_to"],
+        ) == (21, 5)
 
     def test_prove_axiom_consequence(self, served):
         _, client = served
@@ -273,6 +281,19 @@ class TestRequestFields:
         self._rejected(
             server, client, "/v1/check", {field: "many"}, "bad_field"
         )
+
+    @pytest.mark.parametrize("field", ["seed", "max_depth"])
+    @pytest.mark.parametrize("value", [0, 2026, -1, None])
+    def test_removed_check_field_is_400(self, served, field, value):
+        """Checks enumerate the smallest instances: a sampling seed or a
+        depth bound is refused whatever its value, and named."""
+        server, client = served
+        self._rejected(
+            server, client, "/v1/check", {field: value}, "bad_field"
+        )
+        with pytest.raises(ServeError) as exc:
+            client._request("POST", "/v1/check", {field: value})
+        assert repr(field) in exc.value.detail
 
     def test_non_integer_fuel_is_400(self, served):
         server, client = served

@@ -118,6 +118,11 @@ class TestCheckAxioms:
         report = check_axioms(binding, instances_per_axiom=25)
         assert not report.ok
         assert any("FRONT" in str(f.axiom) for f in report.failures)
+        # The smallest failure: a one-item queue and a different item.
+        first = report.failures[0]
+        values = {v.name: t for v, t in first.substitution.items()}
+        assert str(values["q"]) == "ADD(NEW, 'a')"
+        assert values["i"].value != "a"
 
     def test_missing_error_case_detected(self):
         """Returning a default instead of erroring violates axiom 3."""
@@ -135,8 +140,11 @@ class TestCheckAxioms:
         assert not report.ok
 
     def test_report_counts_instances(self):
+        # The three ground axioms have one instance each.
         report = check_axioms(queue_binding(), instances_per_axiom=10)
-        assert report.instances_checked == 10 * len(QUEUE_SPEC.axioms)
+        assert report.instances_checked == 3 + 3 * 10
+        assert report.complete_to == 7
+        assert "holds for all 33 instances, complete to size 7" in str(report)
 
     def test_report_str(self):
         report = check_axioms(queue_binding(), instances_per_axiom=5)

@@ -39,6 +39,16 @@ class TestReachableStates:
     def test_states_deduplicated(self, states):
         assert len(states) == len(set(states))
 
+    def test_states_up_to_renaming(self, representation_module):
+        """One ADD' on the initial state gives one state, whatever the
+        identifier and attributes: they are taken up to renaming."""
+        states = reachable_states(representation_module, depth=1)
+        assert [str(s) for s in states] == [
+            "PUSH(NEWSTACK, EMPTY)",
+            "PUSH(PUSH(NEWSTACK, EMPTY), EMPTY)",
+            "PUSH(NEWSTACK, ASSIGN(EMPTY, 'x', 'int'))",
+        ]
+
     def test_no_state_is_newstack(self, representation_module, states):
         newstack = representation_module.concrete.operation("NEWSTACK")
         assert app(newstack) not in states
@@ -73,6 +83,11 @@ class TestModelCheck:
         assert not report.holds
         counterexample = report.counterexamples[0]
         assert "NEWSTACK" in str(counterexample.substitution)
+        # Identifiers up to renaming: the pair is equal or distinct, so
+        # NEWSTACK has two instances, and the equal pair fails.
+        assert (report.instances_checked, report.complete_to) == (2, None)
+        values = {v.name: t for v, t in counterexample.substitution.items()}
+        assert values["id"] == values["idl"]
 
     def test_axiom_6_fails_on_unreachable_newstack(
         self, representation_module
@@ -99,6 +114,21 @@ class TestModelCheck:
         report = model_check(one, representation_module, states[:3])
         assert report.holds
         assert report.instances_checked == 1
+
+    def test_undecided_instances_are_not_checked(
+        self, representation_module, states
+    ):
+        nine = [
+            o
+            for o in obligations_for(representation_module)
+            if o.label == "9"
+        ][0]
+        report = model_check(
+            nine, representation_module, states[:3], max_instances=10, fuel=1
+        )
+        assert report.undecided == 10
+        assert report.instances_checked == 0
+        assert "10 undecided" in str(report)
 
     def test_report_str(self, representation_module, states):
         obligation = obligations_for(representation_module)[0]

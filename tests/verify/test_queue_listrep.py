@@ -68,10 +68,7 @@ class TestModelCheck:
             app(CONS, item("b"), app(CONS, item("a"), app(NIL))),
         ]
         for obligation in obligations_for(rep):
-            report = model_check(
-                obligation, rep, states, max_instances=100,
-                identifiers=(), attribute_values=(),
-            )
+            report = model_check(obligation, rep, states, max_instances=100)
             assert report.holds, str(report)
 
 
