@@ -221,7 +221,10 @@ def check_sufficient_completeness(
             report.non_decreasing.append(NonDecreasingAxiom(axiom))
 
     # --- dynamic reduction sampling --------------------------------------
-    if not report.missing:
+    if report.missing or sample_terms <= 0:
+        # Nothing sampled: every observation has size >= 1.
+        report.sampled_complete_to = 0
+    else:
         _sample_observations(spec, cls, report, sample_terms, fuel)
     return report
 

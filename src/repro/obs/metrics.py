@@ -22,9 +22,12 @@ Registries come in two scopes:
   outcome statuses, fuel spent, an evaluation-latency histogram) and the
   per-rule firing :class:`CounterFamily`.
 
-Every registry is tracked in a weak set, and
-:func:`aggregate_snapshot` merges the lot — the process-wide view the
-CLI's ``--metrics-out`` dumps.
+Every registry is tracked in a weak set.  :func:`collect` sums the
+lot into one unsorted snapshot-shaped dict (what a shard worker ships
+home per reply), and :func:`merge_snapshots` sorts and merges such
+dicts when somebody reads them; :func:`aggregate_snapshot`, the
+process-wide view the CLI's ``--metrics-out`` dumps, is the two in a
+row.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "EVAL_SECONDS_BUCKETS",
     "FUEL_BUCKETS",
     "aggregate_snapshot",
+    "collect",
     "histogram_quantile",
     "merge_snapshots",
     "register_snapshot_source",
@@ -195,15 +199,20 @@ class CounterFamily:
     with one ``dict.get``/store, and callers that used to hold the old
     ``EngineStats.firings_by_rule`` dict hold exactly this object.
     Snapshots stringify the keys (rules render as ``[label] lhs ->
-    rhs``), keeping the JSON form stable and readable.
+    rhs``), keeping the JSON form stable and readable; each key is
+    rendered once and its string cached, so a snapshot taken after
+    every batch does not re-render every rule.
     """
 
-    __slots__ = ("name", "help", "counts")
+    __slots__ = ("name", "help", "counts", "_labels")
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
         self.counts: dict = {}
+        # id(key) -> (key, str(key)); holding the key keeps its id from
+        # being reused while the entry lives.
+        self._labels: dict[int, tuple] = {}
 
     def inc(self, key: object, amount: int = 1) -> None:
         counts = self.counts
@@ -218,11 +227,27 @@ class CounterFamily:
 
     def reset(self) -> None:
         self.counts.clear()
+        self._labels.clear()
+
+    def label(self, key: object) -> str:
+        """``str(key)``, rendered once per key."""
+        entry = self._labels.get(id(key))
+        if entry is None or entry[0] is not key:
+            entry = self._labels[id(key)] = (key, str(key))
+        return entry[1]
+
+    def labelled(self) -> dict[str, int]:
+        """The counts keyed by label string, unsorted."""
+        out: dict[str, int] = {}
+        for key, count in self.counts.items():
+            label = key if type(key) is str else self.label(key)
+            out[label] = out.get(label, 0) + count
+        return out
 
     def ranked(self, limit: Optional[int] = None) -> list:
         """(key, count) pairs, busiest first, ties broken by rendering."""
         ranked = sorted(
-            self.counts.items(), key=lambda kv: (-kv[1], str(kv[0]))
+            self.counts.items(), key=lambda kv: (-kv[1], self.label(kv[0]))
         )
         return ranked if limit is None else ranked[:limit]
 
@@ -233,7 +258,7 @@ class CounterFamily:
         return "\n".join(lines) if lines else "(no rule firings recorded)"
 
     def snapshot(self) -> dict:
-        return {str(key): count for key, count in self.ranked()}
+        return _ranked_labels(self.labelled())
 
 
 def histogram_quantile(histogram, q: float) -> Optional[float]:
@@ -380,22 +405,12 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """A JSON-ready view of every metric in this registry."""
-        return {
-            "counters": {
-                name: c.value for name, c in sorted(self.counters.items())
-            },
-            "gauges": {
-                name: g.value for name, g in sorted(self.gauges.items())
-            },
-            "histograms": {
-                name: h.snapshot()
-                for name, h in sorted(self.histograms.items())
-            },
-            "families": {
-                name: f.snapshot()
-                for name, f in sorted(self.families.items())
-            },
-        }
+        return merge_snapshots([collect([self])])
+
+
+def _ranked_labels(labels: dict[str, int]) -> dict[str, int]:
+    """Family labels busiest first, ties broken by label."""
+    return dict(sorted(labels.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
@@ -408,7 +423,9 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     deserialised from another process (the sharded evaluation pool ships
     worker snapshots home through exactly this function).  Histograms
     only merge bucket-by-bucket when their bounds agree — a snapshot
-    with different bounds replaces rather than corrupts.
+    with different bounds replaces rather than corrupts.  The result is
+    sorted (names, and family labels busiest first); the inputs need
+    not be.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}
@@ -419,24 +436,7 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
             counters[name] = counters.get(name, 0) + value
         gauges.update(snap.get("gauges", {}))
         for name, hist in snap.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None or merged["bounds"] != list(hist["bounds"]):
-                histograms[name] = {
-                    "bounds": list(hist["bounds"]),
-                    "counts": list(hist["counts"]),
-                    "sum": hist["sum"],
-                    "count": hist["count"],
-                }
-                if hist.get("exemplars"):
-                    histograms[name]["exemplars"] = dict(hist["exemplars"])
-                continue
-            merged["counts"] = [
-                a + b for a, b in zip(merged["counts"], hist["counts"])
-            ]
-            merged["sum"] = round(merged["sum"] + hist["sum"], 9)
-            merged["count"] += hist["count"]
-            if hist.get("exemplars"):
-                merged.setdefault("exemplars", {}).update(hist["exemplars"])
+            _add_histogram(histograms, name, hist)
         for name, labels in snap.get("families", {}).items():
             merged_family = families.setdefault(name, {})
             for label, count in labels.items():
@@ -446,11 +446,68 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
         "gauges": dict(sorted(gauges.items())),
         "histograms": dict(sorted(histograms.items())),
         "families": {
-            name: dict(
-                sorted(labels.items(), key=lambda kv: (-kv[1], kv[0]))
-            )
+            name: _ranked_labels(labels)
             for name, labels in sorted(families.items())
         },
+    }
+
+
+def _add_histogram(histograms: dict, name: str, hist: dict) -> None:
+    """Add one histogram snapshot to the merged ``histograms``; an empty
+    one adds nothing but its name."""
+    merged = histograms.get(name)
+    if merged is not None and not hist["count"]:
+        return
+    if merged is None or merged["bounds"] != list(hist["bounds"]):
+        histograms[name] = {
+            "bounds": list(hist["bounds"]),
+            "counts": list(hist["counts"]),
+            "sum": hist["sum"],
+            "count": hist["count"],
+        }
+        if hist.get("exemplars"):
+            histograms[name]["exemplars"] = dict(hist["exemplars"])
+        return
+    merged["counts"] = [a + b for a, b in zip(merged["counts"], hist["counts"])]
+    merged["sum"] = round(merged["sum"] + hist["sum"], 9)
+    merged["count"] += hist["count"]
+    if hist.get("exemplars"):
+        merged.setdefault("exemplars", {}).update(hist["exemplars"])
+
+
+def collect(registries: Optional[Iterable[MetricsRegistry]] = None) -> dict:
+    """The cumulative values of every live registry (or of
+    ``registries``), summed into one unsorted snapshot-shaped dict.
+
+    What a shard worker ships home with each reply: one pass over the
+    live metrics, with family labels rendered once per key, and
+    :func:`merge_snapshots` sorts only when somebody reads the merged
+    view.
+    """
+    counters: dict[str, int] = {}
+    gauges: dict[str, float] = {}
+    histograms: dict[str, dict] = {}
+    families: dict[str, dict[str, int]] = {}
+    for registry in list(_REGISTRIES) if registries is None else registries:
+        for name, counter in registry.counters.items():
+            counters[name] = counters.get(name, 0) + counter.slot[0]
+        for name, gauge in registry.gauges.items():
+            gauges[name] = gauge.value
+        for name, hist in registry.histograms.items():
+            if hist.count or name not in histograms:
+                _add_histogram(histograms, name, hist.snapshot())
+        for name, family in registry.families.items():
+            labels = families.get(name)
+            if labels is None:
+                families[name] = family.labelled()
+                continue
+            for label, count in family.labelled().items():
+                labels[label] = labels.get(label, 0) + count
+    return {
+        "counters": counters,
+        "gauges": gauges,
+        "histograms": histograms,
+        "families": families,
     }
 
 
@@ -466,16 +523,13 @@ def aggregate_snapshot(
     explicit ``registries``, snapshots from registered external sources
     (worker processes of a live shard pool) are folded in too.
     """
-    snapshots = []
+    snapshots = [collect(registries)]
     if registries is None:
-        snapshots.extend(r.snapshot() for r in list(_REGISTRIES))
         for source in list(_SNAPSHOT_SOURCES):
             try:
                 snapshots.append(source.metrics_snapshot())
             except Exception:  # fault-boundary: a dying pool must not
                 pass  # take the process-wide metrics view down with it
-    else:
-        snapshots.extend(r.snapshot() for r in registries)
     return merge_snapshots(snapshots)
 
 

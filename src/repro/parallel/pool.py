@@ -31,13 +31,24 @@ are free.  Striding rather than cutting contiguous blocks keeps the
 shares even when per-item cost grows along the batch (a drain whose
 item ``j`` costs about ``j`` splits 1:3 in halves, about 1:1 strided).
 
+Each pool holds a :class:`~repro.parallel.wire.OperationTable` made
+from its rules, and hands it to its workers: replies decode through
+it, and each worker decodes its rule set and every share through its
+copy, so terms carry the rules' own ``Operation`` objects (under fork
+the very objects of the parent) and interning and rule dispatch
+compare them by identity.
+
 Observability crosses the boundary too: every reply carries the
-worker's cumulative metrics snapshot (its engine counters, rule-firing
-family, and substrate intern/memo rates), the pool keeps the latest
-snapshot per worker, and registers itself with
+cumulative counts of every live registry in the worker (its engine
+counters, rule-firing family, substrate intern/memo rates, and any
+registry inherited through fork), summed but unsorted by
+:func:`repro.obs.metrics.collect`.  The pool keeps the latest per
+worker and sorts and merges them only when read
+(:meth:`ShardPool.metrics_snapshot`), and registers itself with
 :func:`repro.obs.metrics.register_snapshot_source` so the process-wide
 :func:`~repro.obs.metrics.aggregate_snapshot` — and therefore the CLI's
-``--metrics-out`` — stays honest under sharding.
+``--metrics-out`` and the daemon's ``/metrics`` — stays honest under
+sharding.
 
 Failure posture: losing the pool must never lose the batch.  A dead
 worker (its pipe reads EOF), an exception inside a worker, an
@@ -221,6 +232,12 @@ class ShardPool:
             "key": self.key,
             "rules": wire.encode_ruleset(rules),
         }
+        # Replies decode through this table to the rules' own
+        # operation objects; each worker decodes its rule set and its
+        # shares through its own copy (the same objects, under fork).
+        self._table = wire.OperationTable(
+            wire.rule_operations(rules), imports=True
+        )
         self._fault_injector = fault_injector
         self._mp_context = mp_context
         # Worker bookkeeping.  ``_workers`` holds every started worker
@@ -291,6 +308,7 @@ class ShardPool:
                         child_end,
                         parent_end if forked else None,
                         self._spec_wire,
+                        self._table,
                         self._fault_injector,
                     ),
                     name=f"repro-shard-{index}",
@@ -483,9 +501,13 @@ class ShardPool:
             elif "limit" in reply:
                 share = {**reply, "limit": _decode_limit(reply["limit"])}
             elif mode == "outcomes":
-                share = {"values": wire.decode_outcomes(reply["values"])}
+                share = {
+                    "values": wire.decode_outcomes(reply["values"], self._table)
+                }
             else:
-                share = {"values": wire.decode_terms(reply["values"])}
+                share = {
+                    "values": wire.decode_terms(reply["values"], self._table)
+                }
             if traced and reply is not None and reply.get("spans"):
                 tracer.merge_remote_events(
                     wire.decode_span_events(reply["spans"]),
@@ -612,18 +634,21 @@ class ShardPool:
 # ----------------------------------------------------------------------
 # One engine per spec key, built before the worker reports ready and
 # reused across every share the worker ever receives.  With the fork
-# start method the child inherits the parent's interned terms and
-# module caches (the codegen module cache is lock-guarded for exactly
-# this reason); with spawn it starts cold.  Either way the metrics
-# registries are reset after the engine is built, so shipped snapshots
-# measure evaluation work only — not inherited parent history, not
-# engine construction.
+# start method the child inherits the parent's interned terms, module
+# caches (the codegen module cache is lock-guarded for exactly this
+# reason) and the pool's operation table; with spawn it starts cold.
+# Either way the metrics registries are reset after the engine is
+# built, so shipped counts measure evaluation work only — not inherited
+# parent history, not engine construction.
 
 _WORKER_SPECS: dict[str, dict] = {}
+_WORKER_TABLES: dict[str, wire.OperationTable] = {}
 _WORKER_ENGINES: dict[str, RewriteEngine] = {}
 
 
-def _worker_main(conn, parent_end, spec_wire: dict, fault_injector) -> None:
+def _worker_main(
+    conn, parent_end, spec_wire: dict, table, fault_injector
+) -> None:
     """A worker's life: build the engine, report the pid, then answer
     shares over ``conn`` until the stop message (``None``) or EOF."""
     if parent_end is not None:
@@ -633,7 +658,7 @@ def _worker_main(conn, parent_end, spec_wire: dict, fault_injector) -> None:
     # Ctrl-C reaches the whole process group; stopping is the parent's
     # decision, delivered by close() as a stop message.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_init(spec_wire, fault_injector)
+    _worker_init(spec_wire, table, fault_injector)
     try:
         conn.send(os.getpid())
         while (message := conn.recv()) is not None:
@@ -646,16 +671,12 @@ def _worker_main(conn, parent_end, spec_wire: dict, fault_injector) -> None:
         pass  # the parent is gone
 
 
-def _worker_init(spec_wire: dict, fault_injector=None) -> None:
+def _worker_init(spec_wire: dict, table, fault_injector=None) -> None:
     _WORKER_SPECS[spec_wire["key"]] = spec_wire
+    _WORKER_TABLES[spec_wire["key"]] = table
     # Tracing stays parent-side: a forked copy of the parent's tracer
     # would record events that nobody reads.
     _trace.ACTIVE = None
-    # A forked worker also inherits the parent's registered snapshot
-    # sources — other live pools, whose metrics_snapshot() would replay
-    # *parent-side* worker history into this worker's shipped snapshot.
-    # A worker process aggregates only its own registries.
-    _metrics._SNAPSHOT_SOURCES.clear()
     if fault_injector is not None:
         _faults.install(fault_injector)
     _worker_engine(spec_wire["key"])
@@ -668,7 +689,7 @@ def _worker_engine(key: str) -> RewriteEngine:
     if engine is None:
         spec = _WORKER_SPECS[key]
         engine = RewriteEngine(
-            wire.decode_ruleset(spec["rules"]),
+            wire.decode_ruleset(spec["rules"], _WORKER_TABLES[key]),
             fuel=spec["fuel"],
             cache_size=spec["cache_size"],
             backend=spec["backend"],
@@ -695,7 +716,7 @@ def _worker_run(
     key: str, mode: str, payload: dict, budget_wire, traced: bool = False
 ) -> dict:
     engine = _worker_engine(key)
-    terms = wire.decode_terms(payload)
+    terms = wire.decode_terms(payload, _WORKER_TABLES[key])
     budget = wire.decode_budget(budget_wire)
     if traced:
         # The parent recorded this batch, so re-arm a share-lifetime
@@ -714,7 +735,9 @@ def _worker_run(
         reply = _worker_share(engine, terms, budget, mode)
     # Cumulative since worker start: the parent keeps the latest
     # snapshot per pid, so re-shipping the running total keeps the
-    # merge idempotent across shares.
-    reply["snapshot"] = _metrics.aggregate_snapshot()
+    # merge idempotent across shares.  Every live registry goes, the
+    # ones inherited through fork included (reset to zero at start);
+    # unsorted, since the parent sorts only when somebody reads.
+    reply["snapshot"] = _metrics.collect()
     reply["pid"] = os.getpid()
     return reply

@@ -24,10 +24,23 @@ Design points:
   extra pass.
 * **Builtins travel by reference.**  An operation's Python evaluator
   cannot be serialised as data; it crosses as a ``module:qualname``
-  string resolved by import on the far side.  Only module-level
-  functions qualify — a lambda or closure raises :class:`WireError` at
-  *encode* time, in the sending process, where the failure is
-  actionable.
+  string.  Only module-level functions qualify — a lambda or closure
+  raises :class:`WireError` at *encode* time, in the sending process,
+  where the failure is actionable.
+* **Rows resolve through a table of known operations.**  The decoder
+  looks each sort and operation row up in an :class:`OperationTable`,
+  so decoded terms carry the very ``Operation`` objects the rules were
+  built with (intern probes and rule dispatch then compare by
+  identity), and a row costs no import.  A table made from a
+  signature is closed: a payload naming an undeclared operation, or a
+  declared one with another builtin, is refused and nothing it names
+  is imported — a value is a term over the declared operations, and a
+  builtin is the meaning its imported type declares.  An open table,
+  for payloads between processes of this program, learns a row it has
+  not seen by importing its builtin reference, once; without a table,
+  decoding uses a new open table.
+* **Malformed payloads raise :class:`WireError`**, and nothing else:
+  every index must be an ``int`` pointing at an earlier row.
 """
 
 from __future__ import annotations
@@ -36,16 +49,18 @@ import importlib
 from typing import Iterable, Optional, Sequence
 
 from repro.algebra.signature import Operation
-from repro.algebra.sorts import Sort
+from repro.algebra.sorts import Sort, SortError
 from repro.algebra.terms import App, Err, Ite, Lit, Term, Var
 from repro.rewriting.rules import RewriteRule, RuleSet
 from repro.runtime.budget import EvaluationBudget
-from repro.runtime.outcome import Outcome
+from repro.runtime.outcome import STATUSES, Outcome
 
 __all__ = [
     "WireError",
+    "OperationTable",
     "TermTableEncoder",
     "decode_nodes",
+    "rule_operations",
     "encode_term",
     "decode_term",
     "encode_terms",
@@ -64,8 +79,9 @@ __all__ = [
 #: versions they do not understand instead of misreading them.
 WIRE_VERSION = 1
 
-#: JSON-representable literal payloads that pass through unchanged.
-_PRIMITIVES = (str, int, float, bool, type(None))
+#: How deeply tuple literals may nest.  Real literals are flat; the
+#: bound keeps a hostile payload from exhausting the stack.
+MAX_LITERAL_DEPTH = 32
 
 
 class WireError(ValueError):
@@ -73,7 +89,39 @@ class WireError(ValueError):
     malformed / from an incompatible wire version)."""
 
 
-def _encode_value(value: object) -> object:
+class _Malformed:
+    """``with _MALFORMED:`` reports whatever a malformed payload trips
+    over as a WireError."""
+
+    CAUGHT = (KeyError, IndexError, TypeError, ValueError, AttributeError, SortError)
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if exc is not None and isinstance(exc, self.CAUGHT) and not isinstance(
+            exc, WireError
+        ):
+            raise WireError(
+                f"malformed payload: {kind.__name__}: {exc}"
+            ) from None
+
+
+_MALFORMED = _Malformed()
+
+
+def _rows(table: list, indices) -> list:
+    """``table[i]`` for each index, all of them checked.  The hot path
+    of decoding, so the check is one filter: a bool, float or negative
+    index drops out (and the lengths differ), and one past the rows
+    raises IndexError."""
+    picked = [table[i] for i in indices if type(i) is int and i >= 0]
+    if len(picked) != len(indices):
+        raise WireError("an index is not a non-negative int")
+    return picked
+
+
+def _encode_value(value: object, depth: int = 0) -> object:
     """A literal's payload: primitives pass through; tuples (the only
     hashable container the term layer admits in practice) nest as a
     tagged dict, since JSON has no tuple."""
@@ -81,19 +129,26 @@ def _encode_value(value: object) -> object:
         return value
     if isinstance(value, int):
         return value
-    if isinstance(value, tuple):
-        return {"t": [_encode_value(item) for item in value]}
+    if isinstance(value, tuple) and depth < MAX_LITERAL_DEPTH:
+        return {"t": [_encode_value(item, depth + 1) for item in value]}
     raise WireError(
-        f"literal value {value!r} of type {type(value).__name__} is not "
+        f"literal value of type {type(value).__name__} is not "
         "wire-representable (expected str/int/float/bool/None or a tuple "
-        "of those)"
+        f"of those, nested at most {MAX_LITERAL_DEPTH} deep)"
     )
 
 
-def _decode_value(payload: object) -> object:
-    if isinstance(payload, dict):
-        return tuple(_decode_value(item) for item in payload["t"])
-    return payload
+def _decode_value(payload: object, depth: int = 0) -> object:
+    if payload is None or type(payload) in (str, int, float, bool):
+        return payload
+    if (
+        type(payload) is dict
+        and len(payload) == 1
+        and type(payload.get("t")) is list
+        and depth < MAX_LITERAL_DEPTH
+    ):
+        return tuple(_decode_value(item, depth + 1) for item in payload["t"])
+    raise WireError(f"not a wire literal: a {type(payload).__name__}")
 
 
 def _builtin_ref(op: Operation) -> Optional[str]:
@@ -111,26 +166,130 @@ def _builtin_ref(op: Operation) -> Optional[str]:
             "as module:qualname — only module-level functions can cross "
             "a process boundary"
         )
-    if _resolve_builtin(f"{module}:{qualname}") is not fn:
+    ref = f"{module}:{qualname}"
+    if _resolve_builtin(ref) is not fn:
         raise WireError(
             f"builtin evaluator of {op.name} does not round-trip through "
-            f"{module}:{qualname}"
+            f"{ref}"
         )
-    return f"{module}:{qualname}"
+    return ref
 
 
 def _resolve_builtin(ref: Optional[str]):
     if ref is None:
         return None
+    if type(ref) is not str:
+        raise WireError(f"builtin reference is a {type(ref).__name__}")
     module_name, _, qualname = ref.partition(":")
     try:
         module = importlib.import_module(module_name)
         fn = getattr(module, qualname)
-    except (ImportError, AttributeError) as exc:
+    except (ImportError, AttributeError, ValueError) as exc:
         raise WireError(f"cannot resolve builtin reference {ref!r}: {exc}")
     if not callable(fn):
         raise WireError(f"builtin reference {ref!r} is not callable")
     return fn
+
+
+class OperationTable:
+    """The sorts and operations that payload rows decode to.
+
+    A row is keyed by value: a sort by name and parameters, an
+    operation by name, domain, range and builtin reference.  The first
+    object given for a key (``operations`` and ``sorts``, and the sorts
+    the operations use) is the one every matching row decodes to; an
+    operation whose builtin cannot cross the wire is left out.
+
+    ``imports=False`` (a table made from a signature) is closed: a row
+    with no entry is a :class:`WireError`.  ``imports=True`` is open: a
+    row with no entry is built — its builtin imported — and added.
+    Entries are only ever added with ``dict.setdefault``, so threads
+    may share a table.
+    """
+
+    def __init__(
+        self,
+        operations: Iterable[Operation] = (),
+        sorts: Iterable[Sort] = (),
+        *,
+        imports: bool = False,
+    ) -> None:
+        self.imports = imports
+        self._sorts: dict[tuple, Sort] = {}
+        self._ops: dict[tuple, Operation] = {}
+        for sort in sorts:
+            self._add_sort(sort)
+        for op in operations:
+            try:
+                ref = _builtin_ref(op)
+            except WireError:
+                continue  # no payload can name it
+            key = (
+                op.name,
+                tuple(self._add_sort(s) for s in op.domain),
+                self._add_sort(op.range),
+                ref,
+            )
+            self._ops.setdefault(key, op)
+
+    def _add_sort(self, sort: Sort) -> Sort:
+        key = (sort.name, tuple(self._add_sort(p) for p in sort.parameters))
+        return self._sorts.setdefault(key, sort)
+
+    def resolve(self, sort_rows, op_rows) -> tuple[list[Sort], list[Operation]]:
+        """A payload's sort and operation rows as this table's objects."""
+        sorts: list[Sort] = []
+        for name, params in sort_rows:
+            key = (name, tuple(_rows(sorts, params)))
+            sort = self._sorts.get(key)
+            if sort is None:
+                sort = self._learn_sort(key)
+            sorts.append(sort)
+        ops: list[Operation] = []
+        for row in op_rows:
+            key = (
+                row["name"],
+                tuple(_rows(sorts, row["domain"])),
+                *_rows(sorts, [row["range"]]),
+                row["builtin"],
+            )
+            op = self._ops.get(key)
+            if op is None:
+                op = self._learn_operation(key)
+            ops.append(op)
+        return sorts, ops
+
+    def _learn_sort(self, key: tuple) -> Sort:
+        name, params = key
+        if not self.imports:
+            raise WireError(f"sort {name!r} is not declared")
+        if type(name) is not str:
+            raise WireError(f"sort name is a {type(name).__name__}")
+        return self._sorts.setdefault(key, Sort(name, params))
+
+    def _learn_operation(self, key: tuple) -> Operation:
+        name, domain, range_sort, ref = key
+        if not self.imports:
+            raise WireError(
+                f"operation {name!r} (builtin {ref!r}) is not declared"
+            )
+        if type(name) is not str:
+            raise WireError(f"operation name is a {type(name).__name__}")
+        op = Operation(name, domain, range_sort, _resolve_builtin(ref))
+        return self._ops.setdefault(key, op)
+
+
+def rule_operations(rules: Iterable[RewriteRule]) -> list[Operation]:
+    """The operation objects the rules' terms carry, in first-use order."""
+    seen: dict[int, Operation] = {}
+    for rule in rules:
+        stack = [rule.lhs, rule.rhs]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, App):
+                seen.setdefault(id(node.op), node.op)
+            stack.extend(node.children())
+    return list(seen.values())
 
 
 class TermTableEncoder:
@@ -139,15 +298,20 @@ class TermTableEncoder:
     Feed it terms via :meth:`term_id` (each returns the term's node-table
     index), then take the tables with :meth:`tables` and embed them in
     the enclosing message alongside whatever references the ids.
+
+    Nodes and operations are keyed by identity — hash-consed terms are
+    equal exactly when identical — and the encoder holds every node it
+    has keyed, so no id is reused while it lives.
     """
 
     def __init__(self) -> None:
         self._sorts: list = []
         self._sort_ids: dict[Sort, int] = {}
         self._ops: list = []
-        self._op_ids: dict[Operation, int] = {}
+        self._op_ids: dict[int, int] = {}
         self._nodes: list = []
-        self._node_ids: dict[Term, int] = {}
+        self._node_ids: dict[int, int] = {}
+        self._held: list[Term] = []
 
     def sort_id(self, sort: Sort) -> int:
         ids = self._sort_ids
@@ -161,7 +325,7 @@ class TermTableEncoder:
 
     def op_id(self, op: Operation) -> int:
         ids = self._op_ids
-        known = ids.get(op)
+        known = ids.get(id(op))
         if known is not None:
             return known
         entry = {
@@ -170,7 +334,7 @@ class TermTableEncoder:
             "range": self.sort_id(op.range),
             "builtin": _builtin_ref(op),
         }
-        index = ids[op] = len(self._ops)
+        index = ids[id(op)] = len(self._ops)
         self._ops.append(entry)
         return index
 
@@ -179,34 +343,31 @@ class TermTableEncoder:
         and return its node index.  Iterative postorder: children are
         appended before parents, so decoding is a single forward pass."""
         ids = self._node_ids
-        known = ids.get(term)
+        known = ids.get(id(term))
         if known is not None:
             return known
+        rows, held = self._nodes, self._held
         stack = [term]
         while stack:
-            node = stack[-1]
-            if node in ids:
-                stack.pop()
+            node = stack.pop()
+            if id(node) in ids:
                 continue
-            pending = [kid for kid in node.children() if kid not in ids]
+            kids = node.args if type(node) is App else node.children()
+            pending = [kid for kid in kids if id(kid) not in ids]
             if pending:
+                stack.append(node)
                 stack.extend(pending)
                 continue
-            stack.pop()
-            ids[node] = len(self._nodes)
-            self._nodes.append(self._encode_node(node, ids))
-        return ids[term]
+            ids[id(node)] = len(rows)
+            rows.append(self._encode_node(node, kids, ids))
+            held.append(node)
+        return ids[id(term)]
 
-    def _encode_node(self, node: Term, ids: dict) -> list:
-        if isinstance(node, App):
-            return ["a", self.op_id(node.op), [ids[a] for a in node.args]]
+    def _encode_node(self, node: Term, kids: tuple, ids: dict) -> list:
+        if type(node) is App:
+            return ["a", self.op_id(node.op), [ids[id(a)] for a in kids]]
         if isinstance(node, Ite):
-            return [
-                "i",
-                ids[node.cond],
-                ids[node.then_branch],
-                ids[node.else_branch],
-            ]
+            return ["i", *[ids[id(kid)] for kid in kids]]
         if isinstance(node, Var):
             return ["v", node.name, self.sort_id(node.sort)]
         if isinstance(node, Lit):
@@ -224,45 +385,62 @@ class TermTableEncoder:
         }
 
 
-def decode_nodes(payload: dict) -> list[Term]:
+def _check_version(payload: object) -> None:
+    version = payload.get("version") if type(payload) is dict else None
+    if type(version) is not int or version != WIRE_VERSION:
+        shown = version if type(version) is int else type(version).__name__
+        raise WireError(
+            f"wire version mismatch: payload says {shown}, "
+            f"this process speaks {WIRE_VERSION}"
+        )
+
+
+def decode_nodes(
+    payload: dict, table: Optional[OperationTable] = None
+) -> list[Term]:
     """Rebuild the node table of ``payload``: one forward pass through
     the ordinary term constructors, which re-intern every node in this
-    process's table.  Returns the full node list; callers index it with
-    whatever ids the enclosing message carries."""
-    if payload.get("version") != WIRE_VERSION:
-        raise WireError(
-            f"wire version mismatch: payload says "
-            f"{payload.get('version')!r}, this process speaks {WIRE_VERSION}"
+    process's table.  Sort and operation rows resolve through ``table``
+    (default: a new open table, so every row is built afresh).  Returns
+    the full node list; callers index it with whatever ids the enclosing
+    message carries."""
+    _check_version(payload)
+    if table is None:
+        table = OperationTable(imports=True)
+    with _MALFORMED:
+        sorts, ops = table.resolve(
+            payload["sorts"], payload["ops"]
         )
-    sorts: list[Sort] = []
-    for name, param_ids in payload["sorts"]:
-        sorts.append(Sort(name, tuple(sorts[i] for i in param_ids)))
-    ops: list[Operation] = []
-    for entry in payload["ops"]:
-        ops.append(
-            Operation(
-                entry["name"],
-                tuple(sorts[i] for i in entry["domain"]),
-                sorts[entry["range"]],
-                _resolve_builtin(entry["builtin"]),
-            )
-        )
-    nodes: list[Term] = []
-    for row in payload["nodes"]:
-        tag = row[0]
-        if tag == "a":
-            node: Term = App(ops[row[1]], tuple(nodes[i] for i in row[2]))
-        elif tag == "i":
-            node = Ite(nodes[row[1]], nodes[row[2]], nodes[row[3]])
-        elif tag == "v":
-            node = Var(row[1], sorts[row[2]])
-        elif tag == "l":
-            node = Lit(_decode_value(row[1]), sorts[row[2]])
-        elif tag == "e":
-            node = Err(sorts[row[1]])
-        else:
-            raise WireError(f"unknown node tag {tag!r}")
-        nodes.append(node)
+        nodes: list[Term] = []
+        append = nodes.append
+        for row in payload["nodes"]:
+            tag = row[0]
+            if tag == "a":
+                _, k, kids = row
+                args = [nodes[i] for i in kids if type(i) is int and i >= 0]
+                if len(args) != len(kids) or type(k) is not int or k < 0:
+                    raise WireError("an index is not a non-negative int")
+                append(App(ops[k], tuple(args)))
+            elif tag == "l":
+                _, value, s = row
+                if type(s) is not int or s < 0:
+                    raise WireError("a sort index is not a non-negative int")
+                append(Lit(_decode_value(value), sorts[s]))
+            elif tag == "i":
+                _, *branches = row
+                append(Ite(*_rows(nodes, branches)))
+            elif tag == "v":
+                _, name, s = row
+                if type(name) is not str:
+                    raise WireError(f"variable name is a {type(name).__name__}")
+                (sort,) = _rows(sorts, [s])
+                append(Var(name, sort))
+            elif tag == "e":
+                _, s = row
+                (sort,) = _rows(sorts, [s])
+                append(Err(sort))
+            else:
+                raise WireError("unknown node tag")
     return nodes
 
 
@@ -276,17 +454,23 @@ def encode_terms(terms: Iterable[Term]) -> dict:
     return {**enc.tables(), "roots": roots}
 
 
-def decode_terms(payload: dict) -> list[Term]:
-    nodes = decode_nodes(payload)
-    return [nodes[i] for i in payload["roots"]]
+def decode_terms(
+    payload: dict, table: Optional[OperationTable] = None
+) -> list[Term]:
+    """The terms of an :func:`encode_terms` payload; ``table`` as for
+    :func:`decode_nodes`."""
+    nodes = decode_nodes(payload, table)
+    with _MALFORMED:
+        return _rows(nodes, payload["roots"])
 
 
 def encode_term(term: Term) -> dict:
     return encode_terms([term])
 
 
-def decode_term(payload: dict) -> Term:
-    (term,) = decode_terms(payload)
+def decode_term(payload: dict, table: Optional[OperationTable] = None) -> Term:
+    with _MALFORMED:
+        (term,) = decode_terms(payload, table)
     return term
 
 
@@ -312,19 +496,37 @@ def encode_outcomes(outcomes: Sequence[Outcome]) -> dict:
     return {**enc.tables(), "outcomes": rows}
 
 
-def decode_outcomes(payload: dict) -> list[Outcome]:
-    nodes = decode_nodes(payload)
+def decode_outcomes(
+    payload: dict, table: Optional[OperationTable] = None
+) -> list[Outcome]:
+    """The outcomes of an :func:`encode_outcomes` payload; ``table`` as
+    for :func:`decode_nodes`."""
+    nodes = decode_nodes(payload, table)
     outcomes = []
-    for row in payload["outcomes"]:
-        outcomes.append(
-            Outcome(
-                status=row["status"],
-                term=None if row["term"] is None else nodes[row["term"]],
-                reason=row["reason"],
-                trace=tuple(nodes[i] for i in row["trace"]),
-                detail=row["detail"],
+    with _MALFORMED:
+        for row in payload["outcomes"]:
+            status, term, reason = row["status"], row["term"], row["reason"]
+            trace, detail = row["trace"], row["detail"]
+            if (
+                status not in STATUSES
+                or (reason is not None and type(reason) is not str)
+                or type(trace) is not list
+                or type(detail) is not str
+            ):
+                raise WireError("malformed outcome row")
+            if term is not None:
+                if type(term) is not int or term < 0:
+                    raise WireError("an index is not a non-negative int")
+                term = nodes[term]
+            outcomes.append(
+                Outcome(
+                    status=status,
+                    term=term,
+                    reason=reason,
+                    trace=tuple(_rows(nodes, trace)) if trace else (),
+                    detail=detail,
+                )
             )
-        )
     return outcomes
 
 
@@ -343,12 +545,17 @@ def encode_ruleset(rules: RuleSet) -> dict:
     return {**enc.tables(), "rules": rows}
 
 
-def decode_ruleset(payload: dict) -> RuleSet:
-    nodes = decode_nodes(payload)
-    return RuleSet(
-        RewriteRule(nodes[row["lhs"]], nodes[row["rhs"]], row["label"])
-        for row in payload["rules"]
-    )
+def decode_ruleset(
+    payload: dict, table: Optional[OperationTable] = None
+) -> RuleSet:
+    nodes = decode_nodes(payload, table)
+    with _MALFORMED:
+        return RuleSet(
+            [
+                RewriteRule(*_rows(nodes, [row["lhs"], row["rhs"]]), row["label"])
+                for row in payload["rules"]
+            ]
+        )
 
 
 def encode_span_events(events: Sequence[dict]) -> dict:
@@ -367,11 +574,7 @@ def encode_span_events(events: Sequence[dict]) -> dict:
 
 
 def decode_span_events(payload: dict) -> list[dict]:
-    if payload.get("version") != WIRE_VERSION:
-        raise WireError(
-            f"wire version mismatch: payload says "
-            f"{payload.get('version')!r}, this process speaks {WIRE_VERSION}"
-        )
+    _check_version(payload)
     return payload["events"]
 
 

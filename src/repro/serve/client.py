@@ -106,6 +106,9 @@ class ServeClient:
         self.tracer = tracer
         self._rng = random.Random(seed)
         self._conn: Optional[http.client.HTTPConnection] = None
+        # Replies name the same few operations every time: resolve each
+        # row once, not once per reply.
+        self._table = wire.OperationTable(imports=True)
 
     # -- transport ------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:
@@ -283,7 +286,7 @@ class ServeClient:
         if budget is not None:
             body["budget"] = wire.encode_budget(budget)
         reply = self._request("POST", "/v1/normalize", body)
-        return wire.decode_outcomes(reply["outcomes"])
+        return wire.decode_outcomes(reply["outcomes"], self._table)
 
     def check(self, spec: Optional[str] = None, **params: object) -> dict:
         body: dict = dict(params)

@@ -116,6 +116,13 @@ class SpecSession:
         self.name = spec.name
         self.engine = RewriteEngine.for_specification(spec, backend=backend)
         self.key = self.engine.rules.fingerprint()
+        # What client terms decode against: the declared sorts and
+        # operations (as the rules carry them), nothing else.
+        signature = spec.full_signature()
+        self.table = wire.OperationTable(
+            [*wire.rule_operations(self.engine.rules), *signature.operations],
+            signature.sorts,
+        )
         self.lock = threading.Lock()
         self.classification = classify(spec)
         self.supervisor: Optional[PoolSupervisor] = None
@@ -358,8 +365,8 @@ class ReproServer:
         payload = request.get("terms")
         if payload is not None:
             try:
-                terms = wire.decode_terms(payload)
-            except Exception as exc:  # fault-boundary: hostile payload -> 400
+                terms = wire.decode_terms(payload, session.table)
+            except wire.WireError as exc:
                 raise ServeRequestError(400, "bad_wire", str(exc))
         else:
             texts = request.get("text")

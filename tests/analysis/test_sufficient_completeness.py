@@ -94,6 +94,22 @@ class TestCompleteSpecs:
         assert not report.stuck
         assert "30 instances, complete to size 8" in str(report)
 
+    def test_zero_sample_terms_samples_nothing(self, queue_spec, monkeypatch):
+        # sample_terms=0 is how the heuristics skip sampling: no engine
+        # is built and no observation is evaluated.
+        from repro.analysis import sufficient_completeness as module
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("sample_terms=0 built an engine")
+
+        monkeypatch.setattr(
+            module.RewriteEngine, "for_specification", no_engine
+        )
+        report = check_sufficient_completeness(queue_spec, sample_terms=0)
+        assert report.sufficiently_complete
+        assert report.sampled_observations == 0
+        assert "0 instances, complete to size 0" in str(report)
+
 
 class TestIncompleteSpecs:
     def test_missing_boundary_case_detected(self):

@@ -153,3 +153,203 @@ class TestRuleSetAndBudget:
         )
         assert wire.decode_budget(wire.encode_budget(budget)) == budget
         assert wire.decode_budget(wire.encode_budget(None)) is None
+
+
+# ----------------------------------------------------------------------
+# The format is frozen at WIRE_VERSION 1: a payload an earlier encoder
+# made must decode to the same terms, and today's encoder must still
+# make it byte for byte.
+# ----------------------------------------------------------------------
+GOLDEN_V1 = {
+    "version": 1,
+    "sorts": [
+        ["Item", []],
+        ["Queue", []],
+        ["Boolean", []],
+        ["Identifier", []],
+        ["Widget", []],
+    ],
+    "ops": [
+        {"name": "NEW", "domain": [], "range": 1, "builtin": None},
+        {"name": "ADD", "domain": [1, 0], "range": 1, "builtin": None},
+        {"name": "FRONT", "domain": [1], "range": 0, "builtin": None},
+        {"name": "IS_EMPTY?", "domain": [1], "range": 2, "builtin": None},
+        {
+            "name": "ISSAME?",
+            "domain": [3, 3],
+            "range": 2,
+            "builtin": "repro.spec.prelude:_issame",
+        },
+    ],
+    "nodes": [
+        ["l", 2.5, 0],
+        ["l", 1, 0],
+        ["l", "a", 0],
+        ["a", 0, []],
+        ["a", 1, [3, 2]],
+        ["a", 1, [4, 1]],
+        ["a", 1, [5, 0]],
+        ["a", 2, [6]],
+        ["l", None, 0],
+        ["v", "q", 1],
+        ["a", 3, [9]],
+        ["i", 10, 2, 8],
+        ["l", "y", 3],
+        ["l", "x", 3],
+        ["a", 4, [13, 12]],
+        ["e", 1],
+        ["l", {"t": ["pair", 1, {"t": ["nested", True]}]}, 4],
+    ],
+    "roots": [7, 6, 11, 14, 15, 16],
+}
+
+
+def _golden_terms() -> list:
+    from repro.spec.prelude import ISSAME, identifier
+
+    queue = QUEUE_SPEC.type_of_interest
+    is_empty = QUEUE_SPEC.operation("IS_EMPTY?")
+    shared = queue_term(["a", 1, 2.5])
+    return [
+        App(FRONT, (shared,)),
+        shared,
+        Ite(App(is_empty, (Var("q", queue),)), item("a"), item(None)),
+        App(ISSAME, (identifier("x"), identifier("y"))),
+        Err(queue),
+        Lit(("pair", 1, ("nested", True)), Sort("Widget")),
+    ]
+
+
+class TestGolden:
+    def test_version_1_payload_decodes_to_the_same_terms(self):
+        terms = _golden_terms()
+        assert wire.decode_terms(json.loads(json.dumps(GOLDEN_V1))) == terms
+
+    def test_encoder_still_makes_the_version_1_payload(self):
+        assert wire.encode_terms(_golden_terms()) == GOLDEN_V1
+
+
+def _payload(**changes) -> dict:
+    payload = json.loads(json.dumps(GOLDEN_V1))
+    payload.update(changes)
+    return payload
+
+
+def _with_node(index: int, row: list) -> dict:
+    payload = _payload()
+    payload["nodes"][index] = row
+    return payload
+
+
+class TestDecoderValidation:
+    """Malformed tables raise WireError — never another exception, and
+    never a different term."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _with_node(4, ["a", 1, [-2, 2]]),  # negative child
+            _with_node(4, ["a", 1, [True, 2]]),  # a bool is not an index
+            _with_node(4, ["a", 1, [3, 9]]),  # forward reference
+            _with_node(4, ["a", 1, [3.0, 2]]),  # a float is not an index
+            _with_node(4, ["a", -1, [3, 2]]),  # negative operation
+            _with_node(4, ["a", 1, [3]]),  # wrong arity
+            _with_node(4, ["a", 1, [3, 2], 0]),  # extra field
+            _with_node(4, ["a", 1]),  # missing field
+            _with_node(4, {"a": 1}),  # not a row
+            _with_node(11, ["i", 10, 2, 11]),  # refers to itself
+            _with_node(11, ["i", 2, 2, 8]),  # condition is not Boolean
+            _with_node(0, ["l", ["x"], 0]),  # list literal
+            _with_node(0, ["l", {"a": 1}, 0]),  # untagged dict literal
+            _with_node(0, ["l", {"t": "abc"}, 0]),  # tuple of a string
+            _with_node(0, ["l", 2.5, 9]),  # no such sort
+            _with_node(9, ["v", 7, 1]),  # variable name not a string
+            _with_node(15, ["e", True]),  # bool sort index
+            _with_node(15, ["x", 1]),  # unknown tag
+            _payload(roots=[-1]),
+            _payload(roots=[True]),
+            _payload(roots=[99]),
+            _payload(roots="7"),
+            _payload(sorts=[["Item", [0]]]),  # parameter refers to itself
+            _payload(sorts=[["not a sort", []]]),
+            _payload(ops=[{"name": "NEW", "domain": [], "range": 7,
+                           "builtin": None}]),
+            _payload(ops=[{"name": "NEW", "range": 1, "builtin": None}]),
+            _payload(nodes=None),
+            _payload(version=True),
+        ],
+    )
+    def test_malformed_payload_is_a_wire_error(self, payload):
+        with pytest.raises(WireError):
+            wire.decode_terms(payload)
+
+    @pytest.mark.parametrize("payload", [None, [], "x", 1])
+    def test_non_dict_payload_is_a_wire_error(self, payload):
+        with pytest.raises(WireError):
+            wire.decode_terms(payload)
+
+    def test_literal_nesting_is_bounded_both_ways(self):
+        deep = "leaf"
+        for _ in range(wire.MAX_LITERAL_DEPTH + 1):
+            deep = (deep,)
+        with pytest.raises(WireError):
+            wire.encode_term(Lit(deep, Sort("Widget")))
+        bomb: object = "leaf"
+        for _ in range(100_000):
+            bomb = {"t": [bomb]}
+        with pytest.raises(WireError):
+            wire.decode_terms(_with_node(0, ["l", bomb, 0]))
+
+    def test_malformed_outcome_rows_are_wire_errors(self):
+        good = wire.encode_outcomes([Outcome(status="normalized", term=new())])
+        for change in (
+            {"status": "fine"},
+            {"term": -1},
+            {"term": True},
+            {"trace": [5]},
+            {"reason": 3},
+            {"detail": None},
+        ):
+            payload = json.loads(json.dumps(good))
+            payload["outcomes"][0].update(change)
+            with pytest.raises(WireError):
+                wire.decode_outcomes(payload)
+
+
+class TestOperationTable:
+    def _table(self) -> wire.OperationTable:
+        signature = QUEUE_SPEC.full_signature()
+        return wire.OperationTable(signature.operations, signature.sorts)
+
+    def test_declared_rows_decode_to_the_table_objects(self):
+        (term,) = wire.decode_terms(
+            wire.encode_terms([_front_of(["a"])]), self._table()
+        )
+        assert term.op is QUEUE_SPEC.operation("FRONT")
+        assert term.args[0].op is QUEUE_SPEC.operation("ADD")
+
+    def test_closed_table_refuses_what_it_does_not_declare(self):
+        from repro.spec.prelude import ISSAME, identifier
+
+        payload = wire.encode_term(App(ISSAME, (identifier("x"), identifier("y"))))
+        with pytest.raises(WireError, match="not declared"):
+            wire.decode_term(payload, self._table())
+
+    def test_closed_table_refuses_another_builtin(self):
+        payload = wire.encode_term(_front_of(["a"]))
+        for row in payload["ops"]:
+            row["builtin"] = "repro.spec.prelude:_issame"
+        with pytest.raises(WireError, match="not declared"):
+            wire.decode_term(payload, self._table())
+
+    def test_open_table_learns_a_row_once(self):
+        sort = Sort("Gadget")
+        op = Operation("SPARE", (sort,), sort)
+        payloads = [
+            json.loads(json.dumps(wire.encode_term(App(op, (Lit(v, sort),)))))
+            for v in ("a", "b")
+        ]
+        table = wire.OperationTable(imports=True)
+        first, second = (wire.decode_term(p, table) for p in payloads)
+        assert first.op is second.op
+        assert first.op == op

@@ -1,0 +1,232 @@
+"""The wire decoders raise only :class:`WireError`, and never hang.
+
+Whatever payload they are given — a valid one with random fields
+replaced, deleted or duplicated, bad indices and tags, or tuple
+literals nested far deeper than any real one — ``decode_terms`` and
+``decode_outcomes`` either return terms or raise ``WireError``.  Client
+terms decode against a closed table (as the daemon reads them) and
+outcomes against this process's open one (as shard replies are read).
+
+Run with ``HYPOTHESIS_PROFILE=nightly`` for a longer search.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+from datetime import timedelta
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
+from repro.adt.symboltable import SYMBOLTABLE_SPEC
+from repro.algebra.terms import App, Err, Lit, Term
+from repro.parallel import wire
+from repro.parallel.wire import WireError
+from repro.runtime import Outcome
+from repro.spec.parser import parse_term
+from repro.testing.termgen import GroundTermEnumerator
+
+
+def _table(spec) -> wire.OperationTable:
+    signature = spec.full_signature()
+    return wire.OperationTable(signature.operations, signature.sorts)
+
+
+def _observations(spec, count: int) -> list[Term]:
+    enumerator = GroundTermEnumerator(spec)
+    terms: list[Term] = []
+    for op in spec.own_operations():
+        for _, term in enumerator.observations(op):
+            terms.append(term)
+            if len(terms) % 4 == 0:
+                break
+        if len(terms) >= count:
+            break
+    return terms
+
+
+SPECS = [QUEUE_SPEC, SYMBOLTABLE_SPEC]
+TABLES = [_table(spec) for spec in SPECS]
+TERM_PAYLOADS = [
+    json.loads(json.dumps(wire.encode_terms(_observations(spec, 8))))
+    for spec in SPECS
+]
+OUTCOME_PAYLOADS = [
+    json.loads(
+        json.dumps(
+            wire.encode_outcomes(
+                [
+                    Outcome(status="normalized", term=queue_term(["a", 1])),
+                    Outcome(status="error_value", term=Err(QUEUE_SPEC.type_of_interest)),
+                    Outcome(
+                        status="diverged",
+                        term=App(FRONT, (queue_term(["b"]),)),
+                        reason="cycle",
+                        trace=(queue_term(["b"]), queue_term([])),
+                        detail="period-2 cycle",
+                    ),
+                    Outcome(status="truncated", reason="fuel", detail="x"),
+                ]
+            )
+        )
+    ),
+    json.loads(
+        json.dumps(
+            wire.encode_outcomes(
+                [
+                    Outcome(
+                        status="normalized",
+                        term=parse_term(
+                            "IS_INBLOCK?(ADD(INIT, 'x', 'a'), 'x')",
+                            SYMBOLTABLE_SPEC,
+                        ),
+                    )
+                ]
+            )
+        )
+    ),
+]
+
+#: Values a mutation writes: indices near and past the edges, the
+#: non-int look-alikes Python would accept as indices, and shapes of
+#: the wrong kind.  No free text: an open table imports the builtin
+#: references it has not seen, and a fuzzer must not name real modules.
+VALUES = st.sampled_from(
+    [
+        -2, -1, 0, 1, 2, 3, 7, 10**9, True, False, 0.0, 1.5, None, "",
+        "a", "i", "v", "l", "e", "x", "Queue", [], [0], [-1], [[0]], {},
+        {"t": 1}, {"t": "ab"}, {"t": [[]]}, {"a": 1},
+    ]
+)
+
+FUZZ = settings(
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def _paths(node, path=()):
+    """Every (container path, key) in a JSON-like value."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path, key
+            yield from _paths(value, (*path, key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield path, index
+            yield from _paths(value, (*path, index))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def mutated(draw, payloads):
+    """One of ``payloads`` after a few replaced, deleted or duplicated
+    fields anywhere in it."""
+    payload = copy.deepcopy(draw(st.sampled_from(payloads)))
+    for _ in range(draw(st.integers(1, 4))):
+        places = list(_paths(payload))
+        path, key = draw(st.sampled_from(places))
+        container = _at(payload, path)
+        edit = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if edit == "replace":
+            container[key] = copy.deepcopy(draw(VALUES))
+        elif edit == "delete":
+            del container[key]
+        elif isinstance(container, list):
+            container.insert(key, copy.deepcopy(container[key]))
+    return payload
+
+
+def _only_wire_errors(decode, payload):
+    try:
+        result = decode(payload)
+    except WireError:
+        return
+    assert isinstance(result, list)
+
+
+@FUZZ
+@given(mutated(TERM_PAYLOADS), st.sampled_from(TABLES))
+def test_mutated_terms_payload(payload, table):
+    _only_wire_errors(lambda p: wire.decode_terms(p, table), payload)
+
+
+@FUZZ
+@given(mutated(TERM_PAYLOADS))
+def test_mutated_terms_payload_open_table(payload):
+    _only_wire_errors(wire.decode_terms, payload)
+
+
+@FUZZ
+@given(mutated(OUTCOME_PAYLOADS))
+def test_mutated_outcomes_payload(payload):
+    _only_wire_errors(wire.decode_outcomes, payload)
+
+
+@st.composite
+def bad_index(draw):
+    """A terms payload with one child, root or sort index that is
+    negative, a bool, a float or not yet defined."""
+    payload = copy.deepcopy(draw(st.sampled_from(TERM_PAYLOADS)))
+    nodes = payload["nodes"]
+    row = draw(st.sampled_from(range(len(nodes))))
+    bad = draw(st.sampled_from([-1, -2, True, False, 0.0, "0", None]))
+    where = draw(st.sampled_from(["child", "root", "sort"]))
+    if where == "root":
+        payload["roots"][draw(st.sampled_from(range(len(payload["roots"]))))] = bad
+    elif nodes[row][0] == "a" and nodes[row][2] and where == "child":
+        kids = nodes[row][2]
+        kids[draw(st.sampled_from(range(len(kids))))] = (
+            bad if draw(st.booleans()) else row + draw(st.integers(0, 5))
+        )
+    elif nodes[row][0] in ("v", "l"):
+        nodes[row][2] = bad if draw(st.booleans()) else len(payload["sorts"])
+    else:
+        payload["roots"][0] = len(nodes) + draw(st.integers(0, 5))
+    return payload
+
+
+@FUZZ
+@given(bad_index(), st.sampled_from(TABLES))
+def test_bad_index_is_a_wire_error(payload, table):
+    try:
+        wire.decode_terms(payload, table)
+    except WireError:
+        return
+    raise AssertionError("a bad index decoded")
+
+
+@FUZZ
+@given(
+    st.sampled_from(range(len(TERM_PAYLOADS))),
+    st.text(max_size=3).filter(lambda tag: tag not in ("a", "i", "v", "l", "e")),
+)
+def test_unknown_tag_is_a_wire_error(which, tag):
+    payload = copy.deepcopy(TERM_PAYLOADS[which])
+    payload["nodes"][-1][0] = tag
+    try:
+        wire.decode_terms(payload, TABLES[which])
+    except WireError:
+        return
+    raise AssertionError(f"tag {tag!r} decoded")
+
+
+@FUZZ
+@given(st.integers(wire.MAX_LITERAL_DEPTH + 1, 50_000), st.sampled_from(["list", "dict"]))
+def test_deeply_nested_literal_is_a_wire_error(depth, shape):
+    value: object = 1
+    for _ in range(depth):
+        value = {"t": [value]} if shape == "dict" else [value]
+    payload = wire.encode_term(Lit("x", QUEUE_SPEC.operation("ADD").domain[1]))
+    payload["nodes"][0][1] = value
+    try:
+        wire.decode_terms(payload)
+    except WireError:
+        return
+    raise AssertionError("a literal nested past the bound decoded")

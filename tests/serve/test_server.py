@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import sys
 
 import pytest
 
 from repro.adt.queue import FRONT, QUEUE_SPEC, new, queue_term
 from repro.algebra.terms import App, Var
 from repro.obs import metrics as _metrics
+from repro.parallel import wire
 from repro.rewriting import RewriteEngine
 from repro.runtime import EvaluationBudget
 from repro.serve import (
@@ -320,6 +322,87 @@ class TestRequestFields:
             {"text": ["NEW", "NEW"], "goals": [goal]},
             "bad_goals",
         )
+
+
+#: Calls of :func:`_sentinel`; a request must never add one.
+SENTINEL_CALLS: list = []
+
+
+def _sentinel(*args):
+    SENTINEL_CALLS.append(args)
+    return "sentinel"
+
+
+class TestClientTermsAreDeclared:
+    """Client terms decode against the session's signature: an
+    operation row must name a declared operation with its declared
+    builtin, and no module a payload names is imported."""
+
+    def _rejected(self, server, client, terms):
+        errors = server.c_errors.value
+        with pytest.raises(ServeError) as exc:
+            client._request(
+                "POST", "/v1/normalize", {"spec": "Queue", "terms": terms}
+            )
+        assert exc.value.status == 400
+        assert exc.value.reason == "bad_wire"
+        assert server.c_errors.value == errors
+
+    @staticmethod
+    def _peek(builtin: str) -> dict:
+        # PEEK: Queue -> Queue, applied to the literal "HOME".
+        return {
+            "version": wire.WIRE_VERSION,
+            "sorts": [["Queue", []]],
+            "ops": [
+                {"name": "PEEK", "domain": [0], "range": 0, "builtin": builtin}
+            ],
+            "nodes": [["l", "HOME", 0], ["a", 0, [0]]],
+            "roots": [1],
+        }
+
+    def test_undeclared_operation_with_a_builtin_is_400(self, served):
+        server, client = served
+        self._rejected(server, client, self._peek(f"{__name__}:_sentinel"))
+        self._rejected(server, client, self._peek("os:getenv"))
+        assert SENTINEL_CALLS == []
+
+    def test_declared_operation_with_another_builtin_is_400(self, served):
+        server, client = served
+        terms = wire.encode_terms([App(FRONT, (queue_term(["a"]),))])
+        for row in terms["ops"]:
+            if row["name"] == "FRONT":
+                row["builtin"] = f"{__name__}:_sentinel"
+        self._rejected(server, client, terms)
+        assert SENTINEL_CALLS == []
+
+    def test_no_module_named_in_a_payload_is_imported(
+        self, served, tmp_path, monkeypatch
+    ):
+        server, client = served
+        (tmp_path / "wire_sentinel_module.py").write_text(
+            "def peek(value):\n    return value\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        self._rejected(server, client, self._peek("wire_sentinel_module:peek"))
+        assert "wire_sentinel_module" not in sys.modules
+
+    def test_undeclared_sort_is_400(self, served):
+        server, client = served
+        terms = wire.encode_terms([queue_term(["a"])])
+        terms["sorts"].append(["Secret", []])
+        terms["nodes"].append(["e", len(terms["sorts"]) - 1])
+        terms["roots"].append(len(terms["nodes"]) - 1)
+        self._rejected(server, client, terms)
+
+    def test_declared_terms_decode_to_the_rules_operations(self, served):
+        server, _ = served
+        session = server.sessions["Queue"]
+        rule_ops = {op.name: op for op in wire.rule_operations(session.engine.rules)}
+        (term,) = wire.decode_terms(
+            wire.encode_terms([App(FRONT, (queue_term(["a"]),))]), session.table
+        )
+        assert term.op is rule_ops["FRONT"]
 
 
 class TestTransportsAndMetrics:
