@@ -315,14 +315,15 @@ class Var(Term):
 class Lit(Term):
     """A literal value of a parameter sort (Identifier names, Nats, ...).
 
-    ``value`` must be hashable; two literals are equal when both value
-    and sort agree.
+    ``value`` must be hashable; two literals are equal when value, the
+    value's type and sort agree (``True``, ``1`` and ``1.0`` compare
+    equal in Python but are three literals).
     """
 
     __slots__ = ("value", "sort", "_hash")
 
     def __new__(cls, value: object, sort: Sort) -> "Lit":
-        key = (cls, value, sort)
+        key = (cls, type(value), value, sort)
         if _INTERNING:
             ref = _TABLE.get(key)
             if ref is not None:
@@ -354,6 +355,7 @@ class Lit(Term):
             return True
         return (
             isinstance(other, Lit)
+            and type(self.value) is type(other.value)
             and self.value == other.value
             and self.sort == other.sort
         )

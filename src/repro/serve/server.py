@@ -23,7 +23,9 @@ Surface:
     complete.  ``seed`` and ``max_depth`` are refused (400).
 ``POST /v1/prove``
     closed equations over a loaded spec's axioms, via the equational
-    prover (terms skolemise first, so variables mean "for all").
+    prover (terms skolemise first, so variables mean "for all"; goals of
+    one request share a variable's constant, and no two requests share
+    anything, as each gets its own prover).
 ``GET /healthz`` / ``GET /readyz``
     liveness (the process answers) vs readiness (engines warm, shard
     pool alive — a broken pool heals through the supervisor and flips
@@ -77,7 +79,6 @@ from repro.serve.supervisor import PoolSupervisor
 from repro.spec.parser import parse_term
 from repro.spec.specification import Specification
 from repro.verify.prover import EquationalProver
-from repro.verify.skolem import skolemize_pair
 
 __all__ = ["ReproServer", "ServeRequestError", "SpecSession"]
 
@@ -149,6 +150,8 @@ class SpecSession:
             return self.engine.normalize_many_outcomes(terms, budget)
 
     def prover(self, fuel: int) -> EquationalProver:
+        """A new prover, so one request's skolem constants and memos
+        never outlive it."""
         cls = self.classification
         return EquationalProver(
             self.engine.rules,
@@ -482,7 +485,7 @@ class ReproServer:
         with session.lock:
             prover = session.prover(fuel)
             for li, ri in goals:
-                lhs, rhs, _ = skolemize_pair(terms[li], terms[ri])
+                lhs, rhs, _ = prover.skolemize(terms[li], terms[ri])
                 result = prover.prove(lhs, rhs)
                 results.append(
                     {

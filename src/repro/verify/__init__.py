@@ -41,7 +41,7 @@ from repro.verify.driver import (
     make_prover,
     verify_representation,
 )
-from repro.verify.skolem import fresh_constant, is_skolem, skolemize, skolemize_pair
+from repro.verify.skolem import fresh_constant, is_skolem, skolemize_pair
 from repro.verify.client import (
     Assertion,
     ClientProgram,
@@ -82,7 +82,6 @@ __all__ = [
     "verify_representation",
     "fresh_constant",
     "is_skolem",
-    "skolemize",
     "skolemize_pair",
     "Assertion",
     "ClientProgram",

@@ -14,6 +14,11 @@ the paper's factoring, executed:
 2. discharge each assertion with the equational prover, using *only* the
    specifications' axioms as rules of inference.
 
+The inputs are quantified over the whole program, so one prover proves
+every assertion and each input is one skolem constant throughout: an
+assertion about ``FRONT(REMOVE(q))`` meets the terms its neighbours
+already simplified (see :meth:`EquationalProver.skolemize`).
+
 No implementation is consulted anywhere: a proof here holds for every
 correct implementation of the types ("provided that the implementations
 of the abstract operations that it uses are consistent with their
@@ -44,7 +49,6 @@ from repro.spec.parser import ParseError, _Parser
 from repro.spec.specification import Specification
 from repro.rewriting.rules import RuleSet
 from repro.verify.prover import EquationalProver, ProofResult
-from repro.verify.skolem import skolemize_pair
 
 
 class ClientProgramError(Exception):
@@ -190,7 +194,7 @@ def verify_client(
     )
     report = ClientVerificationReport(program)
     for assertion in program.assertions:
-        lhs, rhs, _ = skolemize_pair(assertion.lhs, assertion.rhs)
+        lhs, rhs, _ = prover.skolemize(assertion.lhs, assertion.rhs)
         report.outcomes.append((assertion, prover.prove(lhs, rhs)))
     return report
 

@@ -27,7 +27,6 @@ from repro.verify.induction import GeneratorInduction, Lemma
 from repro.verify.obligations import ProofObligation, obligations_for
 from repro.verify.prover import EquationalProver, Fact, ProofResult
 from repro.verify.representation import Representation
-from repro.verify.skolem import skolemize_pair
 
 
 class Mode(Enum):
@@ -114,7 +113,7 @@ def _prove_closed(
     obligation's assumption facts, and prove."""
     from repro.algebra.terms import App
 
-    lhs, rhs, mapping = skolemize_pair(obligation.lhs, obligation.rhs)
+    lhs, rhs, mapping = prover.skolemize(obligation.lhs, obligation.rhs)
     facts = []
     for assumption in obligation.assumptions:
         predicate_op = _find_operation(prover, assumption.predicate_name)
@@ -142,7 +141,8 @@ def verify_representation(
 ) -> VerificationReport:
     """Discharge every inherent-invariant obligation of
     ``representation`` in the requested ``mode``, in process, through
-    one prover (so its engines and memos serve every obligation).
+    one prover (so its skolem constants, engines and memos serve every
+    obligation).
     """
     report = VerificationReport(representation.abstract.name, mode)
     prover = make_prover(representation, fuel=fuel)
@@ -163,7 +163,7 @@ def verify_representation(
                     ObligationOutcome(obligation, detail.proved, detail)
                 )
             else:
-                lhs, rhs, _ = skolemize_pair(obligation.lhs, obligation.rhs)
+                lhs, rhs, _ = prover.skolemize(obligation.lhs, obligation.rhs)
                 proof = prover.prove(lhs, rhs)
                 report.outcomes.append(
                     ObligationOutcome(obligation, proof.proved, proof)

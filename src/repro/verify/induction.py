@@ -28,7 +28,7 @@ from repro.algebra.terms import App, Term, Var
 from repro.rewriting.rules import RewriteRule
 from repro.verify.prover import EquationalProver, ProofResult
 from repro.verify.representation import Representation
-from repro.verify.skolem import fresh_constant, skolemize_pair
+from repro.verify.skolem import fresh_constant
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,10 @@ class GeneratorInduction:
         """Prove ``lhs = rhs`` for all reachable values of ``variable``.
 
         Other free variables of the equation are universally quantified:
-        they are skolemised per case (and left general in the induction
-        hypothesis, which is sound — the hypothesis holds for *all*
-        values of its non-induction variables).
+        they become the prover's skolem constants (and stay general in
+        the induction hypothesis, which is sound — the hypothesis holds
+        for *all* values of its non-induction variables).  The
+        generator's arguments are fresh constants per case.
         """
         result = InductionResult(True)
         rep_sort = self.representation.rep_sort
@@ -120,7 +121,7 @@ class GeneratorInduction:
             case_term: Term = App(generator, args)
             case_name = str(case_term)
 
-            goal_lhs, goal_rhs, _ = skolemize_pair(
+            goal_lhs, goal_rhs, _ = self.prover.skolemize(
                 Substitution({variable: case_term}).apply(lhs),
                 Substitution({variable: case_term}).apply(rhs),
             )

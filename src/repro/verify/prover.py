@@ -27,7 +27,10 @@ counterexample.
 Nothing is rebuilt that the prover already has.  It keeps one
 :class:`ProverEngine` per distinct (extra rules, fact set) for its own
 lifetime (a bounded LRU), so later goals and other branches that reach
-the same facts reuse the engine and its simplify memo.  An engine's
+the same facts reuse the engine and its simplify memo.  Goals meet the
+same terms because the prover also owns their skolem constants
+(:meth:`EquationalProver.skolemize`): a variable becomes one constant for
+every goal proved through the prover.  An engine's
 rules are an overlay — the extra rules and the facts' ground rules
 ``c -> true|false`` — read after the shared base index, never a copy of
 it, so facts cannot leak into the base.  The simplify memo is bounded
@@ -51,7 +54,7 @@ from repro.obs.trace import maybe_span
 from repro.rewriting.engine import RewriteEngine, RewriteLimitError, _decided
 from repro.rewriting.rules import RewriteRule, RuleSet
 from repro.runtime.budget import BudgetMeter
-from repro.verify.skolem import fresh_constant, is_skolem
+from repro.verify.skolem import fresh_constant, is_skolem, skolemize_pair
 
 
 class ProverEngine(RewriteEngine):
@@ -207,6 +210,9 @@ class EquationalProver:
     memo, per distinct (extra rules, fact set) it meets, for its own
     lifetime (bounded LRU).  Each engine's rules are an overlay of the
     extra rules and the facts' ground rules on the shared base index.
+    It also keeps one skolem constant per variable (:meth:`skolemize`),
+    so the goals of one client program or one representation run share
+    their terms, and with them the memo.
 
     Parameters
     ----------
@@ -233,6 +239,7 @@ class EquationalProver:
     ) -> None:
         self.rules = rules
         self._engines: "OrderedDict[tuple, ProverEngine]" = OrderedDict()
+        self._skolems: dict[Var, Term] = {}
         self.constructors = {
             sort: tuple(ops) for sort, ops in (constructors or {}).items()
         }
@@ -241,6 +248,29 @@ class EquationalProver:
         self.fuel = fuel
 
     # ------------------------------------------------------------------
+    def skolemize(
+        self, lhs: Term, rhs: Term
+    ) -> tuple[Term, Term, dict[Var, Term]]:
+        """Close ``lhs = rhs`` with this prover's skolem constants.
+
+        A variable gets one constant for the prover's lifetime, shared
+        by every goal skolemised here, instead of a new one per goal.
+        Returns both sides and the equation's mapping from variable to
+        constant.
+
+        Sharing is sound.  A goal's constant is still fixed but
+        arbitrary: no base rule mentions it, so a proof about it holds
+        for every value of its sort, whichever goal chose it first.
+        What a proof assumes about a constant — case-split facts, lemma
+        instances, induction hypotheses — is part of the engine key
+        ``(extra, facts)``, so it reaches only the engine built for
+        exactly those assumptions, and a memo entry is reused only
+        under the rules that produced it.  A later goal over the same
+        constants starts from the base engine and learns nothing from
+        an earlier goal's splits.
+        """
+        return skolemize_pair(lhs, rhs, skolems=self._skolems)
+
     def prove(
         self,
         lhs: Term,

@@ -12,7 +12,7 @@ silently generalise it to everything of its sort, which is unsound.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from typing import Iterable, MutableMapping, Optional
 
 from repro.algebra.signature import Operation
 from repro.algebra.sorts import Sort
@@ -33,36 +33,31 @@ def is_skolem(term: Term) -> bool:
     return isinstance(term, App) and not term.args and "$" in term.op.name
 
 
-def skolemize(
-    term: Term, skolems: Mapping[Var, Term] | None = None
-) -> tuple[Term, dict[Var, Term]]:
-    """Replace every free variable of ``term`` with a skolem constant.
-
-    ``skolems`` carries constants already chosen for some variables (so
-    that the two sides of an equation share them).  Returns the
-    skolemised term and the updated mapping.
-    """
-    mapping: dict[Var, Term] = dict(skolems) if skolems else {}
-    for variable in sorted(term.variables(), key=lambda v: v.name):
-        if variable not in mapping:
-            mapping[variable] = fresh_constant(variable.name, variable.sort)
-    return Substitution(mapping).apply(term), mapping
-
-
 def skolemize_pair(
-    lhs: Term, rhs: Term, keep: Iterable[Var] = ()
+    lhs: Term,
+    rhs: Term,
+    keep: Iterable[Var] = (),
+    skolems: Optional[MutableMapping[Var, Term]] = None,
 ) -> tuple[Term, Term, dict[Var, Term]]:
     """Skolemise both sides of an equation with shared constants.
 
-    Variables listed in ``keep`` are left free (the induction engine
-    keeps its induction variable free until it expands it into
-    constructor cases).
+    Variables listed in ``keep`` are left free (for a variable a caller
+    still means to expand, such as an induction variable).  ``skolems``
+    is a table of constants already chosen: a variable found there
+    keeps its constant, and a new one is added to it.  Returns both
+    sides and this equation's mapping from variable to constant.
     """
+    table: MutableMapping[Var, Term] = {} if skolems is None else skolems
     kept = set(keep)
     mapping: dict[Var, Term] = {}
     for variable in sorted(
         (lhs.variables() | rhs.variables()) - kept, key=lambda v: v.name
     ):
-        mapping[variable] = fresh_constant(variable.name, variable.sort)
+        constant = table.get(variable)
+        if constant is None:
+            constant = table[variable] = fresh_constant(
+                variable.name, variable.sort
+            )
+        mapping[variable] = constant
     sigma = Substitution(mapping)
     return sigma.apply(lhs), sigma.apply(rhs), mapping

@@ -97,6 +97,26 @@ class TestMaximalSharing:
         assert intern_table_size() < grown
 
 
+class TestLiteralValueTypes:
+    """``True == 1 == 1.0`` in Python, with equal hashes; as literals
+    they are three different values."""
+
+    def test_bool_int_and_float_literals_are_distinct_nodes(self):
+        sort = QUEUE_SPEC.type_of_interest
+        one = Lit(1, sort)  # interned first, and kept alive
+        assert Lit(True, sort).value is True
+        assert type(Lit(1.0, sort).value) is float
+        assert Lit(True, sort) is not one and Lit(True, sort) != one
+        assert Lit(1.0, sort) != one
+        assert Lit(1, sort) is one
+
+    def test_pickle_keeps_the_value_type(self):
+        sort = QUEUE_SPEC.type_of_interest
+        held = Lit(0, sort)
+        assert pickle.loads(pickle.dumps(Lit(False, sort))).value is False
+        assert held.value == 0 and held.value is not False
+
+
 class TestCachedMetadata:
     @given(queue_terms)
     @settings(max_examples=200)

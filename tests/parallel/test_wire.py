@@ -37,6 +37,20 @@ class TestTermRoundTrip:
         # in this process's table — so not merely equal: the same node.
         assert decoded is term
 
+    def test_bool_literal_decodes_to_a_bool(self):
+        sort = QUEUE_SPEC.type_of_interest
+        held = Lit(1, sort)  # a live int literal must not answer for true
+        payload = {
+            "version": wire.WIRE_VERSION,
+            "sorts": [[sort.name, []]],
+            "ops": [],
+            "nodes": [["l", True, 0], ["l", 1, 0]],
+            "roots": [0, 1],
+        }
+        flag, one = wire.decode_terms(json.loads(json.dumps(payload)))
+        assert flag.value is True
+        assert one is held and type(one.value) is int
+
     def test_payload_survives_json(self):
         term = _front_of(["a", 1, "c"])
         payload = json.loads(json.dumps(wire.encode_term(term)))

@@ -255,6 +255,28 @@ class TestCheckAndProve:
         assert results[0]["proved"] is True
         assert results[0]["residual"] is None
 
+    def test_prove_goals_of_one_request_share_constants(self, served):
+        """A variable is one constant across the goals of a request (one
+        prover per request), and no constant outlives its request."""
+        _, client = served
+        add = QUEUE_SPEC.operation("ADD")
+        item = Var("i", add.domain[1])
+        queue = Var("q", QUEUE_SPEC.type_of_interest)
+        goals = [
+            (App(FRONT, (App(add, (new(), item)),)), item),
+            (App(FRONT, (App(add, (queue, item)),)), item),
+        ]
+        first = client.prove(goals, spec="Queue")
+        second = client.prove(goals, spec="Queue")
+        for results in (first, second):
+            assert [r["proved"] for r in results] == [True, False]
+            constant = results[0]["rhs"]
+            assert constant.startswith("i$")
+            assert results[1]["rhs"] == constant
+            assert f", {constant})" in results[1]["lhs"]
+        assert first[0]["rhs"] != second[0]["rhs"]
+        assert first[1]["lhs"] != second[1]["lhs"]
+
     def test_prove_rejects_malformed_goals(self, served):
         _, client = served
         with pytest.raises(ServeError) as exc:

@@ -6,6 +6,7 @@ from repro.algebra.sorts import Sort
 from repro.algebra.terms import app, var
 from repro.spec.parser import ParseError
 from repro.spec.prelude import ITEM, true_term
+from repro.verify import skolem
 from repro.verify.client import (
     ClientProgram,
     ClientProgramError,
@@ -186,6 +187,56 @@ class TestVerification:
         )
         report = verify_client(program)
         assert report.all_proved, str(report)
+
+
+class TestSharedConstants:
+    """One program, one skolem constant per input, shared by all its
+    assertions."""
+
+    def test_one_goals_split_facts_never_reach_another(self):
+        # The first assertion is proved by splitting on ISSAME?(a, b).
+        # Its true branch would prove the second assertion and its false
+        # branch the third; both are false.
+        program = parse_client_program(
+            """
+            input s: Symboltable
+            input a: Identifier
+            input b: Identifier
+            input v: Attributelist
+            let t := ADD(s, a, v)
+            assert RETRIEVE(ADD(t, a, v), b) = RETRIEVE(t, b)
+            assert RETRIEVE(t, b) = v
+            assert RETRIEVE(t, b) = RETRIEVE(s, b)
+            """,
+            SYMBOLTABLE_SPEC,
+        )
+        (_, split), (_, same), (_, other) = verify_client(program).outcomes
+        assert split.proved
+        condition = split.transcript[0].description
+        assert condition.startswith("case split on ISSAME?")
+        condition = condition[len("case split on ") :]
+        assert not same.proved and not other.proved
+        # Each fails in the branch that refutes it, over the same
+        # constants as the proved goal.
+        assert [str(f) for f in same.failing_facts] == [f"{condition} = false"]
+        assert [str(f) for f in other.failing_facts] == [f"{condition} = true"]
+
+    def test_k_assertions_make_one_constant_per_input(self, monkeypatch):
+        made = []
+        fresh = skolem.fresh_constant
+
+        def counting(name, sort):
+            made.append(name)
+            return fresh(name, sort)
+
+        monkeypatch.setattr(skolem, "fresh_constant", counting)
+        lines = ["input q: Queue", "input i: Item", "let r0 := ADD(q, i)"]
+        for k in range(1, 6):
+            lines.append(f"let r{k} := REMOVE(r{k - 1})")
+            lines.append(f"assert IS_EMPTY?(ADD(r{k}, i)) = false")
+        report = verify_client(parse_client_program("\n".join(lines), QUEUE_SPEC))
+        assert len(report.outcomes) == 5
+        assert sorted(made) == ["i", "q"]
 
 
 class TestReportRendering:

@@ -6,9 +6,15 @@ goals — is recorded with the engine's rules, then replayed on a fresh
 memo-less engine (``cache_size=0``) over the same rules.  The prover's
 engines are reused per fact set, so many recorded results come from a
 warm memo; each must equal the memo-less answer.
+
+The same runs are also repeated with one fresh prover and fresh skolem
+constants per goal, so that no goal meets another's terms or engines:
+every verdict, and every transcript up to the names of the constants,
+must equal the shared run's.
 """
 
 import random
+import re
 
 import pytest
 
@@ -21,7 +27,8 @@ from repro.verify import (
     verify_client,
     verify_representation,
 )
-from repro.verify.prover import ProverEngine
+from repro.verify.prover import EquationalProver, ProverEngine
+from repro.verify.skolem import skolemize_pair
 
 
 @pytest.fixture
@@ -54,12 +61,55 @@ def _replay(calls):
         assert engine.simplify(term) == result, term
 
 
+def _fresh_per_goal(monkeypatch):
+    """Prove every goal on a new prover with new constants, as if each
+    were the only goal."""
+    prove = EquationalProver.prove
+
+    def fresh_prove(self, lhs, rhs, extra_rules=(), facts=()):
+        alone = EquationalProver(
+            self.rules,
+            self.constructors,
+            self.max_fact_splits,
+            self.max_constructor_splits,
+            self.fuel,
+        )
+        return prove(alone, lhs, rhs, extra_rules, facts)
+
+    monkeypatch.setattr(EquationalProver, "prove", fresh_prove)
+    monkeypatch.setattr(
+        EquationalProver,
+        "skolemize",
+        lambda self, lhs, rhs: skolemize_pair(lhs, rhs),
+    )
+
+
+def _anonymous(proof) -> str:
+    """A proof's text with the skolem constants' serial numbers
+    dropped (``s$12`` becomes ``s$``)."""
+    return re.sub(r"\$\d+", "$", str(proof))
+
+
+def _representation_run(mode):
+    representation = symboltable_representation()
+    lemmas = [not_newstack_lemma(representation)] if mode is Mode.REACHABLE else ()
+    report = verify_representation(representation, mode, lemmas=lemmas)
+    return [(o.proved, _anonymous(o.detail)) for o in report.outcomes]
+
+
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name)
 def test_stack_as_array_obligations(recorded, mode):
     representation = symboltable_representation()
     lemmas = [not_newstack_lemma(representation)] if mode is Mode.REACHABLE else ()
     verify_representation(representation, mode, lemmas=lemmas)
     _replay(recorded)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name)
+def test_stack_as_array_verdicts_with_fresh_constants(monkeypatch, mode):
+    shared = _representation_run(mode)
+    _fresh_per_goal(monkeypatch)
+    assert _representation_run(mode) == shared
 
 
 def _symboltable_program(rng: random.Random) -> str:
@@ -117,3 +167,26 @@ def test_seeded_client_goals(recorded, seed):
     ):
         verify_client(parse_client_program(generate(rng), spec))
     _replay(recorded)
+
+
+def _client_run(seed):
+    rng = random.Random(seed)
+    outcomes = []
+    for spec, generate in (
+        (SYMBOLTABLE_SPEC, _symboltable_program),
+        (QUEUE_SPEC, _queue_program),
+    ):
+        report = verify_client(parse_client_program(generate(rng), spec))
+        outcomes.extend(
+            (result.proved, _anonymous(result)) for _, result in report.outcomes
+        )
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_client_verdicts_with_fresh_constants(monkeypatch, seed):
+    shared = _client_run(seed)
+    # Both outcomes occur, so the comparison has teeth.
+    assert {proved for proved, _ in shared} == {True, False}
+    _fresh_per_goal(monkeypatch)
+    assert _client_run(seed) == shared
