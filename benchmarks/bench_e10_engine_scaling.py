@@ -103,42 +103,6 @@ def test_e10_normalize_vs_simplify(benchmark):
     assert engine.normalize(term) == engine.simplify(term)
 
 
-def test_e10_engine_ablation(benchmark):
-    """Hash-consed terms (vs fresh nodes) toggled back on the drain;
-    the seed engine itself is timed by ``run_benchmarks.py``."""
-    import time
-
-    from repro.algebra import set_interning
-
-    configs = [("full", True), ("no-interning", False)]
-
-    def measure():
-        timings = {}
-        for name, interning in configs:
-            previous = set_interning(interning)
-            try:
-                engine = RewriteEngine(RULES)
-                start = time.perf_counter()
-                drained = _drain(engine, 48)
-                timings[name] = time.perf_counter() - start
-            finally:
-                set_interning(previous)
-            assert drained == 48
-        return timings
-
-    timings = benchmark(measure)
-    full = timings["full"]
-    report(
-        "E10: engine design ablation (drain of 48)",
-        ["configuration", "relative"],
-        [[name, f"{timings[name] / full:.2f}x"] for name, *_ in configs],
-    )
-    for name, *_ in configs:
-        benchmark.extra_info[name.replace("-", "_") + "_over_full"] = round(
-            timings[name] / full, 2
-        )
-
-
 def test_e10_cache_ablation(benchmark):
     """Ground normal-form memoisation on vs off, on the symbolic-façade
     workload that motivates it (repeated observation of growing terms)."""

@@ -82,52 +82,14 @@ def main(argv=None) -> int:
         "faster than serial (default 2.0; only enforced when the "
         "machine has >= workers cores)",
     )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="also guard the E12 serving benchmark: healthy rps vs the "
-        "committed BENCH_E12.json (machine-normalised) plus the "
-        "machine-free invariants (zero dropped batches, degraded-mode "
-        "recovery)",
-    )
-    parser.add_argument(
-        "--serve-threshold",
-        type=float,
-        default=2.0,
-        help="fail when healthy serving rps is more than this factor "
-        "below the scaled committed baseline (default 2.0)",
-    )
-    parser.add_argument(
-        "--trace-overhead-disabled",
-        type=float,
-        default=1.0,
-        help="with --serve: max rps cost (percent) of wiring tracing "
-        "but keeping it muted, trace_sample=0.0 (default 1.0)",
-    )
-    parser.add_argument(
-        "--trace-overhead-sampled",
-        type=float,
-        default=10.0,
-        help="with --serve: max rps cost (percent) of tracing at "
-        "trace_sample=0.1 with OTLP export (default 10.0)",
-    )
-    parser.add_argument(
-        "--trace-attempts",
-        type=int,
-        default=3,
-        help="re-measure the tracing overhead up to this many times "
-        "before calling it a regression (default 3; live-daemon rps "
-        "is noisy, a bound this tight needs the retry)",
-    )
     args = parser.parse_args(argv)
 
     baseline = json.loads(args.baseline.read_text())
     size = max(baseline["sizes"])
-    configs = {name: row for name, *row in E10_CONFIGS}
+    configs = dict(E10_CONFIGS)
 
     def measure(name: str) -> float:
-        interning, backend = configs[name]
-        return _measure_drain(size, interning, backend, 1)["seconds"]
+        return _measure_drain(size, configs[name], 1)["seconds"]
 
     def committed(name: str) -> float:
         return baseline["configs"][name][str(size)]["seconds"]
@@ -136,24 +98,15 @@ def main(argv=None) -> int:
     for name in GUARDED:
         if name not in guarded:
             print(f"drain@{size}: {name} not in baseline, skipping")
-    fulls: list[float] = []
     ratios: dict[str, list[float]] = {name: [] for name in guarded}
     for round_no in range(1, max(args.reps, 1) + 1):
         full = measure("full")
-        fulls.append(full)
         line = f"drain@{size} round {round_no}: full {full:.6f}s"
         for name in guarded:
             seconds = measure(name)
             ratios[name].append(seconds / full)
             line += f", {name} {seconds:.6f}s ({seconds / full:.3f}x full)"
         print(line)
-    # The serving guard below still needs an absolute machine scale.
-    scale = statistics.median(fulls) / committed("full")
-    print(
-        f"drain@{size}: full median {statistics.median(fulls):.6f}s, "
-        f"committed {committed('full'):.6f}s -> machine scale {scale:.2f}x"
-    )
-
     status = 0
     for name in guarded:
         measured = statistics.median(ratios[name])
@@ -203,91 +156,6 @@ def main(argv=None) -> int:
             if speedup < args.workers_min_speedup:
                 status = 1
 
-    # Serving guard (E12).  Two layers: a machine-normalised rps floor
-    # for the healthy daemon (same scale correction as the drain rows,
-    # throughput divides where seconds multiply), and machine-free
-    # robustness invariants that hold on any hardware — no request may
-    # resolve to a dropped batch, and a daemon with a SIGKILLed shard
-    # worker must recover its readiness probe.
-    if args.serve:
-        from bench_e12_serving import measure_serving
-
-        serve_path = BENCH_DIR / "BENCH_E12.json"
-        if not serve_path.exists():
-            print("serve: no BENCH_E12.json baseline, skipping")
-        else:
-            e12 = json.loads(serve_path.read_text())
-            base = e12["modes"]["healthy"]
-            params = dict(
-                threads=base["threads"],
-                requests=base["requests_per_thread"],
-                batch=base["batch"],
-                workers=base["workers"],
-            )
-            healthy = measure_serving(mode="healthy", **params)
-            floor = base["rps"] / scale / args.serve_threshold
-            verdict = "ok" if healthy["rps"] >= floor else "REGRESSION"
-            print(
-                f"serve/healthy: measured {healthy['rps']} req/s, floor "
-                f"{floor:.2f} (committed {base['rps']} / {scale:.2f} / "
-                f"{args.serve_threshold}) -> {verdict}"
-            )
-            if healthy["rps"] < floor:
-                status = 1
-            degraded = measure_serving(mode="degraded", **params)
-            for sample in (healthy, degraded):
-                if sample["dropped"]:
-                    print(
-                        f"serve/{sample['mode']}: {sample['dropped']} "
-                        "dropped batches -> REGRESSION"
-                    )
-                    status = 1
-            if degraded["recovery_seconds"] is None:
-                print("serve/degraded: /readyz never recovered -> REGRESSION")
-                status = 1
-            else:
-                print(
-                    f"serve/degraded: {degraded['rps']} req/s, p99 "
-                    f"{degraded['p99_ms']}ms, recovered in "
-                    f"{degraded['recovery_seconds']}s -> ok"
-                )
-
-        # Tracing overhead guard: machine-free (traced vs untraced on
-        # the same machine in the same run), so it needs no committed
-        # baseline — but live-daemon rps is noisy enough that a 1%
-        # bound gets a few attempts before the verdict sticks.
-        from bench_e12_serving import measure_tracing_overhead
-
-        for attempt in range(1, args.trace_attempts + 1):
-            tracing = measure_tracing_overhead(requests=100, reps=3)
-            muted_ok = (
-                tracing["disabled_overhead_pct"]
-                <= args.trace_overhead_disabled
-            )
-            sampled_ok = (
-                tracing["sampled_overhead_pct"]
-                <= args.trace_overhead_sampled
-            )
-            verdict = (
-                "ok"
-                if muted_ok and sampled_ok
-                else (
-                    "retry"
-                    if attempt < args.trace_attempts
-                    else "REGRESSION"
-                )
-            )
-            print(
-                f"serve/tracing[{attempt}]: muted "
-                f"-{tracing['disabled_overhead_pct']}% rps (max "
-                f"{args.trace_overhead_disabled}%), sample=0.1 "
-                f"-{tracing['sampled_overhead_pct']}% rps (max "
-                f"{args.trace_overhead_sampled}%) -> {verdict}"
-            )
-            if muted_ok and sampled_ok:
-                break
-        else:
-            status = 1
     return status
 
 

@@ -4,7 +4,8 @@
 Regenerates the committed artefacts ``BENCH_E7.json`` and
 ``BENCH_E10.json``: throughput (ops/sec), normal-form cache hit rate and
 peak interned-term count for the E7 symbolic-vs-concrete workload and
-the E10 drain workload, across the engine's design-choice ablations.
+the E10 drain workload, on the interpreted engine and the codegen
+backend.
 
 Run from the repository root::
 
@@ -35,7 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.algebra import intern_table_size, set_interning  # noqa: E402
+from repro.algebra import intern_table_size  # noqa: E402
 from repro.algebra.terms import Err, app  # noqa: E402
 from repro.adt.queue import FRONT, QUEUE_SPEC, REMOVE, queue_term  # noqa: E402
 from repro.interp import facade_class  # noqa: E402
@@ -52,14 +53,12 @@ SEED_COMMIT = "36c9cdc54882083980002dcdff8599446679a833"
 
 RULES = RuleSet.from_specification(QUEUE_SPEC)
 
-#: Engine configurations measured by E10, as ``(name, interning,
-#: backend)``.  ``full`` is the interpreted engine as shipped;
-#: ``codegen`` is the generated-module backend; ``no-interning`` turns
-#: hash-consing off.
+#: Engine configurations measured by E10, as ``(name, backend)``.
+#: ``full`` is the interpreted engine as shipped; ``codegen`` is the
+#: generated-module backend.
 E10_CONFIGS = [
-    ("full", True, "interpreted"),
-    ("codegen", True, "codegen"),
-    ("no-interning", False, "interpreted"),
+    ("full", "interpreted"),
+    ("codegen", "codegen"),
 ]
 
 #: Distinct queue payloads per measured run, so one run's interned
@@ -145,7 +144,7 @@ def _drain(engine: RewriteEngine, size: int, base: int = 0) -> int:
     return steps
 
 
-def _measure_drain(size: int, interning, backend, reps: int):
+def _measure_drain(size: int, backend, reps: int):
     """Best-of-``reps`` drain; returns timing plus the engine counters.
 
     Every rep drains a queue of *fresh* payloads (see
@@ -155,22 +154,18 @@ def _measure_drain(size: int, interning, backend, reps: int):
     ``intern_hit_rate: 1.0`` regardless of configuration."""
     best = None
     for _ in range(reps):
-        previous = set_interning(interning)
-        try:
-            engine = RewriteEngine(RULES, fuel=10_000_000, backend=backend)
-            if backend == "codegen":
-                engine._codegen_engine()  # compile outside the timing
-            gc.collect()  # release the previous rep's interned subject
-            base = next(_PAYLOAD_BASE)
-            table_before = intern_table_size()
-            substrate_before = substrate_counters()
-            start = time.perf_counter()
-            drained = _drain(engine, size, base)
-            elapsed = time.perf_counter() - start
-            peak_terms = intern_table_size()
-            metrics = _obs_metrics(engine, substrate_before)
-        finally:
-            set_interning(previous)
+        engine = RewriteEngine(RULES, fuel=10_000_000, backend=backend)
+        if backend == "codegen":
+            engine._codegen_engine()  # compile outside the timing
+        gc.collect()  # release the previous rep's interned subject
+        base = next(_PAYLOAD_BASE)
+        table_before = intern_table_size()
+        substrate_before = substrate_counters()
+        start = time.perf_counter()
+        drained = _drain(engine, size, base)
+        elapsed = time.perf_counter() - start
+        peak_terms = intern_table_size()
+        metrics = _obs_metrics(engine, substrate_before)
         assert drained == size
         sample = {
             "seconds": elapsed,
@@ -331,9 +326,9 @@ def run_e10(quick: bool) -> dict:
     sizes = [12] if quick else [32, 64, 128]
     reps = 1 if quick else 3
     configs: dict[str, dict] = {}
-    for name, interning, backend in E10_CONFIGS:
+    for name, backend in E10_CONFIGS:
         configs[name] = {
-            str(size): _measure_drain(size, interning, backend, reps)
+            str(size): _measure_drain(size, backend, reps)
             for size in sizes
         }
 

@@ -21,16 +21,12 @@ from repro.algebra.terms import (
     Term,
     Var,
     app,
-    clear_intern_table,
     constructor_only,
     err,
     intern_table_size,
-    interning_disabled,
-    interning_enabled,
     ite,
     lit,
     map_terms,
-    set_interning,
     var,
 )
 from repro.algebra.substitution import EMPTY, Substitution
@@ -54,16 +50,12 @@ __all__ = [
     "Term",
     "Var",
     "app",
-    "clear_intern_table",
     "constructor_only",
     "err",
     "intern_table_size",
-    "interning_disabled",
-    "interning_enabled",
     "ite",
     "lit",
     "map_terms",
-    "set_interning",
     "var",
     "EMPTY",
     "Substitution",

@@ -30,9 +30,8 @@ application or conditional is keyed on its operation and the identities
 of its (already interned) children.  Consequences the rest of the system
 relies on:
 
-* equality is identity-first (``a is b`` decides almost every
-  comparison the rewrite engine makes — the structural fallback only
-  runs for terms built while interning was disabled);
+* equality is identity-first (``a is b`` decides every comparison the
+  rewrite engine makes between equal terms);
 * ``hash``, ``size``, ``depth``, ``is_ground`` and ``contains_error``
   are computed once at construction from the children's cached values,
   so all five queries are O(1);
@@ -42,17 +41,11 @@ relies on:
   original node.
 
 The table holds weak references: terms no longer reachable from client
-code are garbage collected normally.  :func:`set_interning` /
-:func:`interning_disabled` exist for the E10 ablation benchmark only;
-with interning off, construction allocates fresh nodes and equality
-falls back to the structural definition, so behaviour is unchanged.
-Nodes built over such unshared children stay unshared even after
-interning is switched back on: correct, only without sharing.
+code are garbage collected normally.
 """
 
 from __future__ import annotations
 
-import contextlib
 import weakref
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -76,13 +69,12 @@ Position = tuple[int, ...]
 # via _evict (the identity guard keeps a late callback from clobbering a
 # re-interned replacement).
 #
-# Leaves (Var, Lit, Err) are keyed structurally.  While interning is on,
-# the children of an App or Ite are themselves interned, so a node is
-# keyed on its children's *identities*: ``(op, id(a1), ..., id(an))``.
-# The key never outlives the node (its entry is evicted when the node
-# dies, and a live node keeps its children, and so their ids, alive), and
-# building it calls no Python-level __hash__ on the children.
-_INTERNING = True
+# Leaves (Var, Lit, Err) are keyed structurally.  The children of an App
+# or Ite are themselves interned, so a node is keyed on its children's
+# *identities*: ``(op, id(a1), ..., id(an))``.  The key never outlives
+# the node (its entry is evicted when the node dies, and a live node
+# keeps its children, and so their ids, alive), and building it calls no
+# Python-level __hash__ on the children.
 
 
 class _Ref(weakref.ref):
@@ -115,44 +107,10 @@ def _intern(key: tuple, node: "Term") -> None:
     _TABLE[key] = ref
 
 
-def interning_enabled() -> bool:
-    """Whether term construction currently goes through the intern table."""
-    return _INTERNING
-
-
-def set_interning(enabled: bool) -> bool:
-    """Enable/disable hash consing; returns the previous setting.
-
-    Exists for the E10 ablation benchmark.  Terms built while interning
-    is off are ordinary unshared nodes; they compare structurally equal
-    to interned ones, so correctness is unaffected.
-    """
-    global _INTERNING
-    previous = _INTERNING
-    _INTERNING = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def interning_disabled():
-    """Context manager: build unshared terms for the duration."""
-    previous = set_interning(False)
-    try:
-        yield
-    finally:
-        set_interning(previous)
-
-
 def intern_table_size() -> int:
     """Number of live interned terms — the process's peak-sharing gauge
     reported by the benchmark driver."""
     return len(_TABLE)
-
-
-def clear_intern_table() -> None:
-    """Drop all intern entries (live terms stay valid; future
-    constructions re-intern).  Benchmarks use this between runs."""
-    _TABLE.clear()
 
 
 class Term:
@@ -270,19 +228,17 @@ class Var(Term):
         if not name:
             raise ValueError("variable name must be non-empty")
         key = (cls, name, sort)
-        if _INTERNING:
-            ref = _TABLE.get(key)
-            if ref is not None:
-                cached = ref()
-                if cached is not None:
-                    INTERN_HITS[0] += 1
-                    return cached  # type: ignore[return-value]
+        ref = _TABLE.get(key)
+        if ref is not None:
+            cached = ref()
+            if cached is not None:
+                INTERN_HITS[0] += 1
+                return cached  # type: ignore[return-value]
         self = object.__new__(cls)
         self.name = name
         self.sort = sort
         self._hash = hash(key)
-        if _INTERNING:
-            _intern(key, self)
+        _intern(key, self)
         return self
 
     def __reduce__(self):
@@ -312,31 +268,42 @@ class Var(Term):
         return self.name
 
 
+def _value_type(value: object) -> object:
+    """``type(value)``, except that a tuple's is the tuple of its
+    elements' value types: a literal's identity beyond ``==``."""
+    if type(value) is tuple:
+        return tuple(map(_value_type, value))
+    return type(value)
+
+
 class Lit(Term):
     """A literal value of a parameter sort (Identifier names, Nats, ...).
 
     ``value`` must be hashable; two literals are equal when value, the
     value's type and sort agree (``True``, ``1`` and ``1.0`` compare
-    equal in Python but are three literals).
+    equal in Python but are three literals).  The type of a tuple value
+    is the tuple of its elements' types, nested, so ``("x", True)`` and
+    ``("x", 1)`` are two literals too.
     """
 
     __slots__ = ("value", "sort", "_hash")
 
     def __new__(cls, value: object, sort: Sort) -> "Lit":
-        key = (cls, type(value), value, sort)
-        if _INTERNING:
-            ref = _TABLE.get(key)
-            if ref is not None:
-                cached = ref()
-                if cached is not None:
-                    INTERN_HITS[0] += 1
-                    return cached  # type: ignore[return-value]
+        vtype = type(value)
+        if vtype is tuple:
+            vtype = _value_type(value)
+        key = (cls, vtype, value, sort)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            cached = ref()
+            if cached is not None:
+                INTERN_HITS[0] += 1
+                return cached  # type: ignore[return-value]
         self = object.__new__(cls)
         self.value = value
         self.sort = sort
         self._hash = hash(key)
-        if _INTERNING:
-            _intern(key, self)
+        _intern(key, self)
         return self
 
     def __reduce__(self):
@@ -355,8 +322,8 @@ class Lit(Term):
             return True
         return (
             isinstance(other, Lit)
-            and type(self.value) is type(other.value)
             and self.value == other.value
+            and _value_type(self.value) == _value_type(other.value)
             and self.sort == other.sort
         )
 
@@ -380,18 +347,16 @@ class Err(Term):
 
     def __new__(cls, sort: Sort) -> "Err":
         key = (cls, sort)
-        if _INTERNING:
-            ref = _TABLE.get(key)
-            if ref is not None:
-                cached = ref()
-                if cached is not None:
-                    INTERN_HITS[0] += 1
-                    return cached  # type: ignore[return-value]
+        ref = _TABLE.get(key)
+        if ref is not None:
+            cached = ref()
+            if cached is not None:
+                INTERN_HITS[0] += 1
+                return cached  # type: ignore[return-value]
         self = object.__new__(cls)
         self.sort = sort
         self._hash = hash(key)
-        if _INTERNING:
-            _intern(key, self)
+        _intern(key, self)
         return self
 
     def __reduce__(self):
@@ -431,24 +396,23 @@ class App(Term):
     def __new__(cls, op: Operation, args: Sequence[Term] = ()) -> "App":
         if type(args) is not tuple:
             args = tuple(args)
-        if _INTERNING:
-            # ``(op, *map(id, args))``, spelled out for the common
-            # arities: the generic form costs three times as much.
-            arity = len(args)
-            if arity == 2:
-                key = (op, id(args[0]), id(args[1]))
-            elif arity == 1:
-                key = (op, id(args[0]))
-            elif arity == 0:
-                key = (op,)
-            else:
-                key = (op, *map(id, args))
-            ref = _TABLE.get(key)
-            if ref is not None:
-                cached = ref()
-                if cached is not None:
-                    INTERN_HITS[0] += 1
-                    return cached  # type: ignore[return-value]
+        # ``(op, *map(id, args))``, spelled out for the common arities:
+        # the generic form costs three times as much.
+        arity = len(args)
+        if arity == 2:
+            key = (op, id(args[0]), id(args[1]))
+        elif arity == 1:
+            key = (op, id(args[0]))
+        elif arity == 0:
+            key = (op,)
+        else:
+            key = (op, *map(id, args))
+        ref = _TABLE.get(key)
+        if ref is not None:
+            cached = ref()
+            if cached is not None:
+                INTERN_HITS[0] += 1
+                return cached  # type: ignore[return-value]
         if len(args) != op.arity:
             raise SortError(
                 f"{op.name} expects {op.arity} argument(s), got {len(args)}"
@@ -482,8 +446,7 @@ class App(Term):
         self._depth = depth + 1
         self._ground = ground
         self._haserr = haserr
-        if _INTERNING:
-            _intern(key, self)
+        _intern(key, self)
         return self
 
     def __reduce__(self):
@@ -535,14 +498,13 @@ class Ite(Term):
     )
 
     def __new__(cls, cond: Term, then_branch: Term, else_branch: Term) -> "Ite":
-        if _INTERNING:
-            key = (cls, id(cond), id(then_branch), id(else_branch))
-            ref = _TABLE.get(key)
-            if ref is not None:
-                cached = ref()
-                if cached is not None:
-                    INTERN_HITS[0] += 1
-                    return cached  # type: ignore[return-value]
+        key = (cls, id(cond), id(then_branch), id(else_branch))
+        ref = _TABLE.get(key)
+        if ref is not None:
+            cached = ref()
+            if cached is not None:
+                INTERN_HITS[0] += 1
+                return cached  # type: ignore[return-value]
         if cond.sort is not BOOLEAN and cond.sort != BOOLEAN:
             raise SortError(f"if-condition must be Boolean, got {cond.sort}")
         sort = then_branch.sort
@@ -564,8 +526,7 @@ class Ite(Term):
         self._depth = 1 + max(kid._depth for kid in kids)
         self._ground = all(kid._ground for kid in kids)
         self._haserr = any(kid._haserr for kid in kids)
-        if _INTERNING:
-            _intern(key, self)
+        _intern(key, self)
         return self
 
     def __reduce__(self):

@@ -58,10 +58,8 @@ class SymbolicValue:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolicValue):
             return NotImplemented
-        # Normal forms are hash-consed, so equal values are almost
-        # always the same object; the structural comparison is a
-        # fallback for terms built while interning was disabled.
-        return self.term is other.term or self.term == other.term
+        # Terms are hash-consed: equal values are the same object.
+        return self.term is other.term
 
     def __hash__(self) -> int:
         return hash(self.term)

@@ -99,10 +99,10 @@ class ServeClient:
         self.backoff = backoff
         self.keepalive = keepalive
         self.trace_return = trace_return
-        # An explicit tracer beats the global: in-process tests (and
-        # the smoke script) run client and daemon in one interpreter,
-        # where installing the client's tracer globally would hijack
-        # the daemon's own instrumentation mid-request.
+        # An explicit tracer beats the global: in-process tests run
+        # client and daemon in one interpreter, where installing the
+        # client's tracer globally would hijack the daemon's own
+        # instrumentation mid-request.
         self.tracer = tracer
         self._rng = random.Random(seed)
         self._conn: Optional[http.client.HTTPConnection] = None

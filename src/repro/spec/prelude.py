@@ -57,9 +57,9 @@ BOOLEAN_SPEC = Specification(
 )
 
 
-# The canonical interned TRUE/FALSE nodes.  Hash consing makes the
-# ``term is _TRUE_NODE`` test below decide almost every call; the
-# structural fallback covers terms built while interning was disabled.
+# The canonical interned TRUE/FALSE nodes.  Every constructor interns,
+# so any application of an operation equal to TRUE is this very node and
+# ``term is _TRUE_NODE`` decides is_true.
 _TRUE_NODE = app(TRUE)
 _FALSE_NODE = app(FALSE)
 
@@ -78,15 +78,11 @@ def boolean_term(value: bool) -> App:
 
 
 def is_true(term: Term) -> bool:
-    if term is _TRUE_NODE:
-        return True
-    return isinstance(term, App) and term.op == TRUE
+    return term is _TRUE_NODE
 
 
 def is_false(term: Term) -> bool:
-    if term is _FALSE_NODE:
-        return True
-    return isinstance(term, App) and term.op == FALSE
+    return term is _FALSE_NODE
 
 
 # ----------------------------------------------------------------------

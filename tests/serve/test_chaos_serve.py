@@ -7,7 +7,9 @@ scenario: concurrent mixed healthy/diverging load with injected faults
 and a SIGKILLed shard worker, through which the daemon must keep
 returning per-item Outcomes, shed with structured 429/503, and recover
 ``/readyz`` within the respawn backoff window — never a hung connection
-or a process exit.
+or a process exit.  The headline scenario runs twice: untraced, and
+with every request traced to an OTLP file whose documents must stay
+valid through the storm.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
 from repro.algebra.terms import App
 from repro.obs import metrics as _metrics
+from repro.obs.otlp import check_otlp_file, read_otlp_spans
 from repro.serve import (
     ReproServer,
     ServeClient,
@@ -163,6 +166,23 @@ class TestChaosAcceptance:
                 results.append(("final", diverging, 0, exc))
 
     def test_acceptance(self):
+        self._run_acceptance()
+
+    def test_acceptance_traced(self, tmp_path):
+        # The same storm with every request traced: each exported
+        # document still holds the span-tree invariants, and the
+        # workers' spans reach the export despite the SIGKILL.
+        otlp = tmp_path / "chaos.otlp.jsonl"
+        self._run_acceptance(trace_sample=1.0, otlp_path=str(otlp))
+        documents, problems = check_otlp_file(str(otlp))
+        assert problems == []
+        assert any(
+            span["name"] == "worker.chunk"
+            for document in documents
+            for span in read_otlp_spans(document)
+        ), "no exported trace reached a shard worker"
+
+    def _run_acceptance(self, **server_options):
         registry = _metrics.MetricsRegistry("chaos-acceptance-test")
         with ReproServer(
             [QUEUE_SPEC, CYCLE_SPEC],
@@ -180,6 +200,7 @@ class TestChaosAcceptance:
                 "max_crashes": 20,
             },
             registry=registry,
+            **server_options,
         ) as server:
             host, port = server.address
             plan = {

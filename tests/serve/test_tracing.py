@@ -1,7 +1,7 @@
 """End-to-end tests for traced serving: a client with its own tracer
 talking to a traced daemon (serial sessions and shard workers), OTLP
-export, the JSONL access log, and trace-id exemplars on the latency
-histogram.
+export, the sampling contract (checked by counts), the JSONL access
+log, and trace-id exemplars on the latency histogram.
 
 Client and daemon share this test process, which is exactly why the
 client takes an explicit ``tracer=`` instead of installing one
@@ -31,6 +31,38 @@ def _subjects(count: int) -> list:
     return [
         App(FRONT, (queue_term([f"x{i}", f"y{i}"]),)) for i in range(count)
     ]
+
+
+def _post_keepalive(host: str, port: int, count: int) -> list:
+    """``count`` normalize requests over one keep-alive connection and
+    no ``traceparent``, so the daemon's own sampling credit (which lives
+    with the connection's handler thread) decides each one.  Returns the
+    echoed trace contexts, in request order."""
+    import http.client
+
+    echoed = []
+    conn = http.client.HTTPConnection(host, port, timeout=10.0)
+    try:
+        for i in range(count):
+            conn.request(
+                "POST",
+                "/v1/normalize",
+                body=json.dumps(
+                    {"text": [f"FRONT(ADD(NEW, {i}))"], "spec": "Queue"}
+                ),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            echoed.append(
+                _trace.TraceContext.parse_traceparent(
+                    response.getheader("traceparent")
+                )
+            )
+    finally:
+        conn.close()
+    return echoed
 
 
 def _names(tracer: _trace.Tracer) -> list[str]:
@@ -117,6 +149,49 @@ class TestEndToEnd:
                     conn.close()
             assert server.tracer is not None
             assert server.tracer.events == []
+
+
+class TestSamplingContract:
+    """What a traced daemon records, by count: a muted daemon records
+    nothing; a sampling one exports exactly the requests it sampled."""
+
+    REQUESTS = 25
+
+    def test_muted_daemon_records_and_exports_nothing(self, tmp_path):
+        otlp = tmp_path / "muted.otlp.jsonl"
+        with _server(trace_sample=0.0, otlp_path=str(otlp)) as server:
+            host, port = server.address
+            echoed = _post_keepalive(host, port, self.REQUESTS)
+            assert server.tracer is not None
+            assert server.tracer.events == []
+        assert not any(context.sampled for context in echoed)
+        assert not otlp.exists() or read_otlp_file(str(otlp)) == []
+        histogram = server.registry.snapshot()["histograms"][
+            "serve.request_seconds"
+        ]
+        assert "exemplars" not in histogram
+
+    def test_sampling_daemon_exports_one_document_per_sampled_request(
+        self, tmp_path
+    ):
+        otlp = tmp_path / "sampled.otlp.jsonl"
+        with _server(trace_sample=0.1, otlp_path=str(otlp)) as server:
+            host, port = server.address
+            echoed = _post_keepalive(host, port, self.REQUESTS)
+        sampled = [context for context in echoed if context.sampled]
+        # Running credit, not a random draw: some requests but not all.
+        assert 1 <= len(sampled) < self.REQUESTS
+        docs = read_otlp_file(str(otlp))
+        assert len(docs) == len(sampled)
+        exported = []
+        for doc in docs:
+            assert validate_otlp(doc) == []
+            exported += [
+                span["spanId"]
+                for span in read_otlp_spans(doc)
+                if span["name"] == "serve.request"
+            ]
+        assert exported == [context.span_id for context in sampled]
 
 
 class TestTraceparentNegotiation:

@@ -51,7 +51,7 @@ def test_driver_quick_mode(tmp_path):
     e10 = json.loads((tmp_path / "BENCH_E10.json").read_text())
     assert e10["experiment"] == "E10"
     assert e10["mode"] == "quick"
-    expected_configs = {"full", "codegen", "no-interning"}
+    expected_configs = {"full", "codegen"}
     assert set(e10["configs"]) == expected_configs
     for config in e10["configs"].values():
         for size in map(str, e10["sizes"]):
