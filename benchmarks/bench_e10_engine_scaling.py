@@ -109,15 +109,15 @@ def test_e10_cache_ablation(benchmark):
     import time
 
     def measure():
-        timings = {}
+        timings, engines = {}, {}
         for name, cache in (("cached", 4096), ("uncached", 0)):
-            engine = RewriteEngine(RULES, cache_size=cache)
+            engine = engines[name] = RewriteEngine(RULES, cache_size=cache)
             start = time.perf_counter()
             _drain(engine, 48)
             timings[name] = time.perf_counter() - start
-        return timings
+        return timings, engines
 
-    timings = benchmark(measure)
+    timings, engines = benchmark(measure)
     factor = timings["uncached"] / timings["cached"]
     report(
         "E10: normal-form cache ablation",
@@ -128,8 +128,12 @@ def test_e10_cache_ablation(benchmark):
         ],
     )
     benchmark.extra_info["uncached_over_cached"] = round(factor, 2)
-    # The drain workload re-normalises every prefix: caching must help.
-    assert factor > 1.0
+    # The drain workload re-normalises every prefix: the memo must
+    # answer probes and save rewrite steps.  Counts repeat exactly;
+    # the timing factor above is reported, not asserted.
+    cached, uncached = engines["cached"].stats, engines["uncached"].stats
+    assert cached.cache_hits > 0 and uncached.cache_hits == 0
+    assert cached.steps < uncached.steps
 
 
 def _wide_spec(observers: int):
@@ -154,9 +158,7 @@ def _wide_spec(observers: int):
 @pytest.mark.parametrize("observers", [8, 32, 128])
 def test_e10_completeness_check_scaling(benchmark, observers):
     spec = _wide_spec(observers)
-    result = benchmark(
-        check_sufficient_completeness, spec, None, 0  # no sampling
-    )
+    result = benchmark(check_sufficient_completeness, spec, sample_terms=0)
     assert result.sufficiently_complete
     benchmark.extra_info["observers"] = observers
 

@@ -22,18 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Optional
+from typing import Optional, Union
 
 from repro.algebra.matching import variant_of
 from repro.algebra.terms import Term
 from repro.spec.axioms import Axiom
 from repro.spec.specification import Specification
-from repro.analysis.classify import classify
+from repro.analysis.spec_analysis import SpecAnalysis, run_ground
 from repro.rewriting.completion import CompletionResult, CompletionStatus, complete
-from repro.rewriting.engine import RewriteEngine, RewriteLimitError
-from repro.rewriting.ordering import Precedence
-from repro.rewriting.rules import RuleSet
-from repro.testing.termgen import GroundTermEnumerator, hypothesis, prefix, tighter
+from repro.testing.termgen import hypothesis
+
+#: Knuth-Bendix rounds before completion gives up as inconclusive.
+COMPLETION_ROUNDS = 6
 
 
 class Verdict(Enum):
@@ -68,7 +68,7 @@ class ConsistencyReport:
     completion: Optional[CompletionResult] = None
     ground_witnesses: list[GroundWitness] = field(default_factory=list)
     ground_instances_checked: int = 0
-    ground_undecided: int = 0  # hit a rewrite limit: not checked
+    ground_undecided: int = 0  # out of fuel, or never run: not checked
     #: Every instance up to this total size was checked (None: all were).
     ground_complete_to: Optional[int] = None
 
@@ -116,13 +116,18 @@ def _find_direct_clashes(axioms: tuple[Axiom, ...]) -> list[str]:
 
 
 def check_consistency(
-    spec: Specification,
+    spec: Union[Specification, SpecAnalysis],
     ground_instances: int = 40,
-    completion_rounds: int = 6,
     fuel: int = 50_000,
 ) -> ConsistencyReport:
-    """Run all three consistency detectors on ``spec``."""
-    axioms = spec.all_axioms()
+    """Run all three consistency detectors on ``spec`` (or on the spec
+    of an analysis other checks share).
+
+    The ground confrontation takes an equal share of ``ground_instances``
+    per axiom, and ``fuel`` bounds it as a whole, as it bounds each term
+    completion simplifies."""
+    analysis = SpecAnalysis.of(spec)
+    spec = analysis.spec
     report = ConsistencyReport(spec.name, Verdict.INCONCLUSIVE)
 
     report.direct_clashes = _find_direct_clashes(spec.axioms)
@@ -131,18 +136,30 @@ def check_consistency(
         return report
 
     # Ground confrontation first: cheap, and a witness is decisive.
-    _confront_ground(spec, report, ground_instances, fuel)
+    def confront(axiom: Axiom, sigma, normalize) -> None:
+        lhs, rhs = sigma.apply(axiom.lhs), sigma.apply(axiom.rhs)
+        normal_lhs, normal_rhs = normalize(lhs), normalize(rhs)
+        if normal_lhs != normal_rhs:
+            report.ground_witnesses.append(
+                GroundWitness(axiom, lhs, rhs, normal_lhs, normal_rhs)
+            )
+
+    substitutions = analysis.enumerator.substitutions
+    groups = [(a, substitutions(a.lhs, a.rhs)) for a in spec.axioms]
+    (
+        report.ground_instances_checked,
+        report.ground_undecided,
+        report.ground_complete_to,
+    ) = run_ground(analysis.engine, groups, ground_instances, fuel, confront)
     if report.ground_witnesses:
         report.verdict = Verdict.INCONSISTENT
         return report
 
-    cls = classify(spec)
-    precedence = Precedence.definitional(
-        cls.constructors, cls.defined_operations
-    )
-    ruleset = RuleSet.from_axioms(axioms)
     report.completion = complete(
-        ruleset, precedence, max_rounds=completion_rounds, fuel=fuel
+        analysis.ruleset,
+        analysis.precedence,
+        max_rounds=COMPLETION_ROUNDS,
+        fuel=fuel,
     )
     if report.completion.status is CompletionStatus.INCONSISTENT:
         report.verdict = Verdict.INCONSISTENT
@@ -151,34 +168,3 @@ def check_consistency(
     else:
         report.verdict = Verdict.INCONCLUSIVE
     return report
-
-
-def _confront_ground(
-    spec: Specification, report: ConsistencyReport, instances: int, fuel: int
-) -> None:
-    """Evaluate both sides of each axiom's smallest ground instances,
-    an equal share of ``instances`` per axiom."""
-    if not spec.axioms:
-        return
-    engine = RewriteEngine.for_specification(spec, fuel=fuel)
-    enumerator = GroundTermEnumerator(spec)
-    per_axiom = max(1, instances // len(spec.axioms))
-    for axiom in spec.axioms:
-        taken, complete_to = prefix(
-            enumerator.substitutions(axiom.lhs, axiom.rhs), per_axiom
-        )
-        for size, sigma in taken:
-            lhs, rhs = sigma.apply(axiom.lhs), sigma.apply(axiom.rhs)
-            try:
-                normal_lhs = engine.normalize(lhs)
-                normal_rhs = engine.normalize(rhs)
-            except RewriteLimitError:
-                report.ground_undecided += 1
-                complete_to = tighter(complete_to, size - 1)
-                continue
-            report.ground_instances_checked += 1
-            if normal_lhs != normal_rhs:
-                report.ground_witnesses.append(
-                    GroundWitness(axiom, lhs, rhs, normal_lhs, normal_rhs)
-                )
-        report.ground_complete_to = tighter(report.ground_complete_to, complete_to)

@@ -20,12 +20,12 @@ facts intended, with nothing dead).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.spec.specification import Specification
-from repro.rewriting.engine import RewriteEngine, RewriteLimitError
-from repro.rewriting.rules import RuleSet, rule_from_axiom
-from repro.testing.termgen import GroundTermEnumerator, hypothesis, prefix, tighter
+from repro.analysis.spec_analysis import SpecAnalysis, run_ground
+from repro.rewriting.engine import RewriteEngine
+from repro.testing.termgen import hypothesis
 
 
 @dataclass
@@ -33,7 +33,7 @@ class AxiomCoverageReport:
     spec_name: str
     firing_counts: dict[str, int] = field(default_factory=dict)
     observations_run: int = 0
-    undecided: int = 0  # hit a rewrite limit: not among observations_run
+    undecided: int = 0  # out of fuel, or never run: not among observations_run
     #: Every observation up to this argument size was run (None: all were).
     complete_to: Optional[int] = None
 
@@ -56,42 +56,33 @@ class AxiomCoverageReport:
 
 
 def check_axiom_coverage(
-    spec: Specification,
+    spec: Union[Specification, SpecAnalysis],
     observations: int = 200,
     fuel: int = 100_000,
 ) -> AxiomCoverageReport:
     """Run the smallest ground observations and report per-axiom firing
-    counts.
+    counts for ``spec`` (or for the spec of an analysis other checks
+    share); ``fuel`` bounds the whole run.
 
     Only this level's own axioms are reported (used levels are theirs to
     cover); the rule order is the specification's, so shadowing by an
     earlier axiom shows up exactly as it would in execution.
     """
-    from repro.analysis.classify import classify
-
-    rules = {axiom: rule_from_axiom(axiom) for axiom in spec.all_axioms()}
-    ruleset = RuleSet(rules.values())
-    engine = RewriteEngine(ruleset, fuel=fuel, cache_size=0)
-
-    cls = classify(spec)
-    enumerator = GroundTermEnumerator(spec)
+    analysis = SpecAnalysis.of(spec)
+    spec = analysis.spec
+    # No memo: a memo hit would hide the firings it saves.
+    engine = RewriteEngine(analysis.ruleset, cache_size=0)
     report = AxiomCoverageReport(spec.name)
-    per_operation = max(1, observations // max(1, len(cls.defined_operations)))
-    for operation in cls.defined_operations:
-        taken, complete_to = prefix(enumerator.observations(operation), per_operation)
-        for size, term in taken:
-            try:
-                engine.normalize(term)
-            except RewriteLimitError:
-                report.undecided += 1
-                complete_to = tighter(complete_to, size - 1)
-                continue
-            report.observations_run += 1
-        report.complete_to = tighter(report.complete_to, complete_to)
-
+    report.observations_run, report.undecided, report.complete_to = run_ground(
+        engine,
+        analysis.observations(),
+        observations,
+        fuel,
+        lambda _, term, normalize: normalize(term),
+    )
     for axiom in spec.axioms:
         label = axiom.label or str(axiom)
         report.firing_counts[label] = engine.stats.firing_count(
-            rules[axiom]
+            analysis.rules[axiom]
         )
     return report

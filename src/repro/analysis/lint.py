@@ -3,8 +3,10 @@
 ``lint_specification`` bundles the four analyses a specification author
 wants before trusting a spec — sufficient completeness, consistency,
 definitional-shape checks, and axiom coverage — into a single report
-with a single verdict.  This is what the CLI's ``check`` command and the
-completion session's exit criteria are built from.
+with a single verdict.  It is the only code that runs the checks
+together, on one shared :class:`~repro.analysis.spec_analysis.SpecAnalysis`:
+the CLI's ``check`` command and the daemon's ``/v1/check`` are built
+from it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.spec.axioms import check_definitional
 from repro.spec.specification import Specification
 from repro.analysis.consistency import ConsistencyReport, check_consistency
 from repro.analysis.coverage import AxiomCoverageReport, check_axiom_coverage
+from repro.analysis.spec_analysis import SpecAnalysis
 from repro.analysis.sufficient_completeness import (
     CompletenessReport,
     check_sufficient_completeness,
@@ -72,15 +75,13 @@ class LintReport:
 def lint_specification(
     spec: Specification,
     with_coverage: bool = True,
-    observations: int = 150,
+    sample_terms: int = 60,
 ) -> LintReport:
-    """Run every specification check and combine the verdicts."""
-    completeness = check_sufficient_completeness(spec)
-    consistency = check_consistency(spec)
-    coverage = (
-        check_axiom_coverage(spec, observations=observations)
-        if with_coverage
-        else None
-    )
+    """Run every specification check and combine the verdicts;
+    ``sample_terms`` bounds the completeness sample."""
+    analysis = SpecAnalysis(spec)
+    completeness = check_sufficient_completeness(analysis, sample_terms=sample_terms)
+    consistency = check_consistency(analysis)
+    coverage = check_axiom_coverage(analysis) if with_coverage else None
     shape = check_definitional(spec.axioms)
     return LintReport(spec.name, completeness, consistency, coverage, shape)

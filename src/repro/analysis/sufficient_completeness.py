@@ -29,17 +29,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.algebra.signature import Operation
 from repro.algebra.terms import App, Term, Var
 from repro.spec.axioms import Axiom
 from repro.spec.specification import Specification
-from repro.analysis.classify import Classification, classify
-from repro.rewriting.engine import RewriteEngine
-from repro.rewriting.ordering import Precedence, rule_decreases
-from repro.rewriting.rules import rule_from_axiom
-from repro.testing.termgen import GroundTermEnumerator, hypothesis, prefix, tighter
+from repro.analysis.classify import Classification
+from repro.analysis.spec_analysis import SpecAnalysis, run_ground
+from repro.rewriting.engine import RewriteLimitError
+from repro.testing.termgen import hypothesis
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,7 @@ class CompletenessReport:
     non_decreasing: list[NonDecreasingAxiom] = field(default_factory=list)
     stuck: list[StuckObservation] = field(default_factory=list)
     sampled_observations: int = 0
+    sampled_undecided: int = 0  # never run: the fuel was spent
     #: Every observation up to this argument size was sampled (None: all).
     sampled_complete_to: Optional[int] = None
 
@@ -130,7 +130,11 @@ class CompletenessReport:
             if items:
                 lines.append(f"{group}:")
                 lines.extend(f"  {item}" for item in items)
-        sampled = hypothesis(self.sampled_observations, self.sampled_complete_to)
+        sampled = hypothesis(
+            self.sampled_observations,
+            self.sampled_complete_to,
+            self.sampled_undecided,
+        )
         lines.append(f"(ground observations sampled: {sampled})")
         return "\n".join(lines)
 
@@ -155,9 +159,6 @@ def case_patterns(
         by_position = dict(zip(toi_positions, combo))
         patterns.append(_pattern(operation, by_position))
     return patterns
-
-
-_counter = itertools.count()
 
 
 def _pattern(
@@ -191,13 +192,15 @@ def _covers(axiom: Axiom, pattern: Term) -> bool:
 
 
 def check_sufficient_completeness(
-    spec: Specification,
-    classification: Optional[Classification] = None,
+    spec: Union[Specification, SpecAnalysis],
     sample_terms: int = 60,
     fuel: int = 50_000,
 ) -> CompletenessReport:
-    """Run the full sufficient-completeness check on ``spec``."""
-    cls = classification or classify(spec)
+    """Run the full sufficient-completeness check on ``spec`` (or on the
+    spec of an analysis other checks share); ``fuel`` bounds the whole
+    observation sample."""
+    analysis = SpecAnalysis.of(spec)
+    spec, cls = analysis.spec, analysis.classification
     report = CompletenessReport(spec.name, cls)
 
     # --- static case coverage -----------------------------------------
@@ -213,48 +216,33 @@ def check_sufficient_completeness(
                 )
 
     # --- termination certification --------------------------------------
-    defined = cls.defined_operations
-    precedence = Precedence.definitional(cls.constructors, defined)
-    for axiom in spec.axioms:
-        rule = rule_from_axiom(axiom)
-        if not rule_decreases(rule, precedence):
-            report.non_decreasing.append(NonDecreasingAxiom(axiom))
+    report.non_decreasing = [NonDecreasingAxiom(a) for a in analysis.non_decreasing]
 
     # --- dynamic reduction sampling --------------------------------------
     if report.missing or sample_terms <= 0:
         # Nothing sampled: every observation has size >= 1.
         report.sampled_complete_to = 0
-    else:
-        _sample_observations(spec, cls, report, sample_terms, fuel)
-    return report
+        return report
 
-
-def _sample_observations(
-    spec: Specification,
-    cls: Classification,
-    report: CompletenessReport,
-    sample_terms: int,
-    fuel: int,
-) -> None:
-    engine = RewriteEngine.for_specification(spec, fuel=fuel)
-    enumerator = GroundTermEnumerator(spec)
     toi_ops = set(spec.own_operations())
-    # Take the whole sample first, then evaluate it as one
-    # fault-isolated batch: a diverging observation is reported stuck
-    # without aborting the rest.
-    terms: list[Term] = []
-    per_observer = max(1, sample_terms // max(1, len(cls.defined_operations)))
-    for observer in cls.defined_operations:
-        taken, complete_to = prefix(enumerator.observations(observer), per_observer)
-        terms.extend(term for _, term in taken)
-        report.sampled_complete_to = tighter(report.sampled_complete_to, complete_to)
-    outcomes = engine.normalize_many_outcomes(terms)
-    for term, outcome in zip(terms, outcomes):
-        if not outcome.ok:
+
+    def sample(_, term: Term, normalize) -> None:
+        # A diverging observation is stuck; the rest still run while
+        # fuel is left.
+        try:
+            normal = normalize(term)
+        except RewriteLimitError:
             report.stuck.append(StuckObservation(term, term))
-        elif _mentions(outcome.term, toi_ops, cls):
-            report.stuck.append(StuckObservation(term, outcome.term))
-    report.sampled_observations = len(terms)
+            return
+        if _mentions(normal, toi_ops, cls):
+            report.stuck.append(StuckObservation(term, normal))
+
+    (
+        report.sampled_observations,
+        report.sampled_undecided,
+        report.sampled_complete_to,
+    ) = run_ground(analysis.engine, analysis.observations(), sample_terms, fuel, sample)
+    return report
 
 
 def _mentions(term: Term, toi_ops: set, cls: Classification) -> bool:

@@ -31,11 +31,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis import (
-    check_consistency,
-    check_sufficient_completeness,
-    prompts_for,
-)
+from repro.analysis import lint_specification, prompts_for
 from repro.report import banner, format_specification
 from repro.spec.parser import parse_specifications, parse_term
 from repro.rewriting import BACKENDS, RewriteEngine
@@ -60,23 +56,17 @@ def _dump_metrics(path: Optional[str]) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from repro.analysis import check_axiom_coverage
-
     status = 0
     for spec in _load_specs(args.file):
-        completeness = check_sufficient_completeness(spec)
-        consistency = check_consistency(spec)
+        report = lint_specification(spec, with_coverage=args.coverage)
         print(banner(f"{spec.name}"))
-        print(completeness)
+        print(report.completeness)
         print()
-        print(consistency)
-        if args.coverage:
+        print(report.consistency)
+        if report.coverage is not None:
             print()
-            coverage = check_axiom_coverage(spec)
-            print(coverage)
-            if not coverage.fully_covered:
-                status = 1
-        if not completeness.sufficiently_complete or not consistency.consistent:
+            print(report.coverage)
+        if not report.clean:
             status = 1
     _dump_metrics(args.metrics_out)
     return status

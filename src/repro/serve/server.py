@@ -59,7 +59,7 @@ from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence
 
-from repro.analysis import check_consistency, check_sufficient_completeness
+from repro.analysis import lint_specification
 from repro.analysis.classify import classify
 from repro.obs import metrics as _metrics
 from repro.obs import render_prometheus
@@ -435,10 +435,10 @@ class ReproServer:
                 )
         sample_terms = min(self._int_field(request, "sample_terms", 60), 500)
         with session.lock:
-            completeness = check_sufficient_completeness(
-                session.spec, sample_terms=sample_terms
+            report = lint_specification(
+                session.spec, with_coverage=False, sample_terms=sample_terms
             )
-            consistency = check_consistency(session.spec)
+        completeness, consistency = report.completeness, report.consistency
         return {
             "spec": session.name,
             "sufficiently_complete": completeness.sufficiently_complete,
@@ -449,8 +449,10 @@ class ReproServer:
             "stuck": [str(s) for s in completeness.stuck],
             "sampled_observations": completeness.sampled_observations,
             "sampled_complete_to": completeness.sampled_complete_to,
+            "sampled_undecided": completeness.sampled_undecided,
             "ground_instances_checked": consistency.ground_instances_checked,
             "ground_complete_to": consistency.ground_complete_to,
+            "ground_undecided": consistency.ground_undecided,
         }
 
     def _h_prove(self, request: dict) -> dict:

@@ -87,7 +87,7 @@ class GroundTermEnumerator:
     ``rules`` (default: ``spec``'s axioms) decide which literal sorts are
     taken up to renaming.  Terms of each size are built once, from the
     hash-consed terms of smaller sizes, and kept for the enumerator's
-    life: make one per check.
+    life: make one per check, or per analysis the checks share.
     """
 
     def __init__(self, spec: Specification, rules: Optional[Iterable] = None) -> None:

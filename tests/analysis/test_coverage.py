@@ -64,6 +64,13 @@ class TestDeadAxiomDetection:
         report = check_axiom_coverage(spec)
         assert report.fully_covered, str(report)
 
+    def test_repeated_axiom_flagged(self):
+        # The same equation twice: the second copy is dead, not a
+        # missing rule.
+        repeated = self.SHADOWED.replace("(general) UP?(f)", "(again) UP?(MKF)")
+        report = check_axiom_coverage(parse_specification(repeated))
+        assert report.uncovered == ["dead"]
+
 
 class TestDeterminism:
     def test_repeated_runs_same_counts(self, queue_spec):

@@ -97,14 +97,12 @@ class TestCompleteSpecs:
     def test_zero_sample_terms_samples_nothing(self, queue_spec, monkeypatch):
         # sample_terms=0 is how the heuristics skip sampling: no engine
         # is built and no observation is evaluated.
-        from repro.analysis import sufficient_completeness as module
+        from repro.rewriting.engine import RewriteEngine
 
         def no_engine(*args, **kwargs):
             raise AssertionError("sample_terms=0 built an engine")
 
-        monkeypatch.setattr(
-            module.RewriteEngine, "for_specification", no_engine
-        )
+        monkeypatch.setattr(RewriteEngine, "__init__", no_engine)
         report = check_sufficient_completeness(queue_spec, sample_terms=0)
         assert report.sufficiently_complete
         assert report.sampled_observations == 0

@@ -244,6 +244,8 @@ class TestCheckAndProve:
             reply["ground_instances_checked"],
             reply["ground_complete_to"],
         ) == (21, 5)
+        # Nothing was left unrun or ran out of fuel.
+        assert (reply["sampled_undecided"], reply["ground_undecided"]) == (0, 0)
 
     def test_prove_axiom_consequence(self, served):
         _, client = served
