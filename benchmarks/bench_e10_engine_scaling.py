@@ -55,7 +55,7 @@ def test_e10_backend_ablation(benchmark):
                 RULES, fuel=10_000_000, backend=backend
             )
             if backend == "codegen":
-                engine._codegen_engine()
+                engine.compiled_rules()
             start = time.perf_counter()
             drained = _drain(engine, 64)
             timings[backend] = time.perf_counter() - start

@@ -156,7 +156,7 @@ def _measure_drain(size: int, backend, reps: int):
     for _ in range(reps):
         engine = RewriteEngine(RULES, fuel=10_000_000, backend=backend)
         if backend == "codegen":
-            engine._codegen_engine()  # compile outside the timing
+            engine.compiled_rules()  # compile outside the timing
         gc.collect()  # release the previous rep's interned subject
         base = next(_PAYLOAD_BASE)
         table_before = intern_table_size()
@@ -217,7 +217,7 @@ def _measure_parallel_batch(
         if workers is None:
             engine = RewriteEngine(RULES, fuel=10_000_000, backend=backend)
             if backend == "codegen":
-                engine._codegen_engine()
+                engine.compiled_rules()
             gc.collect()
             start = time.perf_counter()
             results = engine.normalize_many(subjects)
@@ -408,7 +408,7 @@ def run_e7(quick: bool) -> dict:
     # The same script through the generated rule module.
     codegen_facade = facade_class(QUEUE_SPEC, backend="codegen")
     codegen_engine = codegen_facade._interpreter.engine
-    codegen_engine._codegen_engine()  # compile the module outside the timing
+    codegen_engine.compiled_rules()  # compile the module outside the timing
     substrate_before = substrate_counters()
     start = time.perf_counter()
     for _ in range(reps):

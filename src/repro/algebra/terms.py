@@ -269,11 +269,17 @@ class Var(Term):
 
 
 def _value_type(value: object) -> object:
-    """``type(value)``, except that a tuple's is the tuple of its
-    elements' value types: a literal's identity beyond ``==``."""
-    if type(value) is tuple:
-        return tuple(map(_value_type, value))
-    return type(value)
+    """A literal's identity beyond ``==``: ``type(value)``, except that
+    a tuple's is the tuple of its elements' value types (tagged with the
+    class for a tuple subclass such as a namedtuple), and a frozenset's
+    pairs each element with its value type."""
+    vtype = type(value)
+    if isinstance(value, tuple):
+        elements = tuple(map(_value_type, value))
+        return elements if vtype is tuple else (vtype, elements)
+    if isinstance(value, frozenset):
+        return (vtype, frozenset((v, _value_type(v)) for v in value))
+    return vtype
 
 
 class Lit(Term):
@@ -281,16 +287,17 @@ class Lit(Term):
 
     ``value`` must be hashable; two literals are equal when value, the
     value's type and sort agree (``True``, ``1`` and ``1.0`` compare
-    equal in Python but are three literals).  The type of a tuple value
-    is the tuple of its elements' types, nested, so ``("x", True)`` and
-    ``("x", 1)`` are two literals too.
+    equal in Python but are three literals).  Element types count inside
+    tuples, tuple subclasses and frozensets, nested, so ``("x", True)``
+    and ``("x", 1)`` are two literals, and so are ``frozenset({True})``
+    and ``frozenset({1})``.
     """
 
     __slots__ = ("value", "sort", "_hash")
 
     def __new__(cls, value: object, sort: Sort) -> "Lit":
         vtype = type(value)
-        if vtype is tuple:
+        if isinstance(value, (tuple, frozenset)):
             vtype = _value_type(value)
         key = (cls, vtype, value, sort)
         ref = _TABLE.get(key)

@@ -44,9 +44,6 @@ class Classification:
         """Extensions and observers: everything axioms must cover."""
         return self.extensions + self.observers
 
-    def is_constructor(self, operation: Operation) -> bool:
-        return operation in self.constructors
-
     def recursive_argument_positions(self, operation: Operation) -> tuple[int, ...]:
         """Indices of ``operation``'s arguments of the type of interest.
 

@@ -152,14 +152,7 @@ class CompletionSession:
                     step.answered.append(answer)
             if not step.answered:
                 break
-            current = Specification(
-                current.name,
-                current.signature,
-                current.type_of_interest,
-                tuple(current.axioms) + tuple(step.answered),
-                current.uses,
-                current.parameter_sorts,
-            )
+            current = current.enriched(current.name, axioms=step.answered)
         return current
 
     @property

@@ -696,7 +696,7 @@ def _worker_engine(key: str) -> RewriteEngine:
             budget=wire.decode_budget(spec["budget"]),
         )
         if spec["backend"] != "interpreted":
-            engine._codegen_engine()  # generate the module now
+            engine.compiled_rules()  # generate the module now
         _WORKER_ENGINES[key] = engine
     return engine
 

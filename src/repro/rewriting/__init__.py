@@ -9,8 +9,8 @@ from repro.rewriting.engine import (
     RewriteLimitError,
 )
 from repro.rewriting.codegen import (
-    CodegenEngine,
     CodegenModule,
+    CodegenRules,
     codegen_module,
 )
 from repro.rewriting.ordering import (
@@ -38,8 +38,8 @@ __all__ = [
     "RuleSet",
     "rule_from_axiom",
     "BACKENDS",
-    "CodegenEngine",
     "CodegenModule",
+    "CodegenRules",
     "codegen_module",
     "DEFAULT_FUEL",
     "EngineStats",

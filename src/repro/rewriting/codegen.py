@@ -34,30 +34,21 @@ operation:
   on the iterative interpreted machine, so deep rewrite chains degrade
   gracefully instead of hitting Python's recursion limit.
 
-* **Ground-RHS folding.**  A ground right-hand-side (sub)term has a
-  unique normal form fixed at compile time (the rule sets are confluent
-  and terminating on ground terms), so the compiler normalises it *once*
-  and emits the result as a constant.  To keep the interpreted engine's
-  observable accounting — per-rule firing counts, fuel, memo contents —
-  bit-for-bit identical, the emission *replays* the evaluation: one
-  memo-guarded block per folded node that spends the recorded fuel,
-  bumps the recorded firing counters on a miss, and stores the normal
-  form exactly where the runtime evaluation would have.
-
 Operations whose patterns the compiler cannot fold into tests (an
-``Ite`` inside a left-hand side) run on the interpreted engine; so do
-builtin steps that return whole terms.  The engine-facing wrapper is
-:class:`CodegenEngine`; it enforces :class:`~repro.runtime.EvaluationBudget`
-through the same shared ``BudgetMeter`` cell as the interpreted engine,
-and the differential suites hold both to the same normal forms, firing
-counts and fuel.
+``Ite`` inside a left-hand side) run on the owning engine's interpreted
+machine; so do builtin steps that return whole terms.  A module is not
+an engine: :class:`CodegenModule.instantiate` gives one
+:class:`~repro.rewriting.engine.RewriteEngine` its live
+:class:`CodegenRules` (counters, memos, and the small driver that walks
+a subject down to the generated functions), and the engine wraps every
+evaluation in the same budget meter, limit mapping and accounting on
+both backends.  The differential suites hold the two backends to the
+same normal forms, firing counts and fuel.
 """
 
 from __future__ import annotations
 
 import threading
-from time import perf_counter
-from typing import Iterable, Optional
 
 from repro.algebra.signature import Operation
 from repro.algebra.sorts import BOOLEAN, Sort
@@ -65,16 +56,9 @@ from repro.algebra.substitution import apply_bindings
 from repro.algebra.terms import App, Err, Ite, Lit, Term, Var
 from repro.spec.errors import AlgebraError
 from repro.spec.prelude import boolean_term, is_false, is_true
-from repro.rewriting.engine import (
-    DEFAULT_FUEL,
-    EngineStats,
-    RewriteEngine,
-    RewriteLimitError,
-)
 from repro.rewriting.rules import RewriteRule, RuleSet
 from repro.runtime import faults as _faults
-from repro.runtime.budget import BudgetExceeded, BudgetMeter, EvaluationBudget
-from repro.runtime.render import summarize_term
+from repro.runtime.budget import BudgetMeter
 from repro.obs import trace as _trace
 
 #: Nested generated-function calls allowed before falling back to the iterative
@@ -83,13 +67,8 @@ from repro.obs import trace as _trace
 #: driver's own frames.
 _DEPTH_LIMIT = 400
 
-#: Fuel allowed for one compile-time fold normalisation.  A ground RHS
-#: needing more than this is left to runtime evaluation (folding is an
-#: optimisation, never an obligation).
-_FOLD_FUEL = 50_000
-
-#: Bound on remembered top-level normal forms in the engine's NF set
-#: (the driver's "skip the argument walk" fast path).
+#: Bound on remembered top-level normal forms in the driver's NF set
+#: (its "skip the argument walk" fast path).
 _NF_LIMIT = 16384
 
 #: Bound on cached generated modules (keyed by rule-set fingerprint).
@@ -108,20 +87,11 @@ class _Uncompilable(Exception):
     """A rule pattern the decision-tree compiler cannot handle."""
 
 
-def _rt_unbound(*_args):  # pragma: no cover - defensive default
-    raise RuntimeError(
-        "generated rules need an interpreter hook: use CodegenEngine, "
-        "or set ns['RT_TERM'] / ns['RT_APP'] before calling functions"
-    )
-
-
 class _Compiler:
     """Emits the rule module (see the module docstring): one plain
-    memoised function per operation, with decision-tree dispatch and
-    ground-RHS folding."""
+    memoised function per operation, with decision-tree dispatch."""
 
     def __init__(self, rules: RuleSet, cache_on: bool) -> None:
-        self.ruleset = rules
         self.rules = list(rules)
         self.cache_on = cache_on
         self.lines: list[str] = []
@@ -152,11 +122,6 @@ class _Compiler:
                 for _, node in rule.lhs.subterms()
             ):
                 self.uncompiled.add(rule.head.name)
-        self._scratch: Optional[RewriteEngine] = None
-        self._fold_plans: dict = {}
-        self._rule_gidx: dict = {}
-        for gidx, rule in enumerate(self.rules):
-            self._rule_gidx.setdefault(rule, gidx)
 
     # -- bookkeeping ---------------------------------------------------
     def _note_op(self, op: Operation) -> None:
@@ -257,14 +222,6 @@ class _Compiler:
             return "a0"
         return "(" + ", ".join(f"a{i}" for i in range(arity)) + ")"
 
-    def _key_const(self, k: int, child_nfs: tuple) -> str:
-        """The compile-time constant matching :meth:`_key_expr`."""
-        if not child_nfs:
-            return "()"
-        if len(child_nfs) == 1:
-            return self.const(child_nfs[0], "K")
-        return self.const(child_nfs, "KT")
-
     def _store_lines(self, k: int, key: str, value: str, ind: str) -> None:
         """One memo store.  ``CN`` counts stores into every ``C{k}``
         since the last ``CLEAR()``, so the memos' summed size never
@@ -282,7 +239,7 @@ class _Compiler:
         L.append(f"{ind}ST[5] += 1")
         L.append(f"{ind}return {self.err_const(err_sort)}")
 
-    # -- RHS generation (per-arg calls, error style, folding) -----------
+    # -- RHS generation (per-arg calls, error style) -------------------
     def _gen(self, t: Term, env, ind: str, err_sort):
         L = self.lines
         if isinstance(t, Var):
@@ -294,10 +251,6 @@ class _Compiler:
         if isinstance(t, App):
             if self._inert(t):
                 return self.const(t, "K"), False
-            if t._ground:
-                folded = self._emit_fold(t, ind)
-                if folded is not None:
-                    return folded, False
             parts = []
             for sub in t.args:
                 ex, may_err = self._gen(sub, env, ind, err_sort)
@@ -346,127 +299,6 @@ class _Compiler:
             f"{ind}    {tv} = Ite({tc}, AB({tt}, {{{bd}}}), AB({te}, {{{bd}}}))"
         )
         return tv, me1 or me2
-
-    # -- ground-RHS folding ---------------------------------------------
-    def _scratch_normalize(self, subject: Term):
-        """Normalise ``subject`` at compile time on a private interpreted
-        engine (memo off, traces and fault injection masked), returning
-        ``(nf, rule_steps, builtin_steps, firings)`` or ``None``."""
-        eng = self._scratch
-        if eng is None:
-            eng = self._scratch = RewriteEngine(
-                self.ruleset, fuel=_FOLD_FUEL, cache_size=0
-            )
-        trace_save, _trace.ACTIVE = _trace.ACTIVE, None
-        fault_save, _faults.ACTIVE = _faults.ACTIVE, None
-        try:
-            stats = eng.stats
-            builtin_before = stats.s_builtin[0]
-            fires_before = dict(stats.firings.counts)
-            try:
-                nf = eng.normalize(subject)
-            except RewriteLimitError:
-                return None
-            except Exception:  # fault-boundary: folding is best-effort; any failure means "leave the rule unfolded"
-                return None
-            fires: dict = {}
-            for rule, count in stats.firings.counts.items():
-                delta = count - fires_before.get(rule, 0)
-                if delta:
-                    fires[rule] = delta
-            builtins = stats.s_builtin[0] - builtin_before
-            return nf, sum(fires.values()), builtins, fires
-        finally:
-            _trace.ACTIVE = trace_save
-            _faults.ACTIVE = fault_save
-
-    def _fold_plan(self, t: Term):
-        """The replay plan for ground term ``t``: a list of per-node
-        entries in evaluation (post-)order plus the overall normal form,
-        or ``None`` when folding is not provably accounting-equivalent
-        (conditionals, error results, uncompiled operations)."""
-        entries: list = []
-
-        def walk(node: Term) -> Optional[Term]:
-            if isinstance(node, Lit):
-                return node
-            if not isinstance(node, App):
-                return None  # Err leaves and Ite nodes abort the fold
-            child_nfs = []
-            for sub in node.args:
-                nf = walk(sub)
-                if nf is None or isinstance(nf, Err):
-                    return None
-                child_nfs.append(nf)
-            op = node.op
-            if op.name not in self.rule_heads and op.builtin is None:
-                return App(op, tuple(child_nfs))  # free constructor
-            if op.name in self.uncompiled or op.name not in self.op_index:
-                return None
-            result = self._scratch_normalize(App(op, tuple(child_nfs)))
-            if result is None:
-                return None
-            nf, rule_steps, builtin_steps, fires = result
-            if isinstance(nf, (Err, Ite)):
-                return None
-            entries.append(
-                (
-                    self.op_index[op.name],
-                    tuple(child_nfs),
-                    nf,
-                    rule_steps,
-                    builtin_steps,
-                    fires,
-                )
-            )
-            return nf
-
-        top = walk(t)
-        if top is None or not entries:
-            return None
-        return entries, top
-
-    def _emit_fold(self, t: Term, ind: str) -> Optional[str]:
-        """Fold ground ``t`` to its compile-time normal form, emitting
-        the accounting replay (probe, fuel, firings, store — exactly the
-        functions' observable footprint); the returned expression is the
-        normal form constant.  ``None`` means "emit generically"."""
-        if t in self._fold_plans:
-            plan = self._fold_plans[t]
-        else:
-            plan = self._fold_plans[t] = self._fold_plan(t)
-        if plan is None:
-            return None
-        entries, top = plan
-        L = self.lines
-        for k, child_nfs, nf, rule_steps, builtin_steps, fires in entries:
-            key = self._key_const(k, child_nfs)
-            value = self.const(nf, "K")
-            body = ind
-            if self.cache_on:
-                L.append(f"{ind}ST[4] += 1")
-                L.append(f"{ind}if {key} in C{k}:")
-                L.append(f"{ind}    ST[3] += 1")
-                L.append(f"{ind}else:")
-                body = ind + "    "
-            fuel = rule_steps + builtin_steps
-            if fuel:
-                L.append(f"{body}b[0] -= {fuel}")
-                L.append(f"{body}if b[0] < 0:")
-                L.append(f"{body}    raise LimitHit")
-            if rule_steps:
-                L.append(f"{body}ST[0] += {rule_steps}; ST[1] += {rule_steps}")
-            if builtin_steps:
-                L.append(f"{body}ST[2] += {builtin_steps}")
-            for rule, count in fires.items():
-                gidx = self._rule_gidx.get(rule)
-                if gidx is not None:
-                    L.append(f"{body}RF[{gidx}] += {count}")
-            if self.cache_on:
-                self._store_lines(k, key, value, body)
-            elif not fuel and not rule_steps and not builtin_steps:
-                L.append(f"{body}pass")
-        return self.const(top, "K")
 
     # -- per-operation emission -----------------------------------------
     def _emit_finish(self, k: int, ind: str) -> None:
@@ -715,35 +547,188 @@ class CodegenModule:
         self.memo_names = memo_names
         self.fingerprint = fingerprint
 
-    def instantiate(self, cache_size: int) -> "CodegenRules":
+    def instantiate(self, cache_size: int, stats, interpret) -> "CodegenRules":
+        """Execute the cached code with fresh counters and memo dicts.
+        ``interpret(term, meter)`` is the owning engine's interpreter:
+        the generated functions call it for builtins that return whole
+        terms and for uncompiled operations, and the driver for depth
+        fallbacks.  ``stats`` is the owning engine's ``EngineStats``."""
         ns = dict(self.base_ns)
-        st = [0, 0, 0, 0, 0, 0]
-        rf = [0] * len(self.rules)
-        memos = {name: {} for name in self.memo_names}
-        ns.update(memos)
-        ns["ST"] = st
-        ns["RF"] = rf
+        ns.update((name, {}) for name in self.memo_names)
+        ns["ST"] = [0, 0, 0, 0, 0, 0]
+        ns["RF"] = [0] * len(self.rules)
         ns["CMAX"] = max(cache_size, 1)
         ns["CN"] = 0
-        ns["RT_TERM"] = _rt_unbound
-        ns["RT_APP"] = _rt_unbound
+        ns["RT_TERM"] = interpret
+        ns["RT_APP"] = lambda op, args, b: interpret(App(op, args), b)
         exec(self.code, ns)
-        fns = {name: ns[f"op_{k}"] for name, k in self.compiled_names}
-        return CodegenRules(self, ns, st, rf, fns, memos)
+        return CodegenRules(self, ns, stats, interpret)
 
 
 class CodegenRules:
-    """One engine's live instantiation of a :class:`CodegenModule`."""
+    """One engine's instantiated rule module and the small driver that
+    runs it.
 
-    __slots__ = ("module", "ns", "st", "rf", "fns", "memos")
+    The driver is an iterative machine like the interpreted engine's,
+    minus the root and instantiation frames (that work lives in the
+    generated functions): it walks the subject bottom-up, propagates
+    errors strictly, resolves conditionals lazily, and hands every
+    argument-normal application to its function.  Operations without a
+    function are either free constructors (already normal) or go to the
+    owning engine's interpreter, as do nodes whose function signals
+    :class:`_DeepRecursion` (the abandoned attempt's fuel stays spent,
+    so the budget over-counts, never under-counts, such steps).
 
-    def __init__(self, module, ns, st, rf, fns, memos):
+    A normal-form set remembers the results of earlier evaluations by
+    identity, so drains that feed one call's result into the next skip
+    the argument re-walk entirely."""
+
+    __slots__ = (
+        "module",
+        "ns",
+        "st",
+        "rf",
+        "fns",
+        "memos",
+        "stats",
+        "_interpret",
+        "_nf",
+    )
+
+    def __init__(self, module, ns, stats, interpret):
         self.module = module
         self.ns = ns
-        self.st = st
-        self.rf = rf
-        self.fns = fns
-        self.memos = memos
+        self.st = ns["ST"]
+        self.rf = ns["RF"]
+        self.fns = {name: ns[f"op_{k}"] for name, k in module.compiled_names}
+        self.memos = {name: ns[name] for name in module.memo_names}
+        self.stats = stats
+        self._interpret = interpret
+        self._nf: set = set()
+
+    def evaluate(self, term: Term, meter: BudgetMeter) -> Term:
+        """The normal form of ``term`` under ``meter``.  Counter deltas
+        reach the engine stats whether or not evaluation completes;
+        running out of fuel inside a generated function raises
+        :class:`_LimitHit`."""
+        st0 = tuple(self.st)
+        rf0 = list(self.rf)
+        try:
+            result = self._eval(term, meter)
+        finally:
+            self._sync(st0, rf0)
+        if type(result) is App and result._ground:
+            nf = self._nf
+            if len(nf) >= _NF_LIMIT:
+                nf.clear()
+            nf.add(result)
+        return result
+
+    def clear(self) -> None:
+        """Empty the memos and the normal-form set."""
+        self.ns["CLEAR"]()
+        self._nf.clear()
+
+    def _sync(self, st0, rf0) -> None:
+        """Fold the generated module's flat counter deltas into the
+        engine stats.  ``ST[1]`` (rule firings) is not synced: the total
+        is derived from the per-rule family, so there is one count to
+        trust."""
+        st = self.st
+        stats = self.stats
+        stats.s_steps[0] += st[0] - st0[0]
+        stats.s_builtin[0] += st[2] - st0[2]
+        stats.s_hits[0] += st[3] - st0[3]
+        stats.s_probes[0] += st[4] - st0[4]
+        stats.s_errprop[0] += st[5] - st0[5]
+        rf = self.rf
+        if rf != rf0:
+            counts = stats.firings.counts
+            deltas: dict = {}
+            for i, rule in enumerate(self.module.rules):
+                delta = rf[i] - rf0[i]
+                if delta:
+                    counts[rule] = counts.get(rule, 0) + delta
+                    deltas[rule] = delta
+            tracer = _trace.ACTIVE
+            if tracer is not None and deltas:
+                # Generated functions count firings in flat lists (no
+                # per-step events on the hot path); emit one aggregated
+                # event so traces stay count-exact across backends.
+                tracer.firings(deltas)
+
+    def _eval(self, term: Term, budget: BudgetMeter) -> Term:
+        s_errprop = self.stats.s_errprop
+        nf = self._nf
+        stack: list = [(0, term)]
+        result: Term = term
+        while stack:
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == 0:  # evaluate frame[1]
+                t = frame[1]
+                if isinstance(t, App):
+                    if t in nf:
+                        result = t
+                        continue
+                    if t.args:
+                        stack.append((1, t, [], 1))
+                        stack.append((0, t.args[0]))
+                    else:
+                        result = self._root(t.op, (), budget)
+                elif isinstance(t, Ite):
+                    stack.append((2, t))
+                    stack.append((0, t.cond))
+                else:
+                    result = t  # Var, Lit, Err: already normal
+            elif tag == 1:  # collect one evaluated argument
+                _, t, done, nxt = frame
+                value = result
+                if isinstance(value, Err):
+                    s_errprop[0] += 1
+                    result = Err(t.sort)
+                    continue
+                done.append(value)
+                if nxt < len(t.args):
+                    stack.append((1, t, done, nxt + 1))
+                    stack.append((0, t.args[nxt]))
+                else:
+                    result = self._root(t.op, tuple(done), budget)
+            else:  # tag == 2: conditional, condition evaluated
+                t = frame[1]
+                cond = result
+                if isinstance(cond, Err):
+                    s_errprop[0] += 1
+                    result = Err(t.sort)
+                elif is_true(cond):
+                    stack.append((0, t.then_branch))
+                elif is_false(cond):
+                    stack.append((0, t.else_branch))
+                elif cond is t.cond:
+                    result = t
+                else:
+                    result = Ite(cond, t.then_branch, t.else_branch)
+        return result
+
+    def _root(self, op: Operation, args: tuple, budget: BudgetMeter) -> Term:
+        if _faults.ACTIVE is not None:
+            _faults.ACTIVE.visit("compiled.root", op)
+        budget.tick()
+        fn = self.fns.get(op.name)
+        if fn is not None:
+            try:
+                return fn(*args, budget, 0)
+            except _DeepRecursion:
+                if _faults.ACTIVE is not None:
+                    _faults.ACTIVE.visit("compiled.fallback", op)
+                self.stats.record_fallback("codegen_depth")
+                return self._interpret(App(op, args), budget)
+        if op.name in self.module.uncompiled or (
+            op.builtin is not None
+            and all(isinstance(a, Lit) for a in args)
+        ):
+            return self._interpret(App(op, args), budget)
+        return App(op, args)  # free constructor: already normal
 
 
 #: Cache of generated modules, keyed by rule-set fingerprint + options.
@@ -772,246 +757,3 @@ def codegen_module(rules: RuleSet, cache_on: bool = True) -> CodegenModule:
             _MODULE_CACHE.setdefault(key, module)
             module = _MODULE_CACHE[key]
     return module
-
-
-class CodegenEngine:
-    """Normalisation through an emitted rule module.
-
-    The outer driver is a small iterative machine (like the interpreted
-    engine's, minus the root/instantiation frames — that work lives in
-    the generated functions): it walks the subject bottom-up, propagates
-    errors strictly, resolves conditionals lazily, and hands every
-    argument-normal application to its function.  Operations without a
-    function are either free constructors (already normal) or fall back
-    to the shared interpreted engine — as do functions that signal
-    :class:`_DeepRecursion` (the abandoned attempt's fuel stays spent,
-    so the budget over-counts, never under-counts, such steps).
-
-    A normal-form set remembers the results of earlier ``normalize``
-    calls by identity, so drains that feed one call's result into the
-    next skip the argument re-walk entirely."""
-
-    def __init__(
-        self,
-        rules: RuleSet,
-        fuel: int = DEFAULT_FUEL,
-        cache_size: int = 4096,
-        stats: Optional[EngineStats] = None,
-        budget: Optional[EvaluationBudget] = None,
-    ) -> None:
-        if budget is None:
-            budget = EvaluationBudget(fuel=fuel)
-        elif budget.max_memo_entries is not None:
-            cache_size = min(cache_size, budget.max_memo_entries)
-        self.rules = rules
-        self.rule_count = len(rules)
-        self.fuel = budget.fuel
-        self.budget = budget
-        self.cache_size = cache_size
-        self.stats = stats if stats is not None else EngineStats()
-        self._interp = RewriteEngine(rules, fuel=fuel, cache_size=cache_size)
-        self._interp.stats = self.stats
-        module = codegen_module(rules, cache_on=cache_size > 0)
-        self.module = module
-        inst = module.instantiate(cache_size)
-        self.inst = inst
-        inst.ns["RT_TERM"] = self._rt_term
-        inst.ns["RT_APP"] = self._rt_app
-        self._fns = inst.fns
-        self._uncompiled = module.uncompiled
-        self._nf: set = set()
-
-    @property
-    def source(self) -> str:
-        """The generated module, for inspection."""
-        return self.module.source
-
-    def _rt_term(self, term: Term, budget) -> Term:
-        return self._interp._eval(term, budget)
-
-    def _rt_app(self, op: Operation, args: tuple, budget) -> Term:
-        return self._interp._eval(App(op, args), budget)
-
-    # ------------------------------------------------------------------
-    def normalize(
-        self, term: Term, budget: Optional[EvaluationBudget] = None
-    ) -> Term:
-        tracer = _trace.ACTIVE
-        if tracer is None or tracer.never:
-            # ``never`` guards the eager summarize_term below: a muted
-            # tracer must not pay for span attributes it will drop.
-            return self._normalize_codegen(term, budget)
-        with tracer.span(
-            "engine.normalize",
-            backend="codegen",
-            subject=summarize_term(term),
-        ):
-            return self._normalize_codegen(term, budget)
-
-    def _normalize_codegen(
-        self, term: Term, budget: Optional[EvaluationBudget]
-    ) -> Term:
-        bud = budget if budget is not None else self.budget.with_fuel(self.fuel)
-        meter = bud.start()
-        st = self.inst.st
-        rf = self.inst.rf
-        st0 = tuple(st)
-        rf0 = list(rf)
-        started = perf_counter()
-        try:
-            result = self._eval(term, meter)
-            if type(result) is App and result._ground:
-                nf = self._nf
-                if len(nf) >= _NF_LIMIT:
-                    nf.clear()
-                nf.add(result)
-            return result
-        except _LimitHit:
-            # Generated functions spend fuel without the meter seeing
-            # subjects, so the diagnosis draws on whatever the interpreted
-            # fallback recorded (a cycle blows the depth limit long
-            # before the fuel runs out, so the cycling tail is there).
-            exc = meter.exhausted()
-            raise RewriteLimitError(
-                term,
-                bud.fuel,
-                reason=exc.reason,
-                trace=exc.trace,
-                detail=exc.detail,
-            ) from None
-        except BudgetExceeded as exc:
-            raise RewriteLimitError(
-                term,
-                bud.fuel,
-                reason=exc.reason,
-                trace=exc.trace,
-                detail=exc.detail,
-            ) from None
-        except RewriteLimitError as exc:
-            raise RewriteLimitError(
-                term,
-                bud.fuel,
-                reason=exc.reason,
-                trace=exc.trace,
-                detail=exc.detail,
-            ) from None
-        finally:
-            self._sync(st0, rf0)
-            stats = self.stats
-            stats.latency.observe(perf_counter() - started)
-            spent = bud.fuel - meter[0]
-            if spent > 0:
-                stats.s_fuel[0] += spent
-            stats.fuel_hist.observe(spent if spent > 0 else 0)
-
-    def normalize_many(
-        self, terms: Iterable[Term], budget: Optional[EvaluationBudget] = None
-    ) -> list[Term]:
-        return [self.normalize(term, budget) for term in terms]
-
-    def clear_cache(self) -> None:
-        self.inst.ns["CLEAR"]()
-        self._nf.clear()
-        self._interp._cache.clear()
-
-    def _sync(self, st0, rf0) -> None:
-        """Fold the generated module's flat counter deltas into the
-        engine stats.  ``ST[1]`` (rule firings) is not synced: the total
-        is derived from the per-rule family, so there is one count to
-        trust."""
-        st = self.inst.st
-        stats = self.stats
-        stats.s_steps[0] += st[0] - st0[0]
-        stats.s_builtin[0] += st[2] - st0[2]
-        stats.s_hits[0] += st[3] - st0[3]
-        stats.s_probes[0] += st[4] - st0[4]
-        stats.s_errprop[0] += st[5] - st0[5]
-        rf = self.inst.rf
-        if rf != rf0:
-            counts = stats.firings.counts
-            deltas: dict = {}
-            for i, rule in enumerate(self.module.rules):
-                delta = rf[i] - rf0[i]
-                if delta:
-                    counts[rule] = counts.get(rule, 0) + delta
-                    deltas[rule] = delta
-            tracer = _trace.ACTIVE
-            if tracer is not None and deltas:
-                # Generated functions count firings in flat lists (no
-                # per-step events on the hot path); emit one aggregated
-                # event so traces stay count-exact across backends.
-                tracer.firings(deltas)
-
-    def _eval(self, term: Term, budget) -> Term:
-        stats = self.stats
-        nf = self._nf
-        stack: list = [(0, term)]
-        result: Term = term
-        while stack:
-            frame = stack.pop()
-            tag = frame[0]
-            if tag == 0:  # evaluate frame[1]
-                t = frame[1]
-                if isinstance(t, App):
-                    if t in nf:
-                        result = t
-                        continue
-                    if t.args:
-                        stack.append((1, t, [], 1))
-                        stack.append((0, t.args[0]))
-                    else:
-                        result = self._root(t.op, (), budget)
-                elif isinstance(t, Ite):
-                    stack.append((2, t))
-                    stack.append((0, t.cond))
-                else:
-                    result = t  # Var, Lit, Err: already normal
-            elif tag == 1:  # collect one evaluated argument
-                _, t, done, nxt = frame
-                value = result
-                if isinstance(value, Err):
-                    stats.error_propagations += 1
-                    result = Err(t.sort)
-                    continue
-                done.append(value)
-                if nxt < len(t.args):
-                    stack.append((1, t, done, nxt + 1))
-                    stack.append((0, t.args[nxt]))
-                else:
-                    result = self._root(t.op, tuple(done), budget)
-            else:  # tag == 2: conditional, condition evaluated
-                t = frame[1]
-                cond = result
-                if isinstance(cond, Err):
-                    stats.error_propagations += 1
-                    result = Err(t.sort)
-                elif is_true(cond):
-                    stack.append((0, t.then_branch))
-                elif is_false(cond):
-                    stack.append((0, t.else_branch))
-                elif cond is t.cond:
-                    result = t
-                else:
-                    result = Ite(cond, t.then_branch, t.else_branch)
-        return result
-
-    def _root(self, op: Operation, args: tuple, budget: BudgetMeter) -> Term:
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.visit("compiled.root", op)
-        budget.tick()
-        fn = self._fns.get(op.name)
-        if fn is not None:
-            try:
-                return fn(*args, budget, 0)
-            except _DeepRecursion:
-                if _faults.ACTIVE is not None:
-                    _faults.ACTIVE.visit("compiled.fallback", op)
-                self.stats.record_fallback("codegen_depth")
-                return self._interp._eval(App(op, args), budget)
-        if op.name in self._uncompiled or (
-            op.builtin is not None
-            and all(isinstance(a, Lit) for a in args)
-        ):
-            return self._interp._eval(App(op, args), budget)
-        return App(op, args)  # free constructor: already normal
-

@@ -23,7 +23,7 @@ interpreter recursion limit — a 50k-deep queue drains without touching
 relation: the default ``"interpreted"`` backend walks rules generically
 and is the reference, while ``"codegen"`` (see
 :mod:`repro.rewriting.codegen`) runs a Python module generated from the
-rule set.
+rule set.  Either way there is one engine object per rule set.
 
 Evaluation runs under an :class:`~repro.runtime.EvaluationBudget` —
 fuel (rewrite steps), an optional wall-clock deadline, and memory caps
@@ -52,6 +52,7 @@ from repro.spec.axioms import Axiom
 from repro.spec.errors import AlgebraError
 from repro.spec.prelude import boolean_term, is_false, is_true
 from repro.spec.specification import Specification
+from repro.rewriting.codegen import CodegenRules, _LimitHit, codegen_module
 from repro.rewriting.rules import RuleSet
 from repro.runtime import faults as _faults
 from repro.runtime.budget import (
@@ -221,12 +222,12 @@ class EngineStats:
             "engine.outcomes", "resilient evaluations by outcome status"
         )
         self.latency = registry.histogram(
-            "engine.eval_seconds", help="normalize() wall-clock seconds"
+            "engine.eval_seconds", help="wall-clock seconds per evaluation"
         )
         self.fuel_hist = registry.histogram(
             "engine.fuel_per_eval",
             bounds=_metrics.FUEL_BUCKETS,
-            help="fuel consumed per normalize() call",
+            help="fuel consumed per evaluation",
         )
 
     # -- compat attribute API (the old dataclass fields) ----------------
@@ -369,12 +370,14 @@ class RewriteEngine:
         open as well as ground terms.  0 disables both memos.
     backend:
         ``"interpreted"`` (the default) evaluates with the generic
-        explicit-stack machine below.  ``"codegen"`` routes
-        ``normalize``/``normalize_many`` through a module generated from
-        the rule set (:mod:`repro.rewriting.codegen`); both backends
-        compute the same normal forms.  Symbolic ``simplify`` always
-        uses the interpreted machinery — open-term simplification is not
-        on any hot path.
+        explicit-stack machine below.  ``"codegen"`` evaluates through
+        this engine's compiled rules (:meth:`compiled_rules`, a module
+        generated from the rule set by :mod:`repro.rewriting.codegen`),
+        whose fallbacks run on the machine below with this engine's
+        memo and stats; both backends compute the same normal forms
+        under one budget wrapper.  Symbolic ``simplify`` always uses the
+        interpreted machinery — open-term simplification is not on any
+        hot path.
     budget:
         The default :class:`~repro.runtime.EvaluationBudget` for every
         evaluation.  Supersedes ``fuel`` when given; its
@@ -407,7 +410,7 @@ class RewriteEngine:
         self.cache_size = cache_size
         self._cache: "OrderedDict[Term, Term]" = OrderedDict()
         self._simplified: "OrderedDict[Term, Term]" = OrderedDict()
-        self._codegen = None  # lazily-built CodegenEngine delegate
+        self._compiled: Optional[CodegenRules] = None  # built on first use
 
     @classmethod
     def for_specification(
@@ -439,56 +442,7 @@ class RewriteEngine:
         self, term: Term, budget: Optional[EvaluationBudget] = None
     ) -> Term:
         """The call-by-value normal form of ``term``."""
-        if self.backend != "interpreted":
-            return self._codegen_engine().normalize(term, budget)
-        tracer = _trace.ACTIVE
-        if tracer is None or tracer.never:
-            # ``never`` guards the eager summarize_term below: a muted
-            # tracer must not pay for span attributes it will drop.
-            return self._normalize_interpreted(term, budget)
-        with tracer.span(
-            "engine.normalize",
-            backend="interpreted",
-            subject=summarize_term(term),
-        ):
-            return self._normalize_interpreted(term, budget)
-
-    def _normalize_interpreted(
-        self, term: Term, budget: Optional[EvaluationBudget]
-    ) -> Term:
-        meter = self._meter(budget)
-        stats = self.stats
-        started = perf_counter()
-        try:
-            return self._eval(term, meter)
-        except BudgetExceeded as exc:
-            raise RewriteLimitError(
-                term,
-                meter.budget.fuel,
-                reason=exc.reason,
-                trace=exc.trace,
-                detail=exc.detail,
-            ) from None
-        except RewriteLimitError as exc:
-            raise RewriteLimitError(
-                term,
-                meter.budget.fuel,
-                reason=exc.reason,
-                trace=exc.trace,
-                detail=exc.detail,
-            ) from None
-        except RecursionError:
-            # The evaluator itself is iterative, but subclass hooks
-            # (the prover's guarded unfolding) may still recurse.
-            raise RewriteLimitError(
-                term, meter.budget.fuel, reason=REASON_DEPTH
-            ) from None
-        finally:
-            stats.latency.observe(perf_counter() - started)
-            spent = meter.budget.fuel - meter[0]
-            if spent > 0:
-                stats.s_fuel[0] += spent
-            stats.fuel_hist.observe(spent if spent > 0 else 0)
+        return self._evaluate(term, budget, self.backend == "codegen")
 
     def normalize_many(
         self,
@@ -510,9 +464,67 @@ class RewriteEngine:
         The first limit aborts the whole batch; use
         :meth:`normalize_many_outcomes` for fault isolation.
         """
-        if self.backend != "interpreted":
-            return self._codegen_engine().normalize_many(terms, budget)
         return [self.normalize(term, budget) for term in terms]
+
+    def _evaluate(
+        self, term: Term, budget: Optional[EvaluationBudget], codegen: bool
+    ) -> Term:
+        """One evaluation, on the compiled rules or the interpreted
+        machine, inside an ``engine.normalize`` span when tracing.
+        Generating the module is not part of the evaluation."""
+        evaluate = self.compiled_rules().evaluate if codegen else self._eval
+        tracer = _trace.ACTIVE
+        if tracer is None or tracer.never:
+            # ``never`` guards the eager summarize_term below: a muted
+            # tracer must not pay for span attributes it will drop.
+            return self._metered(term, budget, evaluate)
+        with tracer.span(
+            "engine.normalize",
+            backend="codegen" if codegen else "interpreted",
+            subject=summarize_term(term),
+        ):
+            return self._metered(term, budget, evaluate)
+
+    def _metered(
+        self, term: Term, budget: Optional[EvaluationBudget], evaluate
+    ) -> Term:
+        """``evaluate(term, meter)`` under a fresh meter, recording its
+        latency and fuel; every way a budget gives out surfaces as
+        :class:`RewriteLimitError`."""
+        meter = self._meter(budget)
+        fuel = meter.budget.fuel
+        stats = self.stats
+        started = perf_counter()
+        try:
+            return evaluate(term, meter)
+        except _LimitHit:
+            # Generated functions spend fuel without the meter seeing
+            # subjects, so the diagnosis draws on whatever the interpreted
+            # fallback recorded (a cycle blows the depth limit long
+            # before the fuel runs out, so the cycling tail is there).
+            limit = meter.exhausted()
+        except (BudgetExceeded, RewriteLimitError) as exc:
+            # A fresh copy: keeping the raised exception would tie its
+            # traceback, and with it this frame and engine, into a
+            # reference cycle.
+            limit = BudgetExceeded(exc.reason, exc.trace, exc.detail)
+        except RecursionError:
+            # Both evaluators are iterative, but subclass hooks (the
+            # prover's guarded unfolding) may still recurse.
+            limit = BudgetExceeded(REASON_DEPTH)
+        finally:
+            stats.latency.observe(perf_counter() - started)
+            spent = fuel - meter[0]
+            if spent > 0:
+                stats.s_fuel[0] += spent
+            stats.fuel_hist.observe(spent if spent > 0 else 0)
+        raise RewriteLimitError(
+            term,
+            fuel,
+            reason=limit.reason,
+            trace=limit.trace,
+            detail=limit.detail,
+        ) from None
 
     # ------------------------------------------------------------------
     # Resilient evaluation: outcomes and the degradation ladder
@@ -530,60 +542,31 @@ class RewriteEngine:
         ``truncated`` outcome with the fault as the detail.  Budget
         exhaustion maps to ``truncated`` (or ``diverged`` for a
         diagnosed cycle); reaching the algebra's ``error`` value is the
-        *defined* result ``error_value``, not a failure.
+        *defined* result ``error_value``, not a failure.  Each rung is
+        one evaluation, metered and accounted like :meth:`normalize`.
         """
-        if self.backend != "interpreted":
-            try:
-                outcome = Outcome.of_normal_form(
-                    self._codegen_engine().normalize(term, budget)
-                )
-            except RewriteLimitError as exc:
-                outcome = Outcome.from_limit(exc)
-            except Exception:  # fault-boundary: degrade to interpreted
-                self.stats.record_fallback("codegen_to_interpreted")
-                outcome = self._interpreted_outcome(term, budget)
-        else:
-            outcome = self._interpreted_outcome(term, budget)
+        outcome = self._outcome(term, budget, self.backend == "codegen")
         self.stats.record_outcome(outcome.status)
         return outcome
 
-    def _interpreted_outcome(
-        self, term: Term, budget: Optional[EvaluationBudget]
+    def _outcome(
+        self, term: Term, budget: Optional[EvaluationBudget], codegen: bool
     ) -> Outcome:
-        """The interpreted rung of the ladder, ending in a partial
-        result rather than an exception.  The memo only ever stores
-        *completed* normal forms, so a failure part-way leaves the
-        caches consistent — the chaos suite holds it to that."""
-        meter = self._meter(budget)
-        stats = self.stats
+        """One rung of the ladder.  The memos only ever store *completed*
+        normal forms, so a failure part-way leaves the caches consistent
+        — the chaos suite holds it to that."""
         try:
-            return Outcome.of_normal_form(self._eval(term, meter))
-        except BudgetExceeded as exc:
-            return Outcome.from_limit(
-                RewriteLimitError(
-                    term,
-                    meter.budget.fuel,
-                    reason=exc.reason,
-                    trace=exc.trace,
-                    detail=exc.detail,
-                )
+            return Outcome.of_normal_form(
+                self._evaluate(term, budget, codegen)
             )
         except RewriteLimitError as exc:
-            return Outcome.from_limit(exc)
-        except RecursionError as exc:
-            return Outcome(
-                "truncated", term=term, reason=REASON_DEPTH, detail=str(exc)
-            )
-        except Exception as exc:  # fault-boundary: partial result
-            return Outcome.of_fault(term, exc)
-        finally:
-            # Same fuel accounting as normalize(): the outcome path is
-            # the one serving takes, and /readyz derives its suggested
-            # per-spec budget from this histogram.
-            spent = meter.budget.fuel - meter[0]
-            if spent > 0:
-                stats.s_fuel[0] += spent
-            stats.fuel_hist.observe(spent if spent > 0 else 0)
+            if not codegen or exc.reason != REASON_DEPTH:
+                return Outcome.from_limit(exc)
+        except Exception as exc:  # fault-boundary: degrade, else partial result
+            if not codegen:
+                return Outcome.of_fault(term, exc)
+        self.stats.record_fallback("codegen_to_interpreted")
+        return self._outcome(term, budget, False)
 
     def normalize_many_outcomes(
         self,
@@ -600,31 +583,26 @@ class RewriteEngine:
         this method on its share)."""
         return [self.normalize_outcome(term, budget) for term in terms]
 
-    def _codegen_engine(self):
-        """The lazily-built codegen delegate, rebuilt if rules were
-        added since generation (the prover grows rule sets in place)."""
-        codegen = self._codegen
-        if codegen is None or codegen.rule_count != len(self.rules):
-            from repro.rewriting.codegen import CodegenEngine
-
-            codegen = CodegenEngine(
-                self.rules,
-                fuel=self.fuel,
-                cache_size=self.cache_size,
-                stats=self.stats,
-                budget=self.budget,
+    def compiled_rules(self) -> CodegenRules:
+        """The codegen backend's instantiated rule module, built on
+        first use and rebuilt when rules were added since (the prover
+        grows rule sets in place).  Its fallbacks run on this engine's
+        interpreted machine, memo and stats."""
+        compiled = self._compiled
+        if compiled is None or len(compiled.module.rules) != len(self.rules):
+            module = codegen_module(self.rules, cache_on=self.cache_size > 0)
+            compiled = self._compiled = module.instantiate(
+                self.cache_size, self.stats, self._eval
             )
-            self._codegen = codegen
-        codegen.fuel = self.fuel  # track post-construction adjustments
-        return codegen
+        return compiled
 
     def clear_cache(self) -> None:
-        """Drop memoised normal forms (both backends' memos) and
+        """Drop memoised normal forms (the compiled rules' too) and
         memoised simplifications."""
         self._cache.clear()
         self._simplified.clear()
-        if self._codegen is not None:
-            self._codegen.clear_cache()
+        if self._compiled is not None:
+            self._compiled.clear()
 
     def _spend(self, budget: BudgetMeter, term: Term) -> None:
         self.stats.s_steps[0] += 1

@@ -8,6 +8,7 @@ down over randomly drawn constructor terms.
 """
 
 import pickle
+from collections import namedtuple
 
 from hypothesis import given, settings
 
@@ -28,6 +29,9 @@ from repro.spec.prelude import item
 from repro.testing.strategies import term_strategy
 
 queue_terms = term_strategy(QUEUE_SPEC, QUEUE_SPEC.type_of_interest)
+
+#: A tuple subclass for literal values (module level, so it pickles).
+Pair = namedtuple("Pair", "left right")
 
 
 def rebuild(term: Term) -> Term:
@@ -129,6 +133,28 @@ class TestLiteralValueTypes:
         assert flagged.value[1] is True
         assert Lit((("x", 1.0),), sort) != Lit((("x", 1),), sort)
         assert Lit(("x", 1), sort) is held
+        assert pickle.loads(pickle.dumps(flagged)) is flagged
+
+    def test_frozenset_element_types_are_distinct_literals(self):
+        sort = QUEUE_SPEC.type_of_interest
+        held = Lit(frozenset({1}), sort)  # interned first, and kept alive
+        flagged = Lit(frozenset({True}), sort)
+        assert flagged is not held and flagged != held
+        assert next(iter(flagged.value)) is True
+        # Equal sets whose elements swap types: {1, 2.0} == {1.0, 2}.
+        assert Lit(frozenset({1, 2.0}), sort) != Lit(frozenset({1.0, 2}), sort)
+        assert Lit(frozenset({1}), sort) is held
+        assert pickle.loads(pickle.dumps(flagged)) is flagged
+
+    def test_namedtuple_element_types_are_distinct_literals(self):
+        sort = QUEUE_SPEC.type_of_interest
+        held = Lit(Pair(1, "x"), sort)  # interned first, and kept alive
+        flagged = Lit(Pair(True, "x"), sort)
+        assert flagged is not held and flagged != held
+        assert flagged.value.left is True
+        assert Lit(Pair(1, "x"), sort) is held
+        # A namedtuple equals the plain tuple, but is another literal.
+        assert Lit((1, "x"), sort) != held
         assert pickle.loads(pickle.dumps(flagged)) is flagged
 
     def test_pickle_keeps_the_value_type(self):

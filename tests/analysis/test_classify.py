@@ -28,11 +28,6 @@ class TestQueueClassification:
             "IS_EMPTY?",
         }
 
-    def test_is_constructor(self, queue_spec):
-        cls = classify(queue_spec)
-        assert cls.is_constructor(queue_spec.operation("NEW"))
-        assert not cls.is_constructor(queue_spec.operation("REMOVE"))
-
 
 class TestSymboltableClassification:
     def test_three_constructors(self, symboltable_spec):

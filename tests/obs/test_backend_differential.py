@@ -6,8 +6,7 @@ firing family — so this locks the codegen backend to the interpreted
 reference on the E7 (symbolic
 queue script) and E10 (FIFO drain) workloads: identical normal forms
 AND identical per-rule firing counts.  A backend optimisation that
-skips or duplicates rewrites — including codegen's ground-RHS
-folding — now fails loudly instead of silently
+skips or duplicates rewrites now fails loudly instead of silently
 skewing benchmark comparisons.
 """
 

@@ -21,7 +21,6 @@ from repro.obs.trace import (
 )
 from repro.report import format_rule_profile
 from repro.rewriting import RewriteEngine
-from repro.rewriting import codegen as codegen_mod
 from repro.rewriting import engine as engine_mod
 from repro.rewriting.engine import RewriteLimitError
 
@@ -201,7 +200,8 @@ class TestEngineIntegration:
     ):
         # A sample=0.0 tracer drops every span, so the engine must not
         # render span attributes for it either: no events, and not one
-        # summarize_term call on either backend.
+        # summarize_term call on either backend (both open their span in
+        # the engine module).
         calls = []
         real = trace_mod.summarize_term
 
@@ -211,7 +211,6 @@ class TestEngineIntegration:
 
         monkeypatch.setattr(trace_mod, "summarize_term", counting)
         monkeypatch.setattr(engine_mod, "summarize_term", counting)
-        monkeypatch.setattr(codegen_mod, "summarize_term", counting)
         engine = RewriteEngine.for_specification(QUEUE_SPEC, backend=backend)
         tracer = Tracer(sample=0.0)
         with tracing(tracer):

@@ -1,31 +1,35 @@
-"""Tests for rule-set compilation (the ``codegen`` backend's
-decision-tree compiler in :mod:`repro.rewriting.codegen`).
+"""Tests for rule-set compilation (the ``codegen`` backend: the
+generated rule module of :mod:`repro.rewriting.codegen` and the compiled
+rules a :class:`RewriteEngine` runs it through).
 
-The compiled rule module must implement exactly the rewrite relation of
-the interpreted engine: every test here either checks agreement directly
-or exercises a mechanism of the compiler itself (decision-tree dispatch
-over builtins and non-linear patterns, the interpreted fallback for
-uncompilable patterns, memo sharing).  ``test_codegen.py`` covers the
-module cache, folding and the driver.
+The compiled rules must implement exactly the rewrite relation of the
+interpreted engine, including its observable accounting (per-rule firing
+counts, steps and fuel): every test here either checks agreement
+directly or exercises a mechanism of the compiler or its driver
+(decision-tree dispatch over builtins and non-linear patterns, the
+module cache, the interpreted fallbacks for uncompilable patterns and
+deep chains, the normal-form set, memo sharing and bounds).
 """
+
+import gc
+import weakref
 
 import pytest
 
+from repro.algebra.signature import Operation
 from repro.algebra.sorts import BOOLEAN, NAT
-from repro.algebra.terms import App, Err, Ite, Lit, app, err, ite, var
+from repro.algebra.terms import App, Err, Lit, app, err, ite, var
 from repro.spec.parser import parse_specification
 from repro.spec.prelude import (
     HASH,
     ISSAME,
-    boolean_term,
     false_term,
     identifier,
     item,
-    nat_lit,
     true_term,
 )
 from repro.rewriting import (
-    CodegenEngine,
+    CodegenRules,
     RewriteEngine,
     RewriteLimitError,
     RewriteRule,
@@ -33,6 +37,12 @@ from repro.rewriting import (
     codegen_module,
 )
 from repro.adt.queue import ADD, FRONT, IS_EMPTY, NEW, QUEUE_SPEC, REMOVE, queue_term
+
+QUEUE_RULES = RuleSet.from_specification(QUEUE_SPEC)
+
+
+def _firings(engine):
+    return dict(engine.stats.firings.ranked())
 
 
 @pytest.fixture
@@ -53,22 +63,53 @@ class TestBackendSelection:
                 RewriteEngine(RuleSet(), backend=backend)
 
     def test_delegate_built_lazily_and_reused(self, compiled_queue):
-        assert compiled_queue._codegen is None
+        # The delegate is the engine's compiled rules.
+        assert compiled_queue._compiled is None
         compiled_queue.normalize(app(FRONT, queue_term(["a"])))
-        delegate = compiled_queue._codegen
-        assert isinstance(delegate, CodegenEngine)
+        delegate = compiled_queue._compiled
+        assert isinstance(delegate, CodegenRules)
         compiled_queue.normalize_many([app(FRONT, queue_term(["b"]))])
-        assert compiled_queue._codegen is delegate
+        assert compiled_queue.compiled_rules() is delegate
 
     def test_delegate_rebuilt_when_rules_grow(self, compiled_queue):
         compiled_queue.normalize(app(FRONT, queue_term(["a"])))
-        stale = compiled_queue._codegen
+        stale = compiled_queue.compiled_rules()
         q = var("q", QUEUE_SPEC.type_of_interest)
         compiled_queue.rules.add(
             RewriteRule(app(IS_EMPTY, q), true_term(), "bogus")
         )
         compiled_queue.normalize(app(FRONT, queue_term(["a", "b"])))
-        assert compiled_queue._codegen is not stale
+        assert compiled_queue.compiled_rules() is not stale
+
+
+class TestGeneratedModule:
+    def test_source_is_a_real_module(self):
+        source = codegen_module(QUEUE_RULES).source
+        assert source.startswith("# second-stage rule module")
+        assert "def op_" in source
+        compile(source, "<check>", "exec")  # it is genuine Python source
+
+    def test_module_cached_by_fingerprint(self):
+        first = codegen_module(QUEUE_RULES)
+        again = codegen_module(QUEUE_RULES)
+        assert first is again
+        # A different compiler option is a different module.
+        memoless = RewriteEngine(
+            QUEUE_RULES, cache_size=0, backend="codegen"
+        ).compiled_rules().module
+        assert memoless is not first
+        assert memoless.memo_names == () and first.memo_names
+
+    def test_fingerprint_tracks_rule_changes(self):
+        grown = RuleSet.from_specification(QUEUE_SPEC)
+        base_fp = grown.fingerprint()
+        grown.add(
+            RewriteRule(
+                app(IS_EMPTY, app(NEW)), true_term(), "redundant-extra"
+            )
+        )
+        assert grown.fingerprint() != base_fp
+        assert grown.fingerprint() == grown.fingerprint()
 
 
 class TestAgreement:
@@ -118,6 +159,25 @@ class TestAgreement:
         assert compiled_queue.normalize_many(terms) == [
             interp_queue.normalize(t) for t in terms
         ]
+
+    def test_ground_rhs_rule_matches_interpreted(self):
+        # A rule whose right-hand side is ground: same normal form,
+        # per-rule firings and steps on both backends.
+        flag = Operation("FLAG", (), BOOLEAN)
+        rules = RuleSet.from_specification(QUEUE_SPEC)
+        rules.add(
+            RewriteRule(
+                app(flag),
+                app(IS_EMPTY, app(ADD, app(NEW), item("probe"))),
+                "ground-rhs",
+            )
+        )
+        interp = RewriteEngine(rules)
+        compiled = RewriteEngine(rules, backend="codegen")
+        assert interp.normalize(app(flag)) == false_term()
+        assert compiled.normalize(app(flag)) == false_term()
+        assert _firings(compiled) == _firings(interp)
+        assert compiled.stats.steps == interp.stats.steps
 
 
 class TestBuiltins:
@@ -181,6 +241,33 @@ class TestFuelParity:
         with pytest.raises(RewriteLimitError):
             compiled_queue.normalize(app(FRONT, queue_term(list(range(20)))))
 
+    def test_budget_exhaustion_is_an_outcome(self):
+        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
+        engine.fuel = 3
+        outcome = engine.normalize_outcome(
+            app(FRONT, queue_term(list(range(20))))
+        )
+        assert not outcome.ok
+        assert outcome.reason == "fuel"
+
+    def test_budget_exhaustion_leaves_no_reference_cycle(self):
+        # An interpreted engine that ran out of fuel is freed as soon as
+        # it is dropped: its metrics registry must not linger until a
+        # garbage collection, or live aggregated counts would fall when
+        # the collection finally runs.
+        gc.disable()
+        try:
+            engine = RewriteEngine.for_specification(QUEUE_SPEC, fuel=3)
+            term = app(FRONT, queue_term(list(range(20))))
+            with pytest.raises(RewriteLimitError):
+                engine.normalize(term)
+            assert engine.normalize_outcome(term).reason == "fuel"
+            registry = weakref.ref(engine.stats.registry)
+            del engine
+            assert registry() is None
+        finally:
+            gc.enable()
+
 
 class TestDeepTerms:
     def test_deep_chain_falls_back_without_recursion_error(self):
@@ -206,6 +293,58 @@ class TestDeepTerms:
         engine.fuel = 10_000_000
         result = engine.normalize(app(FRONT, queue_term(range(50_000))))
         assert result == item(0)
+
+    def test_depth_fallback_builds_no_second_engine(self, monkeypatch):
+        # The fallback runs on the owning engine's interpreted machine,
+        # memo and stats: one engine object per rule set.
+        built = []
+        init = RewriteEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RewriteEngine, "__init__", counting)
+        rules = RuleSet.from_specification(QUEUE_SPEC)
+        engine = RewriteEngine(rules, fuel=10_000_000, backend="codegen")
+        assert engine.normalize(app(FRONT, queue_term(range(2000)))) == item(0)
+        assert engine.stats.fallbacks.get("codegen_depth") > 0
+        assert built == [engine]
+
+    def test_deepest_serving_shapes_stay_native(self):
+        # The deepest batch shapes the daemon serves — a 36-item Queue
+        # drained to its last item, and RETRIEVE / IS_INBLOCK? misses
+        # over 16 blocks of 6-9 ADDs (about 136 levels) — recurse well
+        # inside the generated functions' depth limit: answers equal the
+        # interpreted engine's and no node takes the depth fallback.
+        from repro.adt.symboltable import SYMBOLTABLE_SPEC as spec
+        from repro.spec.prelude import attributes
+
+        op = spec.operation
+        table = app(op("INIT"))
+        for block in range(16):
+            table = app(op("ENTERBLOCK"), table)
+            for n in range(6 + block % 4):
+                table = app(
+                    op("ADD"), table, identifier(f"x{n}"),
+                    attributes(f"b{block}y{n}"),
+                )
+        missing = identifier("absent")
+        queue = queue_term(range(36))
+        for _ in range(35):
+            queue = app(REMOVE, queue)
+        cases = [
+            (QUEUE_SPEC, app(FRONT, queue)),
+            (spec, app(op("RETRIEVE"), table, missing)),
+            (spec, app(op("IS_INBLOCK?"), table, missing)),
+        ]
+        for case_spec, subject in cases:
+            reference = RewriteEngine.for_specification(case_spec)
+            engine = RewriteEngine.for_specification(
+                case_spec, backend="codegen"
+            )
+            assert engine.normalize(subject) == reference.normalize(subject)
+            assert engine.stats.fallbacks.get("codegen_depth") == 0
 
 
 class TestMemoSharing:
@@ -233,12 +372,94 @@ class TestMemoSharing:
     def test_cache_disabled(self):
         engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
         engine.cache_size = 0
-        delegate = engine._codegen_engine()
-        assert delegate.inst.memos == {}
-        assert "CMAX" not in delegate.source
+        compiled = engine.compiled_rules()
+        assert compiled.memos == {}
+        assert "CMAX" not in compiled.module.source
         term = app(FRONT, queue_term(["a", "b"]))
         assert engine.normalize(term) == item("a")
         assert engine.stats.cache_probes == 0
+
+    def test_normal_form_set_survives_cache_clear_semantics(self):
+        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
+        q = queue_term(["a", "b"])
+        assert engine.normalize(app(FRONT, q)) == item("a")
+        engine.clear_cache()
+        assert engine.normalize(app(FRONT, q)) == item("a")
+
+
+class TestEvaluationAccounting:
+    """Both backends and both entry points share one evaluation
+    wrapper: each evaluation is one latency and one fuel observation."""
+
+    @pytest.mark.parametrize("backend", ["interpreted", "codegen"])
+    def test_one_latency_observation_per_evaluation(self, backend):
+        engine = RewriteEngine(QUEUE_RULES, backend=backend)
+        terms = [app(FRONT, queue_term(["a", "b"])), app(FRONT, queue_term([]))]
+
+        def observations(name):
+            histograms = engine.stats.registry.snapshot()["histograms"]
+            return histograms[name]["count"]
+
+        for term in terms:
+            engine.normalize_outcome(term)
+        assert observations("engine.eval_seconds") == 2
+        for term in terms:
+            engine.normalize(term)
+        assert observations("engine.eval_seconds") == 4
+        assert observations("engine.fuel_per_eval") == 4
+
+
+class TestMemoBound:
+    """``max_memo_entries`` caps the codegen memos *in total*: the
+    per-operation dicts share one entry count, not one cap each."""
+
+    CAP = 64
+
+    def test_summed_memos_stay_within_the_budget(self):
+        from repro.adt.symboltable import SYMBOLTABLE_SPEC as spec
+        from repro.runtime import EvaluationBudget
+        from repro.spec.prelude import attributes
+
+        op = spec.operation
+        init, enter, leave = op("INIT"), op("ENTERBLOCK"), op("LEAVEBLOCK")
+        add, inblock, retrieve = op("ADD"), op("IS_INBLOCK?"), op("RETRIEVE")
+        table = app(init)
+        subjects = []
+        for i in range(60):
+            table = app(add, table, identifier(f"x{i % 7}"), attributes(i))
+            if i % 5 == 4:
+                table = app(enter, table)
+            name = identifier(f"x{(i * 3) % 11}")
+            # LEAVEBLOCK and RETRIEVE recurse down the table and store
+            # one memo entry per level on the way out.
+            subjects += [
+                app(leave, table),
+                app(inblock, table, name),
+                app(retrieve, table, name),
+            ]
+        rules = RuleSet.from_specification(spec)
+        budget = EvaluationBudget(max_memo_entries=self.CAP)
+        reference = RewriteEngine(rules, budget=budget)
+        engine = RewriteEngine(rules, budget=budget, backend="codegen")
+        unbounded = RewriteEngine(rules, backend="codegen")
+        assert engine.cache_size == self.CAP
+        memos = engine.compiled_rules().memos
+        for subject in subjects:
+            assert engine.normalize(subject) == reference.normalize(subject)
+            assert sum(len(memo) for memo in memos.values()) <= self.CAP
+            unbounded.normalize(subject)
+        # The workload is big enough to matter: left unbounded, at least
+        # three operations' memos together pass the budget.
+        live = [
+            len(memo)
+            for memo in unbounded.compiled_rules().memos.values()
+            if memo
+        ]
+        assert len(live) >= 3 and sum(live) > self.CAP
+        assert engine.stats.cache_hits > 0
+        engine.clear_cache()
+        assert all(not memo for memo in memos.values())
+        assert engine.compiled_rules().ns["CN"] == 0
 
 
 class TestUncompilablePatterns:
@@ -272,6 +493,6 @@ class TestUncompilablePatterns:
 
     def test_generated_source_is_inspectable(self, compiled_queue):
         compiled_queue.normalize(app(IS_EMPTY, queue_term([])))
-        source = compiled_queue._codegen.source
+        source = compiled_queue.compiled_rules().module.source
         assert "def op_" in source
         assert "REMOVE" in source  # per-operation comment markers

@@ -6,8 +6,7 @@ constructor arguments) and the codegen backend must produce the normal
 form of the interpreted reference engine (or fail identically) *and*
 fire the same rules the same number of times.  This is the codegen
 backend's soundness argument: agreement on arbitrary inputs, not just
-the hand-picked cases in ``tests/rewriting/test_compile.py`` and
-``test_codegen.py``.
+the hand-picked cases in ``tests/rewriting/test_compile.py``.
 """
 
 import pytest
