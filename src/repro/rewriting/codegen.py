@@ -29,26 +29,28 @@ operation:
   argument itself.  The dicts share one entry budget: one count covers
   every store, so together they hold at most ``cache_size`` entries
   (the engine's memo cap), and on overflow all of them are cleared at
-  once.  Past ``_DEPTH_LIMIT`` nested calls a function
-  raises :class:`_DeepRecursion` and the driver re-evaluates that node
-  on the iterative interpreted machine, so deep rewrite chains degrade
-  gracefully instead of hitting Python's recursion limit.
+  once, the owning engine's memo with them.  Past
+  ``_DEPTH_LIMIT`` nested calls a function raises
+  :class:`_DeepRecursion` and the engine finishes that node's subtree
+  on its iterative interpreted root step, so deep rewrite chains
+  degrade gracefully instead of hitting Python's recursion limit.
 
 Operations whose patterns the compiler cannot fold into tests (an
 ``Ite`` inside a left-hand side) run on the owning engine's interpreted
 machine; so do builtin steps that return whole terms.  A module is not
-an engine: :class:`CodegenModule.instantiate` gives one
-:class:`~repro.rewriting.engine.RewriteEngine` its live
-:class:`CodegenRules` (counters, memos, and the small driver that walks
-a subject down to the generated functions), and the engine wraps every
-evaluation in the same budget meter, limit mapping and accounting on
-both backends.  The differential suites hold the two backends to the
-same normal forms, firing counts and fuel.
+an engine and walks no terms: :class:`CodegenModule.instantiate` gives
+one :class:`~repro.rewriting.engine.RewriteEngine` its live
+:class:`CodegenRules` (counters, memos and the functions), and the
+engine's own machine walks every subject, probing its memo, and calls a
+function as the root step of each argument-normal application.  The
+differential suites hold the two backends to the same normal forms,
+firing counts and fuel.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 
 from repro.algebra.signature import Operation
 from repro.algebra.sorts import BOOLEAN, Sort
@@ -57,19 +59,13 @@ from repro.algebra.terms import App, Err, Ite, Lit, Term, Var
 from repro.spec.errors import AlgebraError
 from repro.spec.prelude import boolean_term, is_false, is_true
 from repro.rewriting.rules import RewriteRule, RuleSet
-from repro.runtime import faults as _faults
-from repro.runtime.budget import BudgetMeter
 from repro.obs import trace as _trace
 
 #: Nested generated-function calls allowed before falling back to the iterative
 #: interpreter.  Python's default recursion limit is 1000 and each
 #: sibling call costs one frame; 400 leaves ample headroom for the
-#: driver's own frames.
+#: caller's own frames.
 _DEPTH_LIMIT = 400
-
-#: Bound on remembered top-level normal forms in the driver's NF set
-#: (its "skip the argument walk" fast path).
-_NF_LIMIT = 16384
 
 #: Bound on cached generated modules (keyed by rule-set fingerprint).
 _MODULE_CACHE_LIMIT = 64
@@ -225,7 +221,8 @@ class _Compiler:
     def _store_lines(self, k: int, key: str, value: str, ind: str) -> None:
         """One memo store.  ``CN`` counts stores into every ``C{k}``
         since the last ``CLEAR()``, so the memos' summed size never
-        exceeds ``CMAX``; on overflow all of them are cleared at once."""
+        exceeds ``CMAX``; on overflow all of them are cleared at once,
+        and the engine memo (``MEMO``) with them."""
         L = self.lines
         L.append(f"{ind}if CN >= CMAX:")
         L.append(f"{ind}    CLEAR()")
@@ -236,7 +233,7 @@ class _Compiler:
         """Strict error propagation at one consumption site: return the
         operation's error (no memo store)."""
         L = self.lines
-        L.append(f"{ind}ST[5] += 1")
+        L.append(f"{ind}ST[4] += 1")
         L.append(f"{ind}return {self.err_const(err_sort)}")
 
     # -- RHS generation (per-arg calls, error style) -------------------
@@ -313,7 +310,7 @@ class _Compiler:
         L.append(f"{ind}b[0] -= 1")
         L.append(f"{ind}if b[0] < 0:")
         L.append(f"{ind}    raise LimitHit")
-        L.append(f"{ind}ST[0] += 1; ST[1] += 1; RF[{gidx}] += 1")
+        L.append(f"{ind}ST[0] += 1; RF[{gidx}] += 1")
         expr, _ = self._gen(rule.rhs, env, ind, rule.head.range)
         L.append(f"{ind}r = {expr}")
         self._emit_finish(k, ind)
@@ -406,10 +403,10 @@ class _Compiler:
         L.append(f"    if d > {_DEPTH_LIMIT}:")
         L.append("        raise Deep")
         if self.cache_on:
-            L.append("    ST[4] += 1")
+            L.append("    ST[3] += 1")
             L.append(f"    r = C{k}.get({self._key_expr(k)})")
             L.append("    if r is not None:")
-            L.append("        ST[3] += 1")
+            L.append("        ST[2] += 1")
             L.append("        return r")
             g = " and ".join(f"a{i}._ground" for i in range(arity)) or "True"
             L.append(f"    g = {g}")
@@ -435,7 +432,7 @@ class _Compiler:
         else:
             ind = "    "
         args_v = ", ".join(f"a{i}.value" for i in range(arity))
-        L.append(f"{ind}ST[2] += 1")
+        L.append(f"{ind}ST[1] += 1")
         L.append(f"{ind}b[0] -= 1")
         L.append(f"{ind}if b[0] < 0:")
         L.append(f"{ind}    raise LimitHit")
@@ -497,6 +494,8 @@ class _Compiler:
         self.lines.append("    global CN")
         self.lines.append("    CN = 0")
         self.lines.extend(f"    {name}.clear()" for name in memo_names)
+        if self.cache_on:
+            self.lines.append("    MEMO.clear()")
         source = "\n".join(self.lines) + "\n"
         code = compile(source, "<codegen-rules>", "exec")
         return CodegenModule(
@@ -547,55 +546,46 @@ class CodegenModule:
         self.memo_names = memo_names
         self.fingerprint = fingerprint
 
-    def instantiate(self, cache_size: int, stats, interpret) -> "CodegenRules":
+    def instantiate(
+        self, cache_size: int, stats, interpret, memo
+    ) -> "CodegenRules":
         """Execute the cached code with fresh counters and memo dicts.
-        ``interpret(term, meter)`` is the owning engine's interpreter:
-        the generated functions call it for builtins that return whole
-        terms and for uncompiled operations, and the driver for depth
-        fallbacks.  ``stats`` is the owning engine's ``EngineStats``."""
+        ``memo`` is the owning engine's memo, which ``CLEAR()`` empties
+        with the generated ones.
+        ``interpret(term, meter)`` is the owning engine's interpreter (a
+        bound method): the generated functions call it for builtins that
+        return whole terms and for uncompiled operations.  They reach it
+        through a weak reference, so an engine, which holds its
+        functions, is freed with its last reference rather than at the
+        next garbage collection.  ``stats`` is the owning engine's
+        ``EngineStats``."""
+        interpreter = weakref.WeakMethod(interpret)
         ns = dict(self.base_ns)
         ns.update((name, {}) for name in self.memo_names)
-        ns["ST"] = [0, 0, 0, 0, 0, 0]
+        ns["ST"] = [0, 0, 0, 0, 0]
         ns["RF"] = [0] * len(self.rules)
         ns["CMAX"] = max(cache_size, 1)
         ns["CN"] = 0
-        ns["RT_TERM"] = interpret
-        ns["RT_APP"] = lambda op, args, b: interpret(App(op, args), b)
+        ns["MEMO"] = memo
+        ns["RT_TERM"] = lambda term, b: interpreter()(term, b)
+        ns["RT_APP"] = lambda op, args, b: interpreter()(App(op, args), b)
         exec(self.code, ns)
-        return CodegenRules(self, ns, stats, interpret)
+        return CodegenRules(self, ns, stats)
 
 
 class CodegenRules:
-    """One engine's instantiated rule module and the small driver that
-    runs it.
+    """One engine's instantiated rule module: the generated functions
+    (``fns``, by operation name), their memos and flat counters.
 
-    The driver is an iterative machine like the interpreted engine's,
-    minus the root and instantiation frames (that work lives in the
-    generated functions): it walks the subject bottom-up, propagates
-    errors strictly, resolves conditionals lazily, and hands every
-    argument-normal application to its function.  Operations without a
-    function are either free constructors (already normal) or go to the
-    owning engine's interpreter, as do nodes whose function signals
-    :class:`_DeepRecursion` (the abandoned attempt's fuel stays spent,
-    so the budget over-counts, never under-counts, such steps).
+    The engine's machine calls ``fns[name](*args, meter, 0)`` as the
+    root step of an argument-normal application and :meth:`_sync` after
+    every evaluation.  Operations without a function (free
+    constructors, uncompiled operations, builtins no rule mentions)
+    take the interpreted root step."""
 
-    A normal-form set remembers the results of earlier evaluations by
-    identity, so drains that feed one call's result into the next skip
-    the argument re-walk entirely."""
+    __slots__ = ("module", "ns", "st", "rf", "fns", "memos", "stats", "slots")
 
-    __slots__ = (
-        "module",
-        "ns",
-        "st",
-        "rf",
-        "fns",
-        "memos",
-        "stats",
-        "_interpret",
-        "_nf",
-    )
-
-    def __init__(self, module, ns, stats, interpret):
+    def __init__(self, module, ns, stats):
         self.module = module
         self.ns = ns
         self.st = ns["ST"]
@@ -603,132 +593,45 @@ class CodegenRules:
         self.fns = {name: ns[f"op_{k}"] for name, k in module.compiled_names}
         self.memos = {name: ns[name] for name in module.memo_names}
         self.stats = stats
-        self._interpret = interpret
-        self._nf: set = set()
-
-    def evaluate(self, term: Term, meter: BudgetMeter) -> Term:
-        """The normal form of ``term`` under ``meter``.  Counter deltas
-        reach the engine stats whether or not evaluation completes;
-        running out of fuel inside a generated function raises
-        :class:`_LimitHit`."""
-        st0 = tuple(self.st)
-        rf0 = list(self.rf)
-        try:
-            result = self._eval(term, meter)
-        finally:
-            self._sync(st0, rf0)
-        if type(result) is App and result._ground:
-            nf = self._nf
-            if len(nf) >= _NF_LIMIT:
-                nf.clear()
-            nf.add(result)
-        return result
+        # The engine counters the entries of ``ST`` feed, in ``ST`` order.
+        self.slots = (
+            stats.s_steps,
+            stats.s_builtin,
+            stats.s_hits,
+            stats.s_probes,
+            stats.s_errprop,
+        )
 
     def clear(self) -> None:
-        """Empty the memos and the normal-form set."""
+        """Empty the memos."""
         self.ns["CLEAR"]()
-        self._nf.clear()
 
-    def _sync(self, st0, rf0) -> None:
-        """Fold the generated module's flat counter deltas into the
-        engine stats.  ``ST[1]`` (rule firings) is not synced: the total
-        is derived from the per-rule family, so there is one count to
-        trust."""
+    def _sync(self) -> None:
+        """Drain the generated module's flat counters into the engine
+        stats: add the non-zero entries, then zero them.  Firings are
+        counted per rule only (``RF``): the engine's total is derived
+        from the per-rule family, so there is one count to trust."""
         st = self.st
-        stats = self.stats
-        stats.s_steps[0] += st[0] - st0[0]
-        stats.s_builtin[0] += st[2] - st0[2]
-        stats.s_hits[0] += st[3] - st0[3]
-        stats.s_probes[0] += st[4] - st0[4]
-        stats.s_errprop[0] += st[5] - st0[5]
+        for i, slot in enumerate(self.slots):
+            if st[i]:
+                slot[0] += st[i]
+                st[i] = 0
         rf = self.rf
-        if rf != rf0:
-            counts = stats.firings.counts
+        if any(rf):
+            counts = self.stats.firings.counts
             deltas: dict = {}
             for i, rule in enumerate(self.module.rules):
-                delta = rf[i] - rf0[i]
+                delta = rf[i]
                 if delta:
                     counts[rule] = counts.get(rule, 0) + delta
                     deltas[rule] = delta
+                    rf[i] = 0
             tracer = _trace.ACTIVE
-            if tracer is not None and deltas:
+            if tracer is not None:
                 # Generated functions count firings in flat lists (no
                 # per-step events on the hot path); emit one aggregated
                 # event so traces stay count-exact across backends.
                 tracer.firings(deltas)
-
-    def _eval(self, term: Term, budget: BudgetMeter) -> Term:
-        s_errprop = self.stats.s_errprop
-        nf = self._nf
-        stack: list = [(0, term)]
-        result: Term = term
-        while stack:
-            frame = stack.pop()
-            tag = frame[0]
-            if tag == 0:  # evaluate frame[1]
-                t = frame[1]
-                if isinstance(t, App):
-                    if t in nf:
-                        result = t
-                        continue
-                    if t.args:
-                        stack.append((1, t, [], 1))
-                        stack.append((0, t.args[0]))
-                    else:
-                        result = self._root(t.op, (), budget)
-                elif isinstance(t, Ite):
-                    stack.append((2, t))
-                    stack.append((0, t.cond))
-                else:
-                    result = t  # Var, Lit, Err: already normal
-            elif tag == 1:  # collect one evaluated argument
-                _, t, done, nxt = frame
-                value = result
-                if isinstance(value, Err):
-                    s_errprop[0] += 1
-                    result = Err(t.sort)
-                    continue
-                done.append(value)
-                if nxt < len(t.args):
-                    stack.append((1, t, done, nxt + 1))
-                    stack.append((0, t.args[nxt]))
-                else:
-                    result = self._root(t.op, tuple(done), budget)
-            else:  # tag == 2: conditional, condition evaluated
-                t = frame[1]
-                cond = result
-                if isinstance(cond, Err):
-                    s_errprop[0] += 1
-                    result = Err(t.sort)
-                elif is_true(cond):
-                    stack.append((0, t.then_branch))
-                elif is_false(cond):
-                    stack.append((0, t.else_branch))
-                elif cond is t.cond:
-                    result = t
-                else:
-                    result = Ite(cond, t.then_branch, t.else_branch)
-        return result
-
-    def _root(self, op: Operation, args: tuple, budget: BudgetMeter) -> Term:
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.visit("compiled.root", op)
-        budget.tick()
-        fn = self.fns.get(op.name)
-        if fn is not None:
-            try:
-                return fn(*args, budget, 0)
-            except _DeepRecursion:
-                if _faults.ACTIVE is not None:
-                    _faults.ACTIVE.visit("compiled.fallback", op)
-                self.stats.record_fallback("codegen_depth")
-                return self._interpret(App(op, args), budget)
-        if op.name in self.module.uncompiled or (
-            op.builtin is not None
-            and all(isinstance(a, Lit) for a in args)
-        ):
-            return self._interpret(App(op, args), budget)
-        return App(op, args)  # free constructor: already normal
 
 
 #: Cache of generated modules, keyed by rule-set fingerprint + options.

@@ -20,10 +20,12 @@ Value-mode evaluation runs on an explicit work stack rather than the
 Python call stack, so a term's depth is bounded by memory, not by the
 interpreter recursion limit — a 50k-deep queue drains without touching
 ``sys.setrecursionlimit``.  Two backends implement the same rewrite
-relation: the default ``"interpreted"`` backend walks rules generically
-and is the reference, while ``"codegen"`` (see
-:mod:`repro.rewriting.codegen`) runs a Python module generated from the
-rule set.  Either way there is one engine object per rule set.
+relation on that one machine, which walks every subject and probes the
+memo on both: the default ``"interpreted"`` backend rewrites at the
+root by matching rules generically and is the reference, while
+``"codegen"`` takes the root step through a function generated from
+the rule set (see :mod:`repro.rewriting.codegen`).  Either way there is
+one engine object per rule set.
 
 Evaluation runs under an :class:`~repro.runtime.EvaluationBudget` —
 fuel (rewrite steps), an optional wall-clock deadline, and memory caps
@@ -52,7 +54,12 @@ from repro.spec.axioms import Axiom
 from repro.spec.errors import AlgebraError
 from repro.spec.prelude import boolean_term, is_false, is_true
 from repro.spec.specification import Specification
-from repro.rewriting.codegen import CodegenRules, _LimitHit, codegen_module
+from repro.rewriting.codegen import (
+    CodegenRules,
+    _DeepRecursion,
+    _LimitHit,
+    codegen_module,
+)
 from repro.rewriting.rules import RuleSet
 from repro.runtime import faults as _faults
 from repro.runtime.budget import (
@@ -67,15 +74,9 @@ from repro.runtime.budget import (
     REASON_MEMORY,
 )
 from repro.runtime.outcome import Outcome
-from repro.runtime.render import SUMMARY_LIMIT, summarize_term
+from repro.runtime.render import summarize_term
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-
-#: Rendering budget for terms quoted in error messages.  Compat aliases:
-#: the canonical helper now lives in :mod:`repro.runtime.render`, shared
-#: with trace events so every diagnosis renders subjects identically.
-_RENDER_LIMIT = SUMMARY_LIMIT
-_render_capped = summarize_term
 
 
 class RewriteLimitError(Exception):
@@ -150,9 +151,9 @@ class EngineStats:
     (one per engine), so ``--metrics-out`` and the benchmark driver can
     aggregate every engine in the process without new plumbing.  The old
     attribute API (``stats.steps``, ``stats.cache_hits``,
-    ``stats.firings_by_rule``...) is preserved as properties over the
-    registry — existing callers and tests keep working — while hot paths
-    pre-bind the underlying one-element list slots (``s_steps`` etc.,
+    ``stats.firings_by_rule``...) is preserved as read-only properties
+    over the registry — existing callers and tests keep working — while
+    hot paths pre-bind the underlying one-element list slots (``s_steps`` etc.,
     the :class:`~repro.runtime.budget.BudgetMeter` trick) and increment
     ``slot[0]`` with no attribute or method dispatch per event.
 
@@ -235,41 +236,21 @@ class EngineStats:
     def steps(self) -> int:
         return self.s_steps[0]
 
-    @steps.setter
-    def steps(self, value: int) -> None:
-        self.s_steps[0] = value
-
     @property
     def builtin_firings(self) -> int:
         return self.s_builtin[0]
-
-    @builtin_firings.setter
-    def builtin_firings(self, value: int) -> None:
-        self.s_builtin[0] = value
 
     @property
     def error_propagations(self) -> int:
         return self.s_errprop[0]
 
-    @error_propagations.setter
-    def error_propagations(self, value: int) -> None:
-        self.s_errprop[0] = value
-
     @property
     def cache_hits(self) -> int:
         return self.s_hits[0]
 
-    @cache_hits.setter
-    def cache_hits(self, value: int) -> None:
-        self.s_hits[0] = value
-
     @property
     def cache_probes(self) -> int:
         return self.s_probes[0]
-
-    @cache_probes.setter
-    def cache_probes(self, value: int) -> None:
-        self.s_probes[0] = value
 
     @property
     def simplify_hits(self) -> int:
@@ -348,6 +329,7 @@ _F_BUILTIN_CONT = 5
 _F_INST = 6
 _F_INST_ARG = 7
 _F_INST_ITE = 8
+_F_COMPILED = 9
 
 
 class RewriteEngine:
@@ -370,14 +352,13 @@ class RewriteEngine:
         open as well as ground terms.  0 disables both memos.
     backend:
         ``"interpreted"`` (the default) evaluates with the generic
-        explicit-stack machine below.  ``"codegen"`` evaluates through
-        this engine's compiled rules (:meth:`compiled_rules`, a module
-        generated from the rule set by :mod:`repro.rewriting.codegen`),
-        whose fallbacks run on the machine below with this engine's
-        memo and stats; both backends compute the same normal forms
-        under one budget wrapper.  Symbolic ``simplify`` always uses the
-        interpreted machinery — open-term simplification is not on any
-        hot path.
+        explicit-stack machine below.  ``"codegen"`` runs the same
+        machine with this engine's compiled rules (:meth:`compiled_rules`,
+        a module generated from the rule set by
+        :mod:`repro.rewriting.codegen`) as its root step; both backends
+        compute the same normal forms under one budget wrapper.
+        Symbolic ``simplify`` always uses the interpreted machinery —
+        open-term simplification is not on any hot path.
     budget:
         The default :class:`~repro.runtime.EvaluationBudget` for every
         evaluation.  Supersedes ``fuel`` when given; its
@@ -469,38 +450,56 @@ class RewriteEngine:
     def _evaluate(
         self, term: Term, budget: Optional[EvaluationBudget], codegen: bool
     ) -> Term:
-        """One evaluation, on the compiled rules or the interpreted
-        machine, inside an ``engine.normalize`` span when tracing.
-        Generating the module is not part of the evaluation."""
-        evaluate = self.compiled_rules().evaluate if codegen else self._eval
+        """One evaluation, through the compiled rules or the interpreted
+        root step alone, inside an ``engine.normalize`` span when
+        tracing.  Generating the module is not part of the evaluation."""
+        compiled = self.compiled_rules() if codegen else None
         tracer = _trace.ACTIVE
         if tracer is None or tracer.never:
             # ``never`` guards the eager summarize_term below: a muted
             # tracer must not pay for span attributes it will drop.
-            return self._metered(term, budget, evaluate)
+            return self._metered(term, budget, compiled)
         with tracer.span(
             "engine.normalize",
             backend="codegen" if codegen else "interpreted",
             subject=summarize_term(term),
         ):
-            return self._metered(term, budget, evaluate)
+            return self._metered(term, budget, compiled)
 
     def _metered(
-        self, term: Term, budget: Optional[EvaluationBudget], evaluate
+        self,
+        term: Term,
+        budget: Optional[EvaluationBudget],
+        compiled: Optional[CodegenRules],
     ) -> Term:
-        """``evaluate(term, meter)`` under a fresh meter, recording its
-        latency and fuel; every way a budget gives out surfaces as
-        :class:`RewriteLimitError`."""
+        """``_eval`` under a fresh meter, recording its latency and
+        fuel and draining the compiled rules' counters, however the
+        evaluation ends."""
         meter = self._meter(budget)
         fuel = meter.budget.fuel
         stats = self.stats
+        fns = None if compiled is None else compiled.fns
         started = perf_counter()
         try:
-            return evaluate(term, meter)
+            return self._limited(term, meter, self._eval, fns)
+        finally:
+            if compiled is not None:
+                compiled._sync()
+            stats.latency.observe(perf_counter() - started)
+            spent = fuel - meter[0]
+            if spent > 0:
+                stats.s_fuel[0] += spent
+            stats.fuel_hist.observe(spent if spent > 0 else 0)
+
+    def _limited(self, term: Term, meter: BudgetMeter, run, *args) -> Term:
+        """``run(term, meter, *args)``, with every way a budget gives
+        out surfacing as :class:`RewriteLimitError`."""
+        try:
+            return run(term, meter, *args)
         except _LimitHit:
             # Generated functions spend fuel without the meter seeing
             # subjects, so the diagnosis draws on whatever the interpreted
-            # fallback recorded (a cycle blows the depth limit long
+            # root steps recorded (a cycle blows the depth limit long
             # before the fuel runs out, so the cycling tail is there).
             limit = meter.exhausted()
         except (BudgetExceeded, RewriteLimitError) as exc:
@@ -509,18 +508,12 @@ class RewriteEngine:
             # reference cycle.
             limit = BudgetExceeded(exc.reason, exc.trace, exc.detail)
         except RecursionError:
-            # Both evaluators are iterative, but subclass hooks (the
-            # prover's guarded unfolding) may still recurse.
+            # The value-mode machine is iterative, but simplification
+            # and subclass hooks (the prover's guarded unfolding) recurse.
             limit = BudgetExceeded(REASON_DEPTH)
-        finally:
-            stats.latency.observe(perf_counter() - started)
-            spent = fuel - meter[0]
-            if spent > 0:
-                stats.s_fuel[0] += spent
-            stats.fuel_hist.observe(spent if spent > 0 else 0)
         raise RewriteLimitError(
             term,
-            fuel,
+            meter.budget.fuel,
             reason=limit.reason,
             trace=limit.trace,
             detail=limit.detail,
@@ -586,13 +579,13 @@ class RewriteEngine:
     def compiled_rules(self) -> CodegenRules:
         """The codegen backend's instantiated rule module, built on
         first use and rebuilt when rules were added since (the prover
-        grows rule sets in place).  Its fallbacks run on this engine's
-        interpreted machine, memo and stats."""
+        grows rule sets in place).  Its functions are root steps of
+        this engine's machine and count into this engine's stats."""
         compiled = self._compiled
         if compiled is None or len(compiled.module.rules) != len(self.rules):
             module = codegen_module(self.rules, cache_on=self.cache_size > 0)
             compiled = self._compiled = module.instantiate(
-                self.cache_size, self.stats, self._eval
+                self.cache_size, self.stats, self._eval, self._cache
             )
         return compiled
 
@@ -608,7 +601,9 @@ class RewriteEngine:
         self.stats.s_steps[0] += 1
         budget.spend(term)
 
-    def _eval(self, term: Term, budget: list[int]) -> Term:
+    def _eval(
+        self, term: Term, budget: BudgetMeter, fns: Optional[dict] = None
+    ) -> Term:
         """Value-mode evaluation on an explicit work stack.
 
         The machine is the defunctionalised form of the obvious
@@ -622,6 +617,15 @@ class RewriteEngine:
         ``_F_MEMO`` stores ground normal forms once their root pass
         finishes.  Term depth therefore costs heap, not Python stack —
         no recursion-limit fiddling, ever.
+
+        ``fns`` (the codegen backend's :attr:`CodegenRules.fns`) makes
+        an operation's generated function its root step: its result is
+        the node's normal form.  When a function nests past its depth
+        limit, the node's whole subtree finishes on the interpreted
+        root step, and an ``_F_COMPILED`` frame restores ``fns`` once it
+        is done.  A completed evaluation remembers a ground result as
+        its own normal form, so feeding it back in (a drain) is one
+        memo probe.
         """
         stats = self.stats
         # Pre-bound counter slots: incrementing slot[0] on a local list
@@ -687,6 +691,22 @@ class RewriteEngine:
                 # frames; builtin steps that need re-evaluation continue
                 # under a _F_BUILTIN_CONT frame.
                 node = frame[1]
+                fn = None if fns is None else fns.get(node.op.name)
+                if fn is not None:
+                    if _faults.ACTIVE is not None:
+                        _faults.ACTIVE.visit("compiled.root", node.op)
+                    budget.tick()
+                    try:
+                        result = fn(*node.args, budget, 0)
+                        continue
+                    except _DeepRecursion:
+                        # The abandoned attempt's fuel stays spent: the
+                        # budget over-counts such steps, never under.
+                        stats.record_fallback("codegen_depth")
+                        if _faults.ACTIVE is not None:
+                            _faults.ACTIVE.visit("compiled.fallback", node.op)
+                        stack.append((_F_COMPILED, fns))
+                        fns = None
                 while True:
                     builtin = node.op.builtin
                     if builtin is not None and all(
@@ -816,6 +836,8 @@ class RewriteEngine:
                         apply_bindings(template.then_branch, bindings),
                         apply_bindings(template.else_branch, bindings),
                     )
+            elif tag == _F_COMPILED:
+                fns = frame[1]
             else:  # _F_ITE_COND
                 t = frame[1]
                 cond = result
@@ -832,6 +854,13 @@ class RewriteEngine:
                     result = t
                 else:
                     result = Ite(cond, t.then_branch, t.else_branch)
+        if (
+            cache_on
+            and result is not term
+            and type(result) is App
+            and result._ground
+        ):
+            self._remember(result, result)
         return result
 
     def _remember(self, key: Term, value: Term) -> None:
@@ -898,23 +927,12 @@ class RewriteEngine:
 
         Both branches of undecided conditionals are simplified, and the
         identity ``if c then x else x = x`` is applied — sound because
-        either branch yields ``x``.
+        either branch yields ``x``.  A spent budget raises
+        :class:`RewriteLimitError` as :meth:`normalize` does, but a
+        simplification is not an evaluation: ``engine.eval_seconds`` and
+        ``engine.fuel_per_eval`` do not count it.
         """
-        meter = self._meter(budget)
-        try:
-            return self._simplify(term, meter)
-        except BudgetExceeded as exc:
-            raise RewriteLimitError(
-                term,
-                meter.budget.fuel,
-                reason=exc.reason,
-                trace=exc.trace,
-                detail=exc.detail,
-            ) from None
-        except RecursionError:
-            raise RewriteLimitError(
-                term, meter.budget.fuel, reason=REASON_DEPTH
-            ) from None
+        return self._limited(term, self._meter(budget), self._simplify)
 
     def _simplify(self, term: Term, budget: BudgetMeter) -> Term:
         """Simplify ``term``, memoised in a bounded LRU keyed on the
@@ -953,7 +971,7 @@ class RewriteEngine:
             for arg in term.args:
                 value = self._simplify(arg, budget)
                 if isinstance(value, Err):
-                    self.stats.error_propagations += 1
+                    self.stats.s_errprop[0] += 1
                     result = Err(term.sort)
                     break
                 if value is not arg:

@@ -171,9 +171,10 @@ class BudgetMeter(list):
             self.checkpoint()
 
     def tick(self) -> None:
-        """A pulse for drivers that spend fuel out of the meter's sight
-        (the codegen driver calls this per root dispatch): checks the
-        deadline and memory caps at the same cadence as :meth:`spend`."""
+        """A pulse for steps that spend fuel out of the meter's sight
+        (the engine calls this before each generated-function root
+        step): checks the deadline and memory caps at the same cadence
+        as :meth:`spend`."""
         pulse = self._pulse = self._pulse + 1
         if not (pulse & (PULSE_INTERVAL - 1)):
             self.checkpoint()

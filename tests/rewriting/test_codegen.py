@@ -1,4 +1,5 @@
-"""Tests for the codegen backend's driver as a ``RewriteEngine`` runs it.
+"""Tests for the codegen backend's compiled rules as a ``RewriteEngine``
+runs them.
 
 These pin the engine-facing contract of the compiled rules from the
 codegen side: they are built on first use and rebuilt when a rule set
@@ -64,7 +65,7 @@ class TestDriverParity:
 
     def test_deep_chain_falls_back_without_recursion_error(self):
         # The generated functions recurse once per rewrite, so a deep
-        # spine exceeds their depth limit — the driver must land on the
+        # spine exceeds their depth limit — the engine must land on the
         # interpreted fallback, not raise RecursionError.
         engine = RewriteEngine(QUEUE_RULES, backend="codegen")
         engine.fuel = 10_000_000

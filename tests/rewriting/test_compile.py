@@ -5,10 +5,11 @@ rules a :class:`RewriteEngine` runs it through).
 The compiled rules must implement exactly the rewrite relation of the
 interpreted engine, including its observable accounting (per-rule firing
 counts, steps and fuel): every test here either checks agreement
-directly or exercises a mechanism of the compiler or its driver
-(decision-tree dispatch over builtins and non-linear patterns, the
-module cache, the interpreted fallbacks for uncompilable patterns and
-deep chains, the normal-form set, memo sharing and bounds).
+directly or exercises a mechanism of the compiler or of the engine that
+runs its functions as root steps (decision-tree dispatch over builtins
+and non-linear patterns, the module cache, the interpreted fallbacks for
+uncompilable patterns and deep chains, the result memo, memo sharing
+and bounds).
 """
 
 import gc
@@ -37,6 +38,7 @@ from repro.rewriting import (
     codegen_module,
 )
 from repro.adt.queue import ADD, FRONT, IS_EMPTY, NEW, QUEUE_SPEC, REMOVE, queue_term
+from repro.testing.faults import FaultPlan, inject_faults
 
 QUEUE_RULES = RuleSet.from_specification(QUEUE_SPEC)
 
@@ -183,7 +185,7 @@ class TestAgreement:
 class TestBuiltins:
     def test_builtin_only_operation_fires(self):
         engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
-        # HASH heads no rule; the driver must still run its builtin.
+        # HASH heads no rule; the engine must still run its builtin.
         term = app(HASH, identifier("x"))
         result = engine.normalize(term)
         assert isinstance(result, Lit) and result.sort == NAT
@@ -251,20 +253,24 @@ class TestFuelParity:
         assert outcome.reason == "fuel"
 
     def test_budget_exhaustion_leaves_no_reference_cycle(self):
-        # An interpreted engine that ran out of fuel is freed as soon as
-        # it is dropped: its metrics registry must not linger until a
-        # garbage collection, or live aggregated counts would fall when
-        # the collection finally runs.
+        # An engine that ran out of fuel is freed as soon as it is
+        # dropped: its metrics registry must not linger until a garbage
+        # collection, or live aggregated counts would fall when the
+        # collection finally runs.  A codegen engine holds generated
+        # functions that reach its interpreter, weakly.
         gc.disable()
         try:
-            engine = RewriteEngine.for_specification(QUEUE_SPEC, fuel=3)
-            term = app(FRONT, queue_term(list(range(20))))
-            with pytest.raises(RewriteLimitError):
-                engine.normalize(term)
-            assert engine.normalize_outcome(term).reason == "fuel"
-            registry = weakref.ref(engine.stats.registry)
-            del engine
-            assert registry() is None
+            for backend in ("interpreted", "codegen"):
+                engine = RewriteEngine.for_specification(
+                    QUEUE_SPEC, fuel=3, backend=backend
+                )
+                term = app(FRONT, queue_term(list(range(20))))
+                with pytest.raises(RewriteLimitError):
+                    engine.normalize(term)
+                assert engine.normalize_outcome(term).reason == "fuel"
+                registry = weakref.ref(engine.stats.registry)
+                del engine
+                assert registry() is None, backend
         finally:
             gc.enable()
 
@@ -379,6 +385,19 @@ class TestMemoSharing:
         assert engine.normalize(term) == item("a")
         assert engine.stats.cache_probes == 0
 
+    def test_repeated_subject_reaches_no_generated_function(self):
+        # The engine probes its memo on the whole subject before walking
+        # it, on both backends: a repeated subject is answered without
+        # dispatching to a single generated function.
+        engine = RewriteEngine(QUEUE_RULES, backend="codegen")
+        subject = app(FRONT, queue_term(range(50)))
+        with inject_faults(FaultPlan()) as first:
+            assert engine.normalize(subject) == item(0)
+        with inject_faults(FaultPlan()) as second:
+            assert engine.normalize(subject) == item(0)
+        assert first.visits.get("compiled.root", 0) > 0
+        assert second.visits.get("compiled.root", 0) == 0
+
     def test_normal_form_set_survives_cache_clear_semantics(self):
         engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
         q = queue_term(["a", "b"])
@@ -447,6 +466,7 @@ class TestMemoBound:
         for subject in subjects:
             assert engine.normalize(subject) == reference.normalize(subject)
             assert sum(len(memo) for memo in memos.values()) <= self.CAP
+            assert len(engine._cache) <= self.CAP
             unbounded.normalize(subject)
         # The workload is big enough to matter: left unbounded, at least
         # three operations' memos together pass the budget.
@@ -460,6 +480,17 @@ class TestMemoBound:
         engine.clear_cache()
         assert all(not memo for memo in memos.values())
         assert engine.compiled_rules().ns["CN"] == 0
+        # Nothing outside the memos keeps normal forms alive: each
+        # REMOVE result below is a fresh queue no subject contains, and
+        # at most one per entry of the engine memo and of the generated
+        # memos survives.
+        queues = RewriteEngine(QUEUE_RULES, budget=budget, backend="codegen")
+        results = [
+            weakref.ref(queues.normalize(app(REMOVE, queue_term([i, -i]))))
+            for i in range(1, 4 * self.CAP)
+        ]
+        gc.collect()
+        assert sum(ref() is not None for ref in results) <= 2 * self.CAP
 
 
 class TestUncompilablePatterns:

@@ -1,5 +1,7 @@
 """Unit tests for the rewrite engine."""
 
+import sys
+
 import pytest
 
 from repro.algebra.terms import App, Err, Ite, Lit, app, err, ite, var
@@ -426,6 +428,31 @@ class TestSimplify:
             ite(app(IS_EMPTY, q), queue_term(["a"]), queue_term(["b"]))
         )
         assert queue_engine.simplify(first) is first
+
+    def test_spent_budget_raises_limit_error_without_evaluation_metrics(self):
+        # Simplify maps a spent budget to RewriteLimitError as normalize
+        # does, but a simplification is not an evaluation: the latency
+        # histogram does not count it.
+        from repro.runtime import EvaluationBudget
+
+        engine = RewriteEngine.for_specification(QUEUE_SPEC)
+
+        def evaluations():
+            histograms = engine.stats.registry.snapshot()["histograms"]
+            return histograms["engine.eval_seconds"]["count"]
+
+        with pytest.raises(RewriteLimitError) as fuel:
+            engine.simplify(
+                app(FRONT, queue_term(["a", "b", "c"])),
+                EvaluationBudget(fuel=1),
+            )
+        assert fuel.value.reason == "fuel"
+        # _simplify recurses once per term level.
+        deep = app(IS_EMPTY, queue_term(range(sys.getrecursionlimit() + 100)))
+        with pytest.raises(RewriteLimitError) as depth:
+            engine.simplify(deep)
+        assert depth.value.reason == "depth"
+        assert evaluations() == 0
 
 
 class TestArgsNormal:
