@@ -12,6 +12,7 @@ import pytest
 from repro.algebra.terms import app
 from repro.adt.queue import FRONT, QUEUE_SPEC, REMOVE, queue_term
 from repro.rewriting import RewriteEngine, RuleSet
+from repro.runtime import EvaluationBudget
 from repro.spec.parser import parse_specification
 from repro.analysis import check_sufficient_completeness
 
@@ -52,7 +53,7 @@ def test_e10_backend_ablation(benchmark):
         timings = {}
         for backend in ("interpreted", "codegen"):
             engine = RewriteEngine(
-                RULES, fuel=10_000_000, backend=backend
+                RULES, backend=backend, budget=EvaluationBudget(fuel=10_000_000)
             )
             if backend == "codegen":
                 engine.compiled_rules()
@@ -82,7 +83,7 @@ def test_e10_normalize_vs_simplify(benchmark):
     ground terms: simplify explores untaken branches, so it pays more."""
     import time
 
-    engine = RewriteEngine(RULES, fuel=500_000)
+    engine = RewriteEngine(RULES, budget=EvaluationBudget(fuel=500_000))
     term = app(REMOVE, queue_term(range(24)))
 
     def measure():

@@ -47,6 +47,7 @@ from repro.obs import (  # noqa: E402
 )
 from repro.parallel import ShardPool  # noqa: E402
 from repro.rewriting import RewriteEngine, RuleSet  # noqa: E402
+from repro.runtime import EvaluationBudget  # noqa: E402
 
 #: Last commit with the seed engine (pre-interning term substrate).
 SEED_COMMIT = "36c9cdc54882083980002dcdff8599446679a833"
@@ -154,7 +155,9 @@ def _measure_drain(size: int, backend, reps: int):
     ``intern_hit_rate: 1.0`` regardless of configuration."""
     best = None
     for _ in range(reps):
-        engine = RewriteEngine(RULES, fuel=10_000_000, backend=backend)
+        engine = RewriteEngine(
+            RULES, backend=backend, budget=EvaluationBudget(fuel=10_000_000)
+        )
         if backend == "codegen":
             engine.compiled_rules()  # compile outside the timing
         gc.collect()  # release the previous rep's interned subject
@@ -215,7 +218,11 @@ def _measure_parallel_batch(
     best = None
     for _ in range(reps):
         if workers is None:
-            engine = RewriteEngine(RULES, fuel=10_000_000, backend=backend)
+            engine = RewriteEngine(
+                RULES,
+                backend=backend,
+                budget=EvaluationBudget(fuel=10_000_000),
+            )
             if backend == "codegen":
                 engine.compiled_rules()
             gc.collect()
@@ -224,7 +231,10 @@ def _measure_parallel_batch(
             elapsed = time.perf_counter() - start
         else:
             pool = ShardPool(
-                RULES, workers, backend=backend, fuel=10_000_000
+                RULES,
+                workers,
+                backend=backend,
+                budget=EvaluationBudget(fuel=10_000_000),
             )
             try:
                 pool.warm()

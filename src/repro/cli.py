@@ -106,7 +106,6 @@ def _eval_pool(args: argparse.Namespace, engine: RewriteEngine):
             engine.rules,
             args.workers,
             backend=engine.backend,
-            fuel=engine.fuel,
             budget=engine.budget,
             cache_size=engine.cache_size,
         )

@@ -22,9 +22,7 @@ from typing import Optional, Type
 
 from repro.spec.specification import Specification
 from repro.interp.symbolic import SymbolicInterpreter, SymbolicValue
-from repro.obs.trace import maybe_span
 from repro.runtime.budget import EvaluationBudget
-from repro.runtime.outcome import NORMALIZED
 
 
 def python_name(operation_name: str) -> str:
@@ -103,54 +101,9 @@ def _wrap(interpreter, cls, value: SymbolicValue):
     return interpreter.to_python(value)
 
 
-def _evaluate_terms(cls, terms):
-    """Batch entry point stamped onto every façade class: normalise a
-    sequence of raw terms through the engine's shared-memo batch API and
-    wrap the results exactly as the per-operation methods do."""
-    interpreter = cls._interpreter
-    terms = list(terms)
-    with maybe_span(
-        "facade.evaluate_terms", cls=cls.__name__, batch=len(terms)
-    ):
-        return [
-            _wrap(interpreter, cls, value)
-            for value in interpreter.value_many(terms)
-        ]
-
-
-def _try_evaluate_terms(cls, terms, budget=None):
-    """Fault-isolating batch entry point: one result record per term.
-
-    Terms that normalise are wrapped exactly as :meth:`evaluate_terms`
-    wraps them (façade values for the type of interest, Python readings
-    for observations); every other outcome — truncated, diverged, the
-    algebra's ``error`` value, a contained fault — stays a structured
-    :class:`~repro.runtime.Outcome`, so one pathological term cannot
-    abort the batch or mask its neighbours' results."""
-    interpreter = cls._interpreter
-    terms = list(terms)
-    results = []
-    with maybe_span(
-        "facade.try_evaluate_terms", cls=cls.__name__, batch=len(terms)
-    ):
-        for outcome in interpreter.value_many_outcomes(terms, budget):
-            if outcome.status == NORMALIZED:
-                results.append(
-                    _wrap(
-                        interpreter,
-                        cls,
-                        SymbolicValue(interpreter, outcome.term),
-                    )
-                )
-            else:
-                results.append(outcome)
-    return results
-
-
 def facade_class(
     spec: Specification,
     name: Optional[str] = None,
-    fuel: int = 200_000,
     backend: str = "interpreted",
     budget: Optional[EvaluationBudget] = None,
 ) -> Type[FacadeValue]:
@@ -167,9 +120,7 @@ def facade_class(
     >>> q.front()
     'a'
     """
-    interpreter = SymbolicInterpreter(
-        spec, fuel=fuel, backend=backend, budget=budget
-    )
+    interpreter = SymbolicInterpreter(spec, backend=backend, budget=budget)
     toi = spec.type_of_interest
     cls = type(
         name or spec.name,
@@ -187,6 +138,4 @@ def facade_class(
             setattr(cls, method_name, _make_instance_method(interpreter, operation, cls))
         else:
             setattr(cls, method_name, _make_constructor_method(interpreter, operation, cls))
-    cls.evaluate_terms = classmethod(_evaluate_terms)
-    cls.try_evaluate_terms = classmethod(_try_evaluate_terms)
     return cls

@@ -26,7 +26,6 @@ from repro.rewriting.engine import RewriteEngine
 from repro.obs import trace as _trace
 from repro.runtime import faults as _faults
 from repro.runtime.budget import EvaluationBudget
-from repro.runtime.outcome import Outcome
 
 
 class SymbolicTypeError(TypeError):
@@ -79,19 +78,20 @@ class SymbolicInterpreter:
     ``backend`` selects the evaluation path: ``"interpreted"`` (the
     default) or ``"codegen"`` (generated rule modules — see
     :mod:`repro.rewriting.codegen`).  Both compute the same normal
-    forms.
+    forms.  ``budget`` bounds every evaluation (see
+    :class:`~repro.runtime.EvaluationBudget`).
     """
 
     def __init__(
         self,
         spec: Specification,
-        fuel: int = 200_000,
+        *,
         backend: str = "interpreted",
         budget: Optional[EvaluationBudget] = None,
     ) -> None:
         self.spec = spec
         self.engine = RewriteEngine.for_specification(
-            spec, fuel=fuel, backend=backend, budget=budget
+            spec, backend=backend, budget=budget
         )
 
     # ------------------------------------------------------------------
@@ -120,46 +120,6 @@ class SymbolicInterpreter:
         """Wrap and normalise an explicit term."""
         with _trace.maybe_span("symbolic.value"):
             return SymbolicValue(self, self.engine.normalize(term))
-
-    def value_many(self, terms) -> list[SymbolicValue]:
-        """Normalise a batch of terms through the engine's batch API —
-        one shared memo pass, so common substructure across the workload
-        is evaluated once."""
-        tracer = _trace.ACTIVE
-        if tracer is None:
-            return [
-                SymbolicValue(self, term)
-                for term in self.engine.normalize_many(terms)
-            ]
-        terms = list(terms)
-        with tracer.span("symbolic.value_many", batch=len(terms)):
-            return [
-                SymbolicValue(self, term)
-                for term in self.engine.normalize_many(terms)
-            ]
-
-    def value_outcome(
-        self, term: Term, budget: Optional[EvaluationBudget] = None
-    ) -> Outcome:
-        """Resilient single-term evaluation: the engine's structured
-        :class:`~repro.runtime.Outcome` instead of an exception."""
-        with _trace.maybe_span("symbolic.value_outcome"):
-            return self.engine.normalize_outcome(term, budget)
-
-    def value_many_outcomes(
-        self,
-        terms,
-        budget: Optional[EvaluationBudget] = None,
-    ) -> list[Outcome]:
-        """Fault-isolating batch evaluation: one outcome per term — a
-        pathological term yields its own failure record instead of
-        aborting the batch."""
-        tracer = _trace.ACTIVE
-        if tracer is None:
-            return self.engine.normalize_many_outcomes(terms, budget)
-        terms = list(terms)
-        with tracer.span("symbolic.value_many_outcomes", batch=len(terms)):
-            return self.engine.normalize_many_outcomes(terms, budget)
 
     def _coerce(self, argument: Applicable, sort: Sort) -> Term:
         if isinstance(argument, SymbolicValue):

@@ -81,7 +81,7 @@ from repro.parallel import wire
 from repro.rewriting.engine import RewriteEngine, RewriteLimitError
 from repro.rewriting.rules import RuleSet
 from repro.runtime import faults as _faults
-from repro.runtime.budget import DEFAULT_FUEL, EvaluationBudget
+from repro.runtime.budget import EvaluationBudget
 from repro.runtime.outcome import Outcome
 
 __all__ = ["ShardPool", "close_all_pools"]
@@ -174,8 +174,8 @@ def _send_stop(workers: list[_Worker]) -> None:
 class ShardPool:
     """Worker-process evaluation for one rule set + engine configuration.
 
-    The pool is bound at construction: rules, backend, fuel, default
-    budget, memo size.  Each worker builds an engine for that
+    The pool is bound at construction: rules, backend, default budget,
+    memo size.  Each worker builds an engine for that
     configuration once (keyed by the rule set's structural fingerprint)
     and reuses it across batches.  Workers are lazy — no
     processes exist until the first batch (or :meth:`warm`) — and
@@ -199,7 +199,6 @@ class ShardPool:
         workers: int,
         *,
         backend: str = "interpreted",
-        fuel: int = DEFAULT_FUEL,
         budget: Optional[EvaluationBudget] = None,
         cache_size: int = 4096,
         mp_context: Optional[str] = None,
@@ -210,10 +209,8 @@ class ShardPool:
         self.workers = workers
         self.rules = rules
         self.rule_count = len(rules)
-        self.fuel = fuel
         self._options = {
             "backend": backend,
-            "fuel": fuel,
             "budget": wire.encode_budget(budget),
             "cache_size": cache_size,
         }
@@ -418,7 +415,6 @@ class ShardPool:
             opts = self._options
             engine = self._serial = RewriteEngine(
                 self.rules,
-                fuel=opts["fuel"],
                 cache_size=opts["cache_size"],
                 backend=opts["backend"],
                 budget=wire.decode_budget(opts["budget"]),
@@ -690,7 +686,6 @@ def _worker_engine(key: str) -> RewriteEngine:
         spec = _WORKER_SPECS[key]
         engine = RewriteEngine(
             wire.decode_ruleset(spec["rules"], _WORKER_TABLES[key]),
-            fuel=spec["fuel"],
             cache_size=spec["cache_size"],
             backend=spec["backend"],
             budget=wire.decode_budget(spec["budget"]),

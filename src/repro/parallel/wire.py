@@ -46,6 +46,7 @@ Design points:
 from __future__ import annotations
 
 import importlib
+import math
 from typing import Iterable, Optional, Sequence
 
 from repro.algebra.signature import Operation
@@ -585,16 +586,51 @@ def encode_budget(budget: Optional[EvaluationBudget]) -> Optional[dict]:
         "fuel": budget.fuel,
         "deadline": budget.deadline,
         "max_intern_growth": budget.max_intern_growth,
-        "max_memo_entries": budget.max_memo_entries,
     }
 
 
-def decode_budget(payload: Optional[dict]) -> Optional[EvaluationBudget]:
+_BUDGET_FIELDS = frozenset(("fuel", "deadline", "max_intern_growth"))
+
+
+def _count(value: object) -> bool:
+    """A JSON integer >= 0 (a bool is not one)."""
+    return type(value) is int and value >= 0
+
+
+def decode_budget(payload: object) -> Optional[EvaluationBudget]:
+    """The budget ``payload`` carries, or ``None`` for ``None``.
+
+    A budget payload has exactly three keys: ``fuel``, an int >= 0;
+    ``deadline``, null or a finite number >= 0; and
+    ``max_intern_growth``, null or an int >= 0.  Any other shape — a
+    missing or unknown key, a bool or string where a number belongs, a
+    negative or non-finite number — raises :class:`WireError`, so a
+    limit the runtime does not know is refused rather than dropped.
+    """
     if payload is None:
         return None
+    if not isinstance(payload, dict) or payload.keys() != _BUDGET_FIELDS:
+        raise WireError(
+            "a budget is an object with exactly the keys "
+            f"{sorted(_BUDGET_FIELDS)}"
+        )
+    fuel = payload["fuel"]
+    deadline = payload["deadline"]
+    growth = payload["max_intern_growth"]
+    if not _count(fuel):
+        raise WireError(f"budget fuel must be an int >= 0, got {fuel!r}")
+    if deadline is not None and not (
+        type(deadline) in (int, float) and 0 <= deadline < math.inf
+    ):
+        raise WireError(
+            f"budget deadline must be null or a finite number >= 0, "
+            f"got {deadline!r}"
+        )
+    if growth is not None and not _count(growth):
+        raise WireError(
+            f"budget max_intern_growth must be null or an int >= 0, "
+            f"got {growth!r}"
+        )
     return EvaluationBudget(
-        fuel=payload["fuel"],
-        deadline=payload["deadline"],
-        max_intern_growth=payload["max_intern_growth"],
-        max_memo_entries=payload["max_memo_entries"],
+        fuel=fuel, deadline=deadline, max_intern_growth=growth
     )

@@ -3,11 +3,11 @@
 from repro.rewriting.rules import RewriteRule, RuleSet, rule_from_axiom
 from repro.rewriting.engine import (
     BACKENDS,
-    DEFAULT_FUEL,
     EngineStats,
     RewriteEngine,
     RewriteLimitError,
 )
+from repro.runtime.budget import DEFAULT_FUEL
 from repro.rewriting.codegen import (
     CodegenModule,
     CodegenRules,

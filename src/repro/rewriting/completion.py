@@ -28,6 +28,7 @@ from repro.rewriting.critical_pairs import all_critical_pairs
 from repro.rewriting.engine import RewriteEngine, RewriteLimitError
 from repro.rewriting.ordering import Precedence, orient
 from repro.rewriting.rules import RewriteRule, RuleSet
+from repro.runtime.budget import EvaluationBudget
 
 
 class CompletionStatus(Enum):
@@ -100,9 +101,10 @@ def complete(
     added: list[RewriteRule] = []
     failures: list[str] = []
     rounds = 0
+    budget = EvaluationBudget(fuel=fuel)
     while rounds < max_rounds:
         rounds += 1
-        engine = RewriteEngine(ruleset, fuel=fuel)
+        engine = RewriteEngine(ruleset, budget=budget)
         new_rules = RuleSet()
         for pair in all_critical_pairs(ruleset):
             try:

@@ -28,9 +28,9 @@ the rule set (see :mod:`repro.rewriting.codegen`).  Either way there is
 one engine object per rule set.
 
 Evaluation runs under an :class:`~repro.runtime.EvaluationBudget` —
-fuel (rewrite steps), an optional wall-clock deadline, and memory caps
-— enforced identically by both backends through a shared
-:class:`~repro.runtime.BudgetMeter`.  Exceeding any dimension raises
+fuel (rewrite steps), an optional wall-clock deadline, and an optional
+intern-growth cap — enforced identically by both backends through a
+shared :class:`~repro.runtime.BudgetMeter`.  Exceeding any dimension raises
 :class:`RewriteLimitError`, whose ``reason`` distinguishes genuine fuel
 exhaustion from recursion blow-ups, deadlines, memory caps, and
 *cycling* (a periodic rewrite sequence, reported with its minimal
@@ -50,7 +50,6 @@ from repro.algebra.matching import match_bindings
 from repro.algebra.sorts import BOOLEAN
 from repro.algebra.substitution import apply_bindings
 from repro.algebra.terms import App, Err, Ite, Lit, Term, Var
-from repro.spec.axioms import Axiom
 from repro.spec.errors import AlgebraError
 from repro.spec.prelude import boolean_term, is_false, is_true
 from repro.spec.specification import Specification
@@ -63,7 +62,6 @@ from repro.rewriting.codegen import (
 from repro.rewriting.rules import RuleSet
 from repro.runtime import faults as _faults
 from repro.runtime.budget import (
-    DEFAULT_FUEL,
     BudgetExceeded,
     BudgetMeter,
     EvaluationBudget,
@@ -339,8 +337,6 @@ class RewriteEngine:
     ----------
     rules:
         The oriented axioms.
-    fuel:
-        Maximum rewrite steps per ``normalize``/``simplify`` call.
     cache_size:
         Normal forms of *ground* applications are memoised (the rule set
         is fixed for the engine's lifetime, so a ground term's normal
@@ -349,7 +345,9 @@ class RewriteEngine:
         re-evaluation into a lookup.  The memo is a bounded LRU keyed on
         interned term identity; overflow evicts the least recently used
         entry.  ``simplify`` keeps a second LRU of the same bound, of
-        open as well as ground terms.  0 disables both memos.
+        open as well as ground terms.  0 disables both memos.  It is the
+        only memo bound: on the codegen backend the per-operation memos
+        share it too.
     backend:
         ``"interpreted"`` (the default) evaluates with the generic
         explicit-stack machine below.  ``"codegen"`` runs the same
@@ -360,17 +358,16 @@ class RewriteEngine:
         Symbolic ``simplify`` always uses the interpreted machinery —
         open-term simplification is not on any hot path.
     budget:
-        The default :class:`~repro.runtime.EvaluationBudget` for every
-        evaluation.  Supersedes ``fuel`` when given; its
-        ``max_memo_entries`` clamps ``cache_size`` (the memo is engine
-        state, so its cap binds at construction).  Per-call budgets may
-        be passed to the evaluation methods.
+        The one limit an engine takes: the default
+        :class:`~repro.runtime.EvaluationBudget` (fuel, deadline, intern
+        growth) for every ``normalize``/``simplify`` call that passes no
+        budget of its own.  Omitted, it is ``EvaluationBudget()``.
     """
 
     def __init__(
         self,
         rules: RuleSet,
-        fuel: int = DEFAULT_FUEL,
+        *,
         cache_size: int = 4096,
         backend: str = "interpreted",
         budget: Optional[EvaluationBudget] = None,
@@ -379,13 +376,8 @@ class RewriteEngine:
             raise ValueError(
                 f"unknown backend: {backend!r} (expected one of {BACKENDS})"
             )
-        if budget is None:
-            budget = EvaluationBudget(fuel=fuel)
-        elif budget.max_memo_entries is not None:
-            cache_size = min(cache_size, budget.max_memo_entries)
         self.rules = rules
-        self.fuel = budget.fuel
-        self.budget = budget
+        self.budget = budget if budget is not None else EvaluationBudget()
         self.backend = backend
         self.stats = EngineStats()
         self.cache_size = cache_size
@@ -397,24 +389,18 @@ class RewriteEngine:
     def for_specification(
         cls,
         spec: Specification,
-        fuel: int = DEFAULT_FUEL,
+        *,
         backend: str = "interpreted",
         budget: Optional[EvaluationBudget] = None,
     ) -> "RewriteEngine":
         return cls(
-            RuleSet.from_specification(spec),
-            fuel=fuel,
-            backend=backend,
-            budget=budget,
+            RuleSet.from_specification(spec), backend=backend, budget=budget
         )
 
     def _meter(self, budget: Optional[EvaluationBudget]) -> BudgetMeter:
         """A fresh meter for one evaluation: the per-call budget when
-        given, else the engine's default adjusted for any
-        post-construction ``engine.fuel`` assignment."""
-        if budget is None:
-            budget = self.budget.with_fuel(self.fuel)
-        return budget.start()
+        given, else the engine's default."""
+        return (budget or self.budget).start()
 
     # ------------------------------------------------------------------
     # Value-mode evaluation
@@ -610,9 +596,10 @@ class RewriteEngine:
         recursion: a stack of tagged tuple frames plus a ``result``
         register.  ``_F_EVAL`` dispatches on a term; ``_F_APP_ARG`` /
         ``_F_ITE_COND`` collect evaluated children; ``_F_ROOT`` rewrites
-        at the root of an argument-normal application (rule selection
-        stays behind the :meth:`_match_root` hook, so the prover's
-        override keeps working); the ``_F_INST*`` frames fuse rule
+        at the root of an argument-normal application, taking the first
+        indexed rule that matches (:meth:`_match_root`; value mode has no
+        subclass hooks, so a prover engine normalises exactly as the base
+        engine does); the ``_F_INST*`` frames fuse rule
         right-hand-side instantiation with normalisation, and
         ``_F_MEMO`` stores ground normal forms once their root pass
         finishes.  Term depth therefore costs heap, not Python stack —
@@ -731,7 +718,7 @@ class RewriteEngine:
                             break
                         node = step
                         continue
-                    rule, bindings = self._match_root(node, budget)
+                    rule, bindings = self._match_root(node)
                     if rule is None:
                         result = node
                         break
@@ -878,24 +865,18 @@ class RewriteEngine:
             cache.popitem(last=False)
         cache[key] = value
 
-    def _match_root(self, term: App, budget: list[int]):
-        """The first indexed rule matching at the root, with its raw
-        bindings; ``(None, None)`` when none match.  ``budget`` is
-        unused here but threaded for subclasses whose match decision
-        needs speculative evaluation (the prover's guarded unfolding)."""
+    def _match_root(self, term: App):
+        """The first rule from the discrimination-tree index (head
+        symbol, then argument shapes) matching at the root, with its raw
+        bindings; ``(None, None)`` when none match."""
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.visit("engine.match_root", term)
-        for rule in self._candidates(term):
+        for rule in self.rules.candidates(term):
             bindings = match_bindings(rule.lhs, term)
             if bindings is not None:
                 self.stats.record_firing(rule, term)
                 return rule, bindings
         return None, None
-
-    def _candidates(self, term: App):
-        """Rules to try at the root of ``term``, from the
-        discrimination-tree index (head symbol, then argument shapes)."""
-        return self.rules.candidates(term)
 
     def _fires_undecided(self, rule: "RewriteRule") -> bool:
         """Hook: may ``rule`` fire when the leading condition of its
@@ -991,7 +972,7 @@ class RewriteEngine:
                     result = self._simplify(step, budget)
                 else:
                     result = node
-                    for rule in self._candidates(node):
+                    for rule in self.rules.candidates(node):
                         bindings = match_bindings(rule.lhs, node)
                         if bindings is None:
                             continue
@@ -1054,21 +1035,6 @@ class RewriteEngine:
         """Hook: a term to simplify in place of ``node``, whose
         arguments are simplified; ``None`` (here) keeps ``node``."""
         return None
-
-    # ------------------------------------------------------------------
-    # Equality under the rules
-    # ------------------------------------------------------------------
-    def equal(self, left: Term, right: Term) -> bool:
-        """True when both terms normalise to the same normal form."""
-        return self.normalize(left) == self.normalize(right)
-
-    def check_axiom_instance(self, axiom: Axiom, substitution) -> bool:
-        """Evaluate both sides of ``axiom`` under ``substitution`` and
-        compare normal forms — the ground model check used throughout the
-        analysis and verification layers."""
-        return self.equal(
-            substitution.apply(axiom.lhs), substitution.apply(axiom.rhs)
-        )
 
 
 def _decided(cond: Term) -> bool:

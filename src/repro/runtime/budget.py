@@ -9,11 +9,10 @@ evaluation:
 * **max_intern_growth** — cap on *new* hash-consed term nodes created
   during the evaluation, the honest memory gauge for term explosion
   (a ``SPIN(l) = SPIN(SPIN(l))`` axiom grows the intern table without
-  bound long before Python notices);
-* **max_memo_entries** — cap on the engine's normal-form memo, applied
-  at engine construction (the memo is engine state, not per-call state).
-  On the codegen backend it bounds the per-operation memos together:
-  their summed size never exceeds it.
+  bound long before Python notices).
+
+A budget bounds one evaluation, so it holds no engine state: the
+normal-form memo is bounded by the engine's ``cache_size`` alone.
 
 A :class:`BudgetMeter` is the live, per-evaluation counterpart.  It
 subclasses ``list`` so the codegen backend's generated functions — which
@@ -44,7 +43,7 @@ activates for evaluations that finish with fuel to spare.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import monotonic
 from typing import Optional
 
@@ -112,18 +111,10 @@ class EvaluationBudget:
     fuel: int = DEFAULT_FUEL
     deadline: Optional[float] = None
     max_intern_growth: Optional[int] = None
-    max_memo_entries: Optional[int] = None
 
     def start(self) -> "BudgetMeter":
         """A fresh meter for one evaluation under this budget."""
         return BudgetMeter(self)
-
-    def with_fuel(self, fuel: int) -> "EvaluationBudget":
-        """This budget with a different fuel bound (engines use it to
-        honour post-construction ``engine.fuel`` adjustments)."""
-        if fuel == self.fuel:
-            return self
-        return replace(self, fuel=fuel)
 
 
 class BudgetMeter(list):

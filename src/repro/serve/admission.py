@@ -89,17 +89,13 @@ def clamp_budget(
         return EvaluationBudget(
             fuel=limits.max_fuel, deadline=limits.max_deadline
         )
-    fuel = budget.fuel
-    if fuel is None or fuel > limits.max_fuel:
-        fuel = limits.max_fuel
     deadline = budget.deadline
     if deadline is None or deadline > limits.max_deadline:
         deadline = limits.max_deadline
     return EvaluationBudget(
-        fuel=fuel,
+        fuel=min(budget.fuel, limits.max_fuel),
         deadline=deadline,
         max_intern_growth=budget.max_intern_growth,
-        max_memo_entries=budget.max_memo_entries,
     )
 
 

@@ -132,11 +132,7 @@ class SpecSession:
 
             def factory() -> ShardPool:
                 return ShardPool(
-                    rules,
-                    workers,
-                    backend=engine.backend,
-                    fuel=engine.fuel,
-                    budget=engine.budget,
+                    rules, workers, backend=engine.backend, budget=engine.budget
                 )
 
             self.supervisor = PoolSupervisor(
@@ -354,6 +350,10 @@ class ReproServer:
         name = request.get("spec")
         if name is None:
             return self.default_session
+        if not isinstance(name, str):
+            raise ServeRequestError(
+                400, "bad_field", f"'spec' must be a string, got {name!r}"
+            )
         session = self.sessions.get(name)
         if session is None:
             raise ServeRequestError(
@@ -405,7 +405,7 @@ class ReproServer:
     def _budget(self, request: dict):
         try:
             budget = wire.decode_budget(request.get("budget"))
-        except Exception as exc:  # fault-boundary: hostile payload -> 400
+        except wire.WireError as exc:
             raise ServeRequestError(400, "bad_budget", str(exc))
         return clamp_budget(budget, self.limits)
 

@@ -17,6 +17,7 @@ from repro.algebra.substitution import Substitution
 from repro.algebra.terms import App, Term
 from repro.obs.trace import maybe_span
 from repro.rewriting.engine import RewriteEngine
+from repro.runtime.budget import EvaluationBudget
 from repro.testing.oracle import compare_by_rewriting
 from repro.testing.termgen import (
     GroundTermEnumerator,
@@ -133,7 +134,7 @@ def model_check(
     are compared by :func:`~repro.testing.oracle.compare_by_rewriting`.
     """
     rules = representation.rules()
-    engine = RewriteEngine(rules, fuel=fuel)
+    engine = RewriteEngine(rules, budget=EvaluationBudget(fuel=fuel))
     enumerator = GroundTermEnumerator(representation.concrete, rules)
     report = ModelCheckReport(obligation.label)
     variables = variables_in_order(obligation.lhs, obligation.rhs)

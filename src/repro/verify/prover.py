@@ -44,16 +44,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.algebra.matching import match_bindings
 from repro.algebra.signature import Operation
 from repro.algebra.sorts import Sort
-from repro.algebra.substitution import apply_bindings
 from repro.algebra.terms import App, Ite, Term, Var, map_terms
 from repro.spec.prelude import boolean_term, is_false, is_true
 from repro.obs.trace import maybe_span
-from repro.rewriting.engine import RewriteEngine, RewriteLimitError, _decided
+from repro.rewriting.engine import RewriteEngine, RewriteLimitError
 from repro.rewriting.rules import RewriteRule, RuleSet
-from repro.runtime.budget import BudgetMeter
+from repro.runtime.budget import BudgetMeter, EvaluationBudget
 from repro.verify.skolem import fresh_constant, is_skolem, skolemize_pair
 
 
@@ -71,6 +69,9 @@ class ProverEngine(RewriteEngine):
       under the current rules; unguarded unfolding of such definitions
       on open terms never terminates (``RETRIEVE'(POP(s))`` would beget
       ``RETRIEVE'(POP(POP(s)))`` forever).
+
+    Value mode has no hooks: ``normalize`` is the base engine's, and the
+    prover never calls it (proof work is ``simplify`` alone).
     """
 
     def _is_recursive(self, rule: RewriteRule) -> bool:
@@ -98,24 +99,6 @@ class ProverEngine(RewriteEngine):
         """Guarded unfolding: a recursive definition fires only when its
         leading condition decides under the current rules."""
         return not self._is_recursive(rule)
-
-    def _match_root(self, term: App, budget: BudgetMeter):
-        """Value-mode hook: apply the same unfolding guard as
-        ``simplify``, so ``normalize`` on open terms cannot unfold a
-        recursive definition whose guard does not decide.  Only the
-        guard is instantiated to test it."""
-        for rule in self._candidates(term):
-            bindings = match_bindings(rule.lhs, term)
-            if bindings is None:
-                continue
-            rhs = rule.rhs
-            if isinstance(rhs, Ite) and not self._fires_undecided(rule):
-                cond = self._simplify(apply_bindings(rhs.cond, bindings), budget)
-                if not _decided(cond):
-                    continue
-            self.stats.record_firing(rule)
-            return rule, bindings
-        return None, None
 
     def _lift(self, node: App, budget: BudgetMeter) -> Optional[Term]:
         """Conditional lifting: distribute the application over the
@@ -226,7 +209,9 @@ class EquationalProver:
     max_fact_splits / max_constructor_splits:
         Case-analysis budgets.
     fuel:
-        Rewrite step budget per simplification.
+        Rewrite step budget per simplification: one
+        :class:`~repro.runtime.EvaluationBudget` shared by every engine
+        the prover builds.
     """
 
     def __init__(
@@ -245,7 +230,7 @@ class EquationalProver:
         }
         self.max_fact_splits = max_fact_splits
         self.max_constructor_splits = max_constructor_splits
-        self.fuel = fuel
+        self.budget = EvaluationBudget(fuel=fuel)
 
     # ------------------------------------------------------------------
     def skolemize(
@@ -312,13 +297,12 @@ class EquationalProver:
                 rules = RuleSet(
                     extra + tuple(fact.as_rule() for fact in facts), base=rules
                 )
-            engine = ProverEngine(rules, fuel=self.fuel)
+            engine = ProverEngine(rules, budget=self.budget)
             if len(engines) >= _ENGINE_CACHE_SIZE:
                 engines.popitem(last=False)
             engines[key] = engine
         else:
             engines.move_to_end(key)
-            engine.fuel = self.fuel
         return engine
 
     def _prove(

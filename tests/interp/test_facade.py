@@ -162,21 +162,18 @@ class TestSpecImplEquivalence:
 
 
 class TestBatchEvaluation:
-    def test_evaluate_terms_wraps_like_methods(self):
-        from repro.algebra.terms import app
-        from repro.adt.queue import FRONT, IS_EMPTY, queue_term
+    def test_budget_bounds_every_method(self):
+        from repro.rewriting import RewriteLimitError
+        from repro.runtime import EvaluationBudget
 
-        Queue = facade_class(QUEUE_SPEC)
-        results = Queue.evaluate_terms(
-            [
-                app(FRONT, queue_term(["a", "b"])),
-                app(IS_EMPTY, queue_term([])),
-                queue_term(["c"]),
-            ]
-        )
-        assert results[0] == "a"
-        assert results[1] is True
-        assert isinstance(results[2], Queue)
+        Queue = facade_class(QUEUE_SPEC, budget=EvaluationBudget(fuel=500))
+        q = Queue.new()
+        for i in range(400):
+            q = q.add(i)
+        assert q.add("x").is_empty() is False
+        with pytest.raises(RewriteLimitError) as excinfo:
+            q.front()
+        assert excinfo.value.reason == "fuel"
 
     def test_compiled_facade_agrees_with_interpreted(self):
         Interp = facade_class(QUEUE_SPEC, name="QueueI")

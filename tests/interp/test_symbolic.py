@@ -117,11 +117,6 @@ class TestEquality:
 
 
 class TestBatchAndBackends:
-    def test_value_many_matches_value(self, interp):
-        terms = [queue_term(["a"]), queue_term(["a", "b"])]
-        batch = interp.value_many(terms)
-        assert batch == [interp.value(t) for t in terms]
-
     def test_compiled_backend_agrees(self):
         from repro.algebra.terms import app
         from repro.adt.queue import FRONT

@@ -24,6 +24,9 @@ from repro.adt.queue import FRONT, QUEUE_SPEC, REMOVE, queue_term
 from repro.obs import trace as trace_mod
 from repro.obs.trace import Tracer, tracing
 from repro.rewriting import RewriteEngine
+from repro.runtime import EvaluationBudget
+
+DRAIN_BUDGET = EvaluationBudget(fuel=10_000_000)
 
 DRAIN_SIZE = 40
 #: Allowed median ratio of muted-tracer time to no-tracer time: a 5%
@@ -44,7 +47,7 @@ def _drain(engine: RewriteEngine) -> None:
 
 
 def _timed_drain() -> float:
-    engine = RewriteEngine.for_specification(QUEUE_SPEC, fuel=10_000_000)
+    engine = RewriteEngine.for_specification(QUEUE_SPEC, budget=DRAIN_BUDGET)
     start = perf_counter()
     _drain(engine)
     return perf_counter() - start
@@ -53,7 +56,7 @@ def _timed_drain() -> float:
 def test_no_tracer_means_no_events():
     assert trace_mod.ACTIVE is None
     bystander = Tracer()  # constructed but never installed
-    engine = RewriteEngine.for_specification(QUEUE_SPEC, fuel=10_000_000)
+    engine = RewriteEngine.for_specification(QUEUE_SPEC, budget=DRAIN_BUDGET)
     _drain(engine)
     assert bystander.events == []
     # Work still happened and was still counted — metrics are always on.
@@ -63,7 +66,7 @@ def test_no_tracer_means_no_events():
 def test_muted_tracer_records_nothing():
     tracer = Tracer(sample=0.0)
     with tracing(tracer):
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, fuel=10_000_000)
+        engine = RewriteEngine.for_specification(QUEUE_SPEC, budget=DRAIN_BUDGET)
         _drain(engine)
     assert tracer.events == []
 

@@ -23,6 +23,7 @@ from repro.report import format_rule_profile
 from repro.rewriting import RewriteEngine
 from repro.rewriting import engine as engine_mod
 from repro.rewriting.engine import RewriteLimitError
+from repro.runtime import EvaluationBudget
 
 
 def _spans(events: list[dict]) -> list[dict]:
@@ -220,7 +221,9 @@ class TestEngineIntegration:
         assert calls == []
 
     def test_budget_exhaustion_emits_trace_event(self):
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, fuel=2)
+        engine = RewriteEngine.for_specification(
+            QUEUE_SPEC, budget=EvaluationBudget(fuel=2)
+        )
         tracer = Tracer()
         with tracing(tracer):
             with pytest.raises(RewriteLimitError):

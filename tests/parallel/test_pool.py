@@ -53,18 +53,22 @@ class TestSerialContract:
     def test_first_limit_raises_like_serial(self):
         # Item 2 needs far more fuel than the budget grants.  cache_size
         # is zero on both sides so no shared-memo warmth perturbs where
-        # in the rewrite the fuel runs out.
+        # in the rewrite the fuel runs out.  The budget comes per call,
+        # then at construction only (as ``repro eval --workers`` and the
+        # daemon give it), which reaches the workers' engines.
         subjects = _subjects(6)[:-1]
         subjects[2] = App(FRONT, (queue_term(range(200)),))
         budget = EvaluationBudget(fuel=30)
-        serial = RewriteEngine(RULES, cache_size=0)
-        with pytest.raises(RewriteLimitError) as serial_exc:
-            serial.normalize_many(subjects, budget)
-        with ShardPool(RULES, 2, cache_size=0) as pool:
-            with pytest.raises(RewriteLimitError) as pool_exc:
-                pool.normalize_many(subjects, budget)
-        assert pool_exc.value.reason == serial_exc.value.reason
-        assert pool_exc.value.term == serial_exc.value.term
+        for built, per_call in ((None, budget), (budget, None)):
+            serial = RewriteEngine(RULES, cache_size=0, budget=built)
+            with pytest.raises(RewriteLimitError) as serial_exc:
+                serial.normalize_many(subjects, per_call)
+            with ShardPool(RULES, 2, cache_size=0, budget=built) as pool:
+                with pytest.raises(RewriteLimitError) as pool_exc:
+                    pool.normalize_many(subjects, per_call)
+            assert pool_exc.value.reason == serial_exc.value.reason
+            assert pool_exc.value.term == serial_exc.value.term
+            assert pool_exc.value.fuel == serial_exc.value.fuel == 30
 
     @pytest.mark.parametrize("backend", ("codegen",))
     def test_backends_agree_with_interpreted_serial(self, backend):

@@ -159,12 +159,7 @@ class TestRuleSetAndBudget:
         assert TRUE.builtin is None or callable(TRUE.builtin)
 
     def test_budget_round_trips(self):
-        budget = EvaluationBudget(
-            fuel=77,
-            deadline=1.5,
-            max_intern_growth=1000,
-            max_memo_entries=64,
-        )
+        budget = EvaluationBudget(fuel=77, deadline=1.5, max_intern_growth=1000)
         assert wire.decode_budget(wire.encode_budget(budget)) == budget
         assert wire.decode_budget(wire.encode_budget(None)) is None
 

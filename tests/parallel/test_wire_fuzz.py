@@ -6,6 +6,8 @@ literals nested far deeper than any real one — ``decode_terms`` and
 ``decode_outcomes`` either return terms or raise ``WireError``.  Client
 terms decode against a closed table (as the daemon reads them) and
 outcomes against this process's open one (as shard replies are read).
+``decode_budget`` either returns a budget within its documented ranges
+or raises ``WireError``, on any JSON value.
 
 Run with ``HYPOTHESIS_PROFILE=nightly`` for a longer search.
 """
@@ -23,7 +25,7 @@ from repro.adt.symboltable import SYMBOLTABLE_SPEC
 from repro.algebra.terms import App, Err, Lit, Term
 from repro.parallel import wire
 from repro.parallel.wire import WireError
-from repro.runtime import Outcome
+from repro.runtime import EvaluationBudget, Outcome
 from repro.spec.parser import parse_term
 from repro.testing.termgen import GroundTermEnumerator
 
@@ -230,3 +232,55 @@ def test_deeply_nested_literal_is_a_wire_error(depth, shape):
     except WireError:
         return
     raise AssertionError("a literal nested past the bound decoded")
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: Budget-shaped objects: the three keys (some missing), a key that is
+#: not a budget field now and then (the memo bound ``cache_size`` is an
+#: engine option), and values of every JSON kind.
+BUDGET_KEYS = st.sampled_from(
+    ["fuel", "deadline", "max_intern_growth", "cache_size", "x"]
+)
+BUDGET_VALUES = (
+    st.sampled_from(
+        [None, True, False, 0, 1, -1, 10**30, 0.5, -0.5, "", "abc", "5", [], {}]
+    )
+    | st.floats()
+    | st.integers()
+)
+BUDGETS = st.dictionaries(BUDGET_KEYS, BUDGET_VALUES, max_size=5) | st.fixed_dictionaries(
+    {
+        "fuel": BUDGET_VALUES,
+        "deadline": BUDGET_VALUES,
+        "max_intern_growth": BUDGET_VALUES,
+    }
+)
+
+
+@FUZZ
+@given(JSON | BUDGETS)
+def test_budget_payload_decodes_or_is_a_wire_error(payload):
+    try:
+        budget = wire.decode_budget(payload)
+    except WireError:
+        return
+    if payload is None:
+        assert budget is None
+        return
+    assert isinstance(budget, EvaluationBudget)
+    assert type(budget.fuel) is int and budget.fuel >= 0
+    assert budget.deadline is None or 0 <= budget.deadline < float("inf")
+    assert budget.max_intern_growth is None or (
+        type(budget.max_intern_growth) is int and budget.max_intern_growth >= 0
+    )
+    assert wire.decode_budget(wire.encode_budget(budget)) == budget

@@ -22,6 +22,7 @@ from repro.rewriting import (
     RuleSet,
 )
 from repro.adt.queue import FRONT, IS_EMPTY, NEW, QUEUE_SPEC, queue_term
+from repro.runtime import EvaluationBudget
 
 QUEUE_RULES = RuleSet.from_specification(QUEUE_SPEC)
 
@@ -57,9 +58,8 @@ class TestDriverParity:
     def test_fuel_exhaustion_raises_like_other_backends(self):
         for backend in ("interpreted", "codegen"):
             engine = RewriteEngine.for_specification(
-                QUEUE_SPEC, backend=backend
+                QUEUE_SPEC, backend=backend, budget=EvaluationBudget(fuel=3)
             )
-            engine.fuel = 3
             with pytest.raises(RewriteLimitError):
                 engine.normalize(app(FRONT, queue_term(list(range(20)))))
 
@@ -67,8 +67,11 @@ class TestDriverParity:
         # The generated functions recurse once per rewrite, so a deep
         # spine exceeds their depth limit — the engine must land on the
         # interpreted fallback, not raise RecursionError.
-        engine = RewriteEngine(QUEUE_RULES, backend="codegen")
-        engine.fuel = 10_000_000
+        engine = RewriteEngine(
+            QUEUE_RULES,
+            backend="codegen",
+            budget=EvaluationBudget(fuel=10_000_000),
+        )
         size = 2000  # far past the generated functions' depth limit
         assert engine.normalize(app(FRONT, queue_term(range(size)))) == item(0)
         assert engine.stats.fallbacks.get("codegen_depth") > 0

@@ -38,6 +38,7 @@ from repro.rewriting import (
     codegen_module,
 )
 from repro.adt.queue import ADD, FRONT, IS_EMPTY, NEW, QUEUE_SPEC, REMOVE, queue_term
+from repro.runtime import EvaluationBudget
 from repro.testing.faults import FaultPlan, inject_faults
 
 QUEUE_RULES = RuleSet.from_specification(QUEUE_SPEC)
@@ -228,24 +229,28 @@ class TestFuelParity:
         """
         spec = parse_specification(source)
         for backend in ("interpreted", "codegen"):
-            engine = RewriteEngine.for_specification(spec, backend=backend)
-            engine.fuel = 300
+            engine = RewriteEngine.for_specification(
+                spec, backend=backend, budget=EvaluationBudget(fuel=300)
+            )
             with pytest.raises(RewriteLimitError):
                 engine.normalize(
                     app(spec.operation("SPIN"), app(spec.operation("MKL")))
                 )
 
     def test_fuel_respected_after_adjustment(self, compiled_queue):
-        # The delegate is built under the default fuel; lowering
-        # ``engine.fuel`` afterwards must still bound the next call.
+        # The rules are compiled under the engine's default budget; a
+        # tighter per-call budget must still bound the next call.
         compiled_queue.normalize(app(FRONT, queue_term(["a"])))
-        compiled_queue.fuel = 3
         with pytest.raises(RewriteLimitError):
-            compiled_queue.normalize(app(FRONT, queue_term(list(range(20)))))
+            compiled_queue.normalize(
+                app(FRONT, queue_term(list(range(20)))),
+                EvaluationBudget(fuel=3),
+            )
 
     def test_budget_exhaustion_is_an_outcome(self):
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend="codegen")
-        engine.fuel = 3
+        engine = RewriteEngine.for_specification(
+            QUEUE_SPEC, backend="codegen", budget=EvaluationBudget(fuel=3)
+        )
         outcome = engine.normalize_outcome(
             app(FRONT, queue_term(list(range(20))))
         )
@@ -262,7 +267,7 @@ class TestFuelParity:
         try:
             for backend in ("interpreted", "codegen"):
                 engine = RewriteEngine.for_specification(
-                    QUEUE_SPEC, fuel=3, backend=backend
+                    QUEUE_SPEC, backend=backend, budget=EvaluationBudget(fuel=3)
                 )
                 term = app(FRONT, queue_term(list(range(20))))
                 with pytest.raises(RewriteLimitError):
@@ -279,12 +284,13 @@ class TestDeepTerms:
     def test_deep_chain_falls_back_without_recursion_error(self):
         # REMOVE recurses once per rewrite in the generated module; a
         # deep spine must land on the interpreted engine.
+        budget = EvaluationBudget(fuel=10_000_000)
         engine = RewriteEngine(
-            RuleSet.from_specification(QUEUE_SPEC), backend="codegen"
+            RuleSet.from_specification(QUEUE_SPEC),
+            backend="codegen",
+            budget=budget,
         )
-        engine.fuel = 10_000_000
-        reference = RewriteEngine.for_specification(QUEUE_SPEC)
-        reference.fuel = 10_000_000
+        reference = RewriteEngine.for_specification(QUEUE_SPEC, budget=budget)
         size = 2000  # far past the generated functions' depth limit
         term = app(REMOVE, queue_term(range(size)))
         assert engine.normalize(term) == reference.normalize(term)
@@ -295,8 +301,9 @@ class TestDeepTerms:
         # Regression for the removed recursion-limit hack: the explicit
         # stack (and the codegen backend's depth fallback onto it) must
         # take a 50_000-deep ground term without RecursionError.
-        engine = RewriteEngine.for_specification(QUEUE_SPEC, backend=backend)
-        engine.fuel = 10_000_000
+        engine = RewriteEngine.for_specification(
+            QUEUE_SPEC, backend=backend, budget=EvaluationBudget(fuel=10_000_000)
+        )
         result = engine.normalize(app(FRONT, queue_term(range(50_000))))
         assert result == item(0)
 
@@ -312,7 +319,9 @@ class TestDeepTerms:
 
         monkeypatch.setattr(RewriteEngine, "__init__", counting)
         rules = RuleSet.from_specification(QUEUE_SPEC)
-        engine = RewriteEngine(rules, fuel=10_000_000, backend="codegen")
+        engine = RewriteEngine(
+            rules, backend="codegen", budget=EvaluationBudget(fuel=10_000_000)
+        )
         assert engine.normalize(app(FRONT, queue_term(range(2000)))) == item(0)
         assert engine.stats.fallbacks.get("codegen_depth") > 0
         assert built == [engine]
@@ -429,14 +438,13 @@ class TestEvaluationAccounting:
 
 
 class TestMemoBound:
-    """``max_memo_entries`` caps the codegen memos *in total*: the
+    """``cache_size`` caps the codegen memos *in total*: the
     per-operation dicts share one entry count, not one cap each."""
 
     CAP = 64
 
     def test_summed_memos_stay_within_the_budget(self):
         from repro.adt.symboltable import SYMBOLTABLE_SPEC as spec
-        from repro.runtime import EvaluationBudget
         from repro.spec.prelude import attributes
 
         op = spec.operation
@@ -457,11 +465,9 @@ class TestMemoBound:
                 app(retrieve, table, name),
             ]
         rules = RuleSet.from_specification(spec)
-        budget = EvaluationBudget(max_memo_entries=self.CAP)
-        reference = RewriteEngine(rules, budget=budget)
-        engine = RewriteEngine(rules, budget=budget, backend="codegen")
+        reference = RewriteEngine(rules, cache_size=self.CAP)
+        engine = RewriteEngine(rules, cache_size=self.CAP, backend="codegen")
         unbounded = RewriteEngine(rules, backend="codegen")
-        assert engine.cache_size == self.CAP
         memos = engine.compiled_rules().memos
         for subject in subjects:
             assert engine.normalize(subject) == reference.normalize(subject)
@@ -484,7 +490,9 @@ class TestMemoBound:
         # REMOVE result below is a fresh queue no subject contains, and
         # at most one per entry of the engine memo and of the generated
         # memos survives.
-        queues = RewriteEngine(QUEUE_RULES, budget=budget, backend="codegen")
+        queues = RewriteEngine(
+            QUEUE_RULES, cache_size=self.CAP, backend="codegen"
+        )
         results = [
             weakref.ref(queues.normalize(app(REMOVE, queue_term([i, -i]))))
             for i in range(1, 4 * self.CAP)

@@ -33,18 +33,6 @@ class TestEvaluationBudget:
         assert budget.fuel == DEFAULT_FUEL
         assert budget.deadline is None
         assert budget.max_intern_growth is None
-        assert budget.max_memo_entries is None
-
-    def test_with_fuel_is_identity_when_unchanged(self):
-        budget = EvaluationBudget(fuel=123)
-        assert budget.with_fuel(123) is budget
-
-    def test_with_fuel_replaces_only_fuel(self):
-        budget = EvaluationBudget(fuel=123, deadline=1.5)
-        adjusted = budget.with_fuel(7)
-        assert adjusted.fuel == 7
-        assert adjusted.deadline == 1.5
-        assert budget.fuel == 123  # immutable
 
     def test_start_mints_independent_meters(self):
         budget = EvaluationBudget(fuel=10)

@@ -163,32 +163,3 @@ class TestEngineOutcomes:
         assert tight.status == TRUNCATED
         roomy = engine.normalize_outcome(term)
         assert roomy.status == NORMALIZED
-
-
-class TestSymbolicAndFacadeOutcomes:
-    def test_value_outcome_delegates_to_engine(self):
-        from repro.interp.symbolic import SymbolicInterpreter
-
-        interp = SymbolicInterpreter(CYCLE_SPEC)
-        outcome = interp.value_outcome(
-            _cycling_term(), EvaluationBudget(fuel=2_000)
-        )
-        assert outcome.status == DIVERGED
-
-    def test_try_evaluate_terms_mixes_values_and_outcomes(self):
-        from repro.interp.facade import FacadeValue, facade_class
-
-        Queue = facade_class(QUEUE_SPEC, budget=EvaluationBudget(fuel=500))
-        good_value = queue_term(["a"])
-        good_reading = App(FRONT, (queue_term(["a", "b"]),))
-        erroring = App(FRONT, (new(),))
-        expensive = App(FRONT, (queue_term(range(400)),))
-        results = Queue.try_evaluate_terms(
-            [good_value, good_reading, erroring, expensive]
-        )
-        assert isinstance(results[0], FacadeValue)
-        assert results[1] == "a"
-        assert isinstance(results[2], Outcome)
-        assert results[2].status == ERROR_VALUE
-        assert isinstance(results[3], Outcome)
-        assert results[3].status == TRUNCATED

@@ -52,12 +52,9 @@ class TestClampBudget:
         assert clamped.deadline == 2.0
 
     def test_substrate_ceilings_preserved(self):
-        budget = EvaluationBudget(
-            fuel=50, max_intern_growth=123, max_memo_entries=456
-        )
+        budget = EvaluationBudget(fuel=50, max_intern_growth=123)
         clamped = clamp_budget(budget, self.LIMITS)
         assert clamped.max_intern_growth == 123
-        assert clamped.max_memo_entries == 456
 
 
 class TestAdmissionGate:

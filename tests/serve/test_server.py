@@ -289,6 +289,10 @@ class TestCheckAndProve:
         assert exc.value.reason == "bad_goals"
 
 
+#: A well-formed wire budget, for the malformed variants below.
+_BUDGET = {"fuel": 10, "deadline": None, "max_intern_growth": None}
+
+
 class TestRequestFields:
     """Numeric fields and goal indices are checked as sent: a bad one
     is the caller's 400, never a 500 that counts as a server error."""
@@ -330,6 +334,60 @@ class TestRequestFields:
             {"text": ["NEW"], "goals": [[0, 0]], "fuel": "x"},
             "bad_field",
         )
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            *(
+                {**_BUDGET, **change}
+                for change in (
+                    {"fuel": "abc"},
+                    {"fuel": True},
+                    {"fuel": -1},
+                    {"fuel": 1.5},
+                    {"deadline": "x"},
+                    {"deadline": -0.5},
+                    {"deadline": float("inf")},
+                    {"deadline": False},
+                    {"max_intern_growth": "abc"},
+                    {"max_intern_growth": -1},
+                    {"cache_size": 1},
+                    {"extra": None},
+                )
+            ),
+            {"fuel": 10},
+            [10],
+            "abc",
+            10,
+        ],
+        ids=repr,
+    )
+    def test_bad_budget_is_400(self, served, budget):
+        """A budget has exactly three fields of the documented types; a
+        field the runtime does not know (the memo bound ``cache_size``
+        is an engine option, not a budget field) is refused, not
+        dropped."""
+        server, client = served
+        self._rejected(
+            server,
+            client,
+            "/v1/normalize",
+            {"spec": "Queue", "text": ["NEW"], "budget": budget},
+            "bad_budget",
+        )
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/normalize", {"text": ["NEW"]}),
+            ("/v1/check", {}),
+            ("/v1/prove", {"text": ["NEW"], "goals": [[0, 0]]}),
+        ],
+    )
+    @pytest.mark.parametrize("spec", [["x"], {"name": "Queue"}, 7])
+    def test_non_string_spec_is_400(self, served, path, body, spec):
+        server, client = served
+        self._rejected(server, client, path, {"spec": spec, **body}, "bad_field")
 
     @pytest.mark.parametrize(
         "goal",

@@ -7,6 +7,7 @@ from repro.algebra.sorts import BOOLEAN, Sort
 from repro.algebra.terms import App, app, ite, lit, var
 from repro.spec.prelude import boolean_term, false_term, true_term
 from repro.rewriting.rules import RewriteRule, RuleSet
+from repro.runtime import EvaluationBudget
 from repro.verify.prover import (
     EquationalProver,
     Fact,
@@ -73,7 +74,7 @@ class TestProverEngine:
                 RewriteRule(app(SHRINK, app(GROW, t, e)), t),
             ]
         )
-        engine = ProverEngine(rules, fuel=5_000)
+        engine = ProverEngine(rules, budget=EvaluationBudget(fuel=5_000))
         stuck = fresh_constant("s", T)
         # The guard FLAG(s$..) never decides, so drain must not unfold.
         result = engine.simplify(app(drain, stuck))
@@ -92,7 +93,7 @@ class TestProverEngine:
                 RewriteRule(app(SHRINK, app(GROW, t, e)), t),
             ]
         )
-        engine = ProverEngine(rules, fuel=5_000)
+        engine = ProverEngine(rules, budget=EvaluationBudget(fuel=5_000))
         value = app(GROW, app(GROW, app(MK), lit("a", E)), lit("b", E))
         assert engine.simplify(app(drain, value)) == app(MK)
 

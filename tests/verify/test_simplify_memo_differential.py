@@ -40,7 +40,7 @@ def recorded(monkeypatch):
         hits = self.stats.simplify_hits
         result = simplify(self, term, budget)
         warm = self.stats.simplify_hits > hits
-        calls.append((self.rules, self.fuel, term, result, warm))
+        calls.append((self.rules, self.budget, term, result, warm))
         return result
 
     monkeypatch.setattr(ProverEngine, "simplify", recording)
@@ -52,11 +52,11 @@ def _replay(calls):
     assert any(warm for *_, warm in calls)
     engines = {}
     # A copy: the replay's own simplify calls are recorded too.
-    for rules, fuel, term, result, _ in tuple(calls):
+    for rules, budget, term, result, _ in tuple(calls):
         engine = engines.get(id(rules))
         if engine is None:
             engine = engines[id(rules)] = ProverEngine(
-                rules, fuel=fuel, cache_size=0
+                rules, budget=budget, cache_size=0
             )
         assert engine.simplify(term) == result, term
 
@@ -72,7 +72,7 @@ def _fresh_per_goal(monkeypatch):
             self.constructors,
             self.max_fact_splits,
             self.max_constructor_splits,
-            self.fuel,
+            self.budget.fuel,
         )
         return prove(alone, lhs, rhs, extra_rules, facts)
 
