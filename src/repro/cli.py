@@ -180,7 +180,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import Tracer, firing_counts, rule_profile, tracing
-    from repro.obs.otlp import read_otlp_spans, to_otlp
+    from repro.obs.otlp import to_otlp
     from repro.report import format_rule_profile
     from repro.rewriting.engine import RewriteLimitError
     from repro.runtime import EvaluationBudget
@@ -202,10 +202,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         except RewriteLimitError as exc:
             failure = exc
     document = to_otlp(
-        tracer.events,
-        tracer.trace_id,
-        span_hex=tracer.span_hex,
-        resource={"service.name": "repro-cli"},
+        tracer.spans, tracer.trace_id, resource={"service.name": "repro-cli"}
     )
     rendered = json.dumps(document, indent=2)
     if args.out is None:
@@ -217,15 +214,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"-- {failure}", file=sys.stderr)
     else:
         print(f"-- normal form: {result}", file=sys.stderr)
-    spans = read_otlp_spans(document)
-    counts = firing_counts(spans)
+    counts = firing_counts(tracer.spans)
     print(
-        f"-- {len(tracer.events)} trace event(s), "
+        f"-- {len(tracer.spans)} span(s), "
         f"{sum(counts.values())} rule firing(s) across "
         f"{len(counts)} rule(s)",
         file=sys.stderr,
     )
-    profile = rule_profile(spans)
+    profile = rule_profile(tracer.spans)
     if profile:
         print(format_rule_profile(profile, limit=args.top), file=sys.stderr)
     _dump_metrics(args.metrics_out)

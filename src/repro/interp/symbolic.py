@@ -116,11 +116,6 @@ class SymbolicInterpreter:
         with tracer.span("symbolic.apply", op=operation.name):
             return SymbolicValue(self, self.engine.normalize(term))
 
-    def value(self, term: Term) -> SymbolicValue:
-        """Wrap and normalise an explicit term."""
-        with _trace.maybe_span("symbolic.value"):
-            return SymbolicValue(self, self.engine.normalize(term))
-
     def _coerce(self, argument: Applicable, sort: Sort) -> Term:
         if isinstance(argument, SymbolicValue):
             term = argument.term

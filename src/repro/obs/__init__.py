@@ -12,13 +12,14 @@ without adding dependencies or measurable overhead when disabled:
   discrimination-tree shape memo) live in :data:`repro.obs.metrics.GLOBAL`;
   :func:`repro.obs.metrics.aggregate_snapshot` merges everything for
   ``--metrics-out``.
-* :mod:`repro.obs.trace` — a span tracer recording events in memory
-  (span start/end, rewrite steps with rule id and subject summary,
-  budget exhaustions, fault hits) behind a deterministic sampling knob.
-  Disabled is the default, and the disabled check is one ``is None``
-  test on a module global.
-* :mod:`repro.obs.otlp` — the one trace format: OTLP/JSON documents,
-  their file reader and span-tree validator, and the daemon's exporter.
+* :mod:`repro.obs.trace` — a span tracer recording OTLP span records
+  in memory (spans, with rewrite steps, rule firings, budget
+  exhaustions and fault hits as their events) behind a deterministic
+  sampling knob.  Disabled is the default, and the disabled check is
+  one ``is None`` test on a module global.
+* :mod:`repro.obs.otlp` — the one trace format: OTLP/JSON documents
+  wrapping those records, their file reader and span-tree validator,
+  and the daemon's exporter.
 * :mod:`repro.obs.profile` — analyses of OTLP span records: per-rule
   firing counts and a self-time profile (which axiom costs the most).
 """

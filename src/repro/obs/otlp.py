@@ -1,26 +1,17 @@
 """OTLP/JSON: the one form in which a ``repro`` trace leaves memory.
 
-Converts the tracer's in-memory event buffer (span_start / span_end
-pairs plus the point events inside them) into the OpenTelemetry
-Protocol's JSON encoding — one ``{"resourceSpans": [...]}`` document
-per trace — so any OTLP-speaking backend (Jaeger, Tempo, an
+The tracer buffers OTLP span records already (:mod:`repro.obs.trace`),
+so :func:`to_otlp` only wraps them in the OpenTelemetry Protocol's JSON
+document — one ``{"resourceSpans": [...]}`` per trace — and stamps the
+trace id on each.  Any OTLP-speaking backend (Jaeger, Tempo, an
 OpenTelemetry collector) can ingest ``repro`` traces without this repo
-growing a dependency.  The analyses in :mod:`repro.obs.profile` read
-the same span records, so the export keeps what they need: one
-``firings`` span event per rule, with scalar ``rule`` and ``count``.
-
-The tracer keeps span ids as small process-local ints; the OTLP form
-needs 16-hex ids that stay unique when several processes contribute to
-one distributed trace, so :func:`to_otlp` takes the originating
-tracer's ``span_hex`` mapping (a random per-process base) and falls
-back to zero-padded ints when none is given.
+growing a dependency, and the analyses in :mod:`repro.obs.profile`
+read the same records, live or from a file.
 
 A span whose parent lives in *another* process (the daemon's
-``serve.request`` under the client's span) carries the remote parent's
-16-hex id in a ``remote_parent`` field on its ``span_start``; the
-exported span keeps that ``parentSpanId`` and is stamped with a
-``repro.parent.remote`` attribute so :func:`validate_otlp` knows the
-dangling link is deliberate.
+``serve.request`` under the client's span) keeps that parent's 16-hex
+id and carries a ``repro.parent.remote`` attribute, so
+:func:`validate_otlp` knows the dangling link is deliberate.
 
 :class:`OTLPExporter` is the daemon's sink: one JSON document per line
 to a file, or an HTTP POST per trace to an ``--otlp-endpoint`` (the
@@ -37,7 +28,10 @@ import json
 import threading
 import urllib.error
 import urllib.request
-from typing import Callable, Iterable, Optional
+from typing import Optional, Sequence
+
+from repro.obs.profile import attributes
+from repro.obs.trace import otlp_attributes
 
 __all__ = [
     "OTLPExporter",
@@ -45,125 +39,33 @@ __all__ = [
     "check_otlp_file",
     "read_otlp_file",
     "read_otlp_spans",
+    "span_problems",
     "to_otlp",
     "validate_otlp",
 ]
 
-_SPAN_KIND_INTERNAL = 1
-
-#: span_start keys that are structural, not user attributes.
-_RESERVED = {"ev", "span", "name", "ts", "parent", "remote_parent", "dur_us"}
-
-
-def _attr_value(value) -> dict:
-    if isinstance(value, bool):
-        return {"boolValue": value}
-    if isinstance(value, int):
-        return {"intValue": str(value)}  # OTLP/JSON encodes int64 as string
-    if isinstance(value, float):
-        return {"doubleValue": value}
-    return {"stringValue": str(value)}
-
-
-def _attrs(mapping: dict) -> list[dict]:
-    return [
-        {"key": key, "value": _attr_value(value)}
-        for key, value in sorted(mapping.items())
-    ]
-
-
-def _nanos(ts: float) -> str:
-    # The tracer stamps epoch seconds rounded to the microsecond; a
-    # double near 1.8e18 ns is exact only to 256 ns, so scaling straight
-    # to nanoseconds would smear every stamp off its microsecond.
-    return str(round(ts * 1_000_000) * 1000)
-
 
 def to_otlp(
-    events: Iterable[dict],
+    spans: Sequence[dict],
     trace_id: str,
-    span_hex: Optional[Callable[[int], str]] = None,
     resource: Optional[dict] = None,
 ) -> dict:
-    """Build one OTLP/JSON trace document from a tracer's events.
-
-    ``span_hex`` maps process-local int span ids to 16-hex OTLP ids
-    (pass the tracer's own mapping; the default is zero-padded ints).
-    Point events become span events on their enclosing span (an event
-    outside every span has nowhere to go and is dropped); an unclosed
-    span is exported with its start time as its end time.
-    """
-    if span_hex is None:
-        span_hex = lambda sid: f"{sid:016x}"  # noqa: E731
-    spans: dict[int, dict] = {}
-    order: list[int] = []
-    for event in events:
-        kind = event.get("ev")
-        sid = event.get("span")
-        if kind == "span_start":
-            record = {
-                "traceId": trace_id,
-                "spanId": span_hex(sid),
-                "name": event.get("name", "span"),
-                "kind": _SPAN_KIND_INTERNAL,
-                "startTimeUnixNano": _nanos(event.get("ts", 0.0)),
-                "endTimeUnixNano": _nanos(event.get("ts", 0.0)),
-            }
-            attrs = {
-                key: value
-                for key, value in event.items()
-                if key not in _RESERVED
-            }
-            parent = event.get("parent")
-            if parent is not None:
-                record["parentSpanId"] = span_hex(parent)
-            elif event.get("remote_parent"):
-                record["parentSpanId"] = str(event["remote_parent"])
-                attrs["repro.parent.remote"] = True
-            record["attributes"] = _attrs(attrs)
-            record["events"] = []
-            spans[sid] = record
-            order.append(sid)
-        elif kind == "span_end":
-            record = spans.get(sid)
-            if record is not None:
-                record["endTimeUnixNano"] = _nanos(event.get("ts", 0.0))
-        elif kind is not None and sid in spans:
-            if kind == "firings":
-                # One span event per rule keeps the per-rule counts in
-                # scalar attributes, as OTLP wants them.
-                records = [
-                    {"rule": rule, "count": n}
-                    for rule, n in event["counts"].items()
-                ]
-            else:
-                records = (
-                    {
-                        key: value
-                        for key, value in event.items()
-                        if key not in ("ev", "span", "ts")
-                    },
-                )
-            time_nanos = _nanos(event.get("ts", 0.0))
-            for fields in records:
-                spans[sid]["events"].append(
-                    {
-                        "name": kind,
-                        "timeUnixNano": time_nanos,
-                        "attributes": _attrs(fields),
-                    }
-                )
-    resource_attrs = {"service.name": "repro"}
-    if resource:
-        resource_attrs.update(resource)
+    """One OTLP/JSON trace document holding ``spans`` (a tracer's
+    records), each stamped with ``trace_id``."""
     return {
         "resourceSpans": [
             {
-                "resource": {"attributes": _attrs(resource_attrs)},
+                "resource": {
+                    "attributes": otlp_attributes(
+                        {"service.name": "repro", **(resource or {})}
+                    )
+                },
                 "scopeSpans": [
                     {
                         "scope": {"name": "repro.obs.trace", "version": "1"},
-                        "spans": [spans[sid] for sid in order],
+                        "spans": [
+                            {"traceId": trace_id, **span} for span in spans
+                        ],
                     }
                 ],
             }
@@ -180,8 +82,98 @@ def read_otlp_spans(doc: dict) -> list[dict]:
     return spans
 
 
-def _has_attr(span: dict, key: str) -> bool:
-    return any(attr.get("key") == key for attr in span.get("attributes", []))
+def _is_id(value: object, digits: int) -> bool:
+    """A nonzero id of ``digits`` lowercase hex digits."""
+    return (
+        type(value) is str
+        and len(value) == digits
+        and not value.strip("0123456789abcdef")
+        and value != "0" * digits
+    )
+
+
+def _is_nanos(value: object) -> bool:
+    return str(value).isdecimal()
+
+
+#: The scalar OTLP attribute kinds, and what each holds.
+_SCALARS = {
+    "stringValue": lambda v: type(v) is str,
+    "boolValue": lambda v: type(v) is bool,
+    "intValue": lambda v: type(v) in (str, int) and str(v).lstrip("-").isdecimal(),
+    "doubleValue": lambda v: type(v) in (int, float),
+}
+
+
+def _attribute_values(record: dict) -> Optional[dict]:
+    """``record``'s attributes as ``{key: {kind: value}}``, or None when
+    they are not a list of keys with one scalar OTLP value each."""
+    attrs = record.get("attributes", [])
+    if type(attrs) is not list:
+        return None
+    values = {}
+    for attr in attrs:
+        if type(attr) is not dict or type(attr.get("key")) is not str:
+            return None
+        value = attr.get("value")
+        if type(value) is not dict or len(value) != 1:
+            return None
+        ((kind, item),) = value.items()
+        if kind not in _SCALARS or not _SCALARS[kind](item):
+            return None
+        values[attr["key"]] = value
+    return values
+
+
+def _event_problem(event: object) -> Optional[str]:
+    """Why ``event`` is not a span event the analyses can read, or None."""
+    if type(event) is not dict or type(event.get("name")) is not str:
+        return "an event is not a named object"
+    name = event["name"]
+    values = _attribute_values(event)
+    if values is None:
+        return f"event {name!r}: attributes are not scalar OTLP values"
+    if not _is_nanos(event.get("timeUnixNano")):
+        return f"event {name!r}: a time is not integer nanoseconds"
+    if name in ("step", "firings") and "stringValue" not in values.get("rule", {}):
+        return f"{name} event without a string rule"
+    if name == "firings" and "intValue" not in values.get("count", {}):
+        return "firings event without an integer count"
+    return None
+
+
+def span_problems(span: object) -> list[str]:
+    """The violations of one span record, without its ``traceId`` (a
+    tracer's records carry none until :func:`to_otlp` stamps it)."""
+    if type(span) is not dict:
+        return ["a span is not an object"]
+    name, sid = span.get("name"), span.get("spanId")
+    where = f"span {name!r} ({sid})"
+    problems = []
+    if type(name) is not str:
+        problems.append(f"{where}: name is not a string")
+    if not _is_id(sid, 16):
+        problems.append(f"span {name!r}: missing or zero spanId")
+    parent = span.get("parentSpanId")
+    if parent is not None and not _is_id(parent, 16):
+        problems.append(f"{where}: parentSpanId is not a span id")
+    start, end = span.get("startTimeUnixNano"), span.get("endTimeUnixNano")
+    if not (_is_nanos(start) and _is_nanos(end)):
+        problems.append(f"{where}: a time is not integer nanoseconds")
+    elif int(end) < int(start):
+        problems.append(f"{where}: ends before it starts")
+    if _attribute_values(span) is None:
+        problems.append(f"{where}: attributes are not scalar OTLP values")
+    events = span.get("events", [])
+    if type(events) is not list:
+        problems.append(f"{where}: events are not a list")
+    else:
+        problems.extend(
+            f"{where}: {problem}"
+            for problem in map(_event_problem, events)
+            if problem is not None
+        )
+    return problems
 
 
 def validate_otlp(doc: dict) -> list[str]:
@@ -195,61 +187,44 @@ def validate_otlp(doc: dict) -> list[str]:
       lives in another process's export);
     * span and span-event times are integer nanoseconds, and spans
       end no earlier than they start;
+    * attributes are scalar OTLP values; every ``step`` or ``firings``
+      event has a string ``rule``, and every ``firings`` event an
+      integer ``count``;
     * when the document contains ``serve.request`` spans, every
       ``worker.*`` span must sit under one — worker evaluation that
       doesn't nest under a request means context propagation broke.
     """
-    problems: list[str] = []
     spans = read_otlp_spans(doc)
     if not spans:
         return ["document contains no spans"]
-    by_id = {span.get("spanId"): span for span in spans}
-    trace_ids = {span.get("traceId") for span in spans}
+    problems = [problem for span in spans for problem in span_problems(span)]
+    if problems:
+        return problems
+    by_id = {span["spanId"]: span for span in spans}
+    trace_ids = {str(span.get("traceId")) for span in spans}
     if len(trace_ids) != 1:
         problems.append(f"mixed trace ids in one document: {sorted(trace_ids)}")
+    has_requests = any(span["name"] == "serve.request" for span in spans)
     for span in spans:
-        name = span.get("name", "?")
-        sid = span.get("spanId", "")
-        if not sid or set(sid) == {"0"}:
-            problems.append(f"span {name!r}: missing or zero spanId")
-        if not span.get("traceId") or set(span.get("traceId", "")) == {"0"}:
+        name, sid, parent = span["name"], span["spanId"], span.get("parentSpanId")
+        if not _is_id(span.get("traceId"), 32):
             problems.append(f"span {name!r}: missing or zero traceId")
-        parent = span.get("parentSpanId")
-        if (
-            parent is not None
-            and parent not in by_id
-            and not _has_attr(span, "repro.parent.remote")
+        if not (
+            parent is None
+            or parent in by_id
+            or attributes(span).get("repro.parent.remote")
         ):
-            problems.append(
-                f"span {name!r} ({sid}): parent {parent} not in document"
-            )
-        times = [span.get("startTimeUnixNano"), span.get("endTimeUnixNano")]
-        times += [e.get("timeUnixNano") for e in span.get("events", [])]
-        if not all(str(time).isdecimal() for time in times):
-            problems.append(
-                f"span {name!r} ({sid}): a time is not integer nanoseconds"
-            )
-        elif int(times[1]) < int(times[0]):
-            problems.append(f"span {name!r} ({sid}): ends before it starts")
-    has_requests = any(
-        span.get("name") == "serve.request" for span in spans
-    )
-    if has_requests:
-        for span in spans:
-            if not str(span.get("name", "")).startswith("worker."):
-                continue
-            seen = set()
-            cursor = span
-            under_request = False
-            while cursor is not None and cursor.get("spanId") not in seen:
-                seen.add(cursor.get("spanId"))
-                if cursor.get("name") == "serve.request":
-                    under_request = True
-                    break
+            problems.append(f"span {name!r} ({sid}): parent {parent} not in document")
+        if has_requests and name.startswith("worker."):
+            cursor, seen = span, set()
+            while cursor is not None and cursor["name"] != "serve.request":
+                seen.add(cursor["spanId"])
                 cursor = by_id.get(cursor.get("parentSpanId"))
-            if not under_request:
+                if cursor is not None and cursor["spanId"] in seen:
+                    cursor = None
+            if cursor is None:
                 problems.append(
-                    f"span {span.get('name')!r} ({span.get('spanId')}): "
+                    f"span {name!r} ({sid}): "
                     "worker span not nested under a serve.request span"
                 )
     return problems
@@ -283,16 +258,15 @@ class OTLPExporter:
 
     def export(
         self,
-        events: Iterable[dict],
+        spans: Sequence[dict],
         trace_id: str,
-        span_hex: Optional[Callable[[int], str]] = None,
         resource: Optional[dict] = None,
     ) -> Optional[dict]:
-        """Convert and ship one trace; returns the document (or None
+        """Ship one trace's span records; returns the document (or None
         when there was nothing to export)."""
-        doc = to_otlp(events, trace_id, span_hex=span_hex, resource=resource)
-        if not read_otlp_spans(doc):
+        if not spans:
             return None
+        doc = to_otlp(spans, trace_id, resource=resource)
         payload = json.dumps(doc, separators=(",", ":"))
         with self._lock:
             try:

@@ -1,10 +1,9 @@
 """Trace analysis over OTLP span records: "which axiom costs the most".
 
-Every analysis here reads the span records of an OTLP/JSON trace
-document (:func:`repro.obs.otlp.read_otlp_spans`).  A live caller
-passes the spans of ``to_otlp(tracer.events, ...)``; an offline caller
-passes the spans of the file it read — the same path, so a profile
-read back from a file equals the live one exactly.
+Every analysis here reads OTLP span records: a live caller passes
+``tracer.spans``, an offline caller the spans of the file it read
+(:func:`repro.obs.otlp.read_otlp_spans`) — the same records, so a
+profile read back from a file equals the live one exactly.
 
 Within one span, the interval from a ``step`` event to the next step
 (or the span's end) is time spent building and reducing the fired

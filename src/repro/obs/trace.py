@@ -1,30 +1,24 @@
-"""The span tracer: in-memory trace events with context propagation.
+"""The span tracer: OTLP span records in memory, with context propagation.
 
 A :class:`Tracer` records a tree of **spans** (named, timed scopes with
-parent links) and the point events that happen inside them — rewrite
-steps with their rule and a capped subject summary, aggregated codegen
-rule firings, budget exhaustions, fault-injection hits.  Installation
-follows the fault registry's pattern: a module-global :data:`ACTIVE`
-that instrumented code checks with one attribute load, so the disabled
-path costs a ``None`` test and nothing else.
+parent links) and the point events inside them — rewrite steps with
+their rule and a capped subject summary, codegen rule firings, budget
+exhaustions, fault-injection hits.  Installation follows the fault
+registry's pattern: a module-global :data:`ACTIVE` that instrumented
+code checks with one attribute load, so the disabled path costs a
+``None`` test and nothing else.
 
-Event schema (the dicts in :attr:`Tracer.events`)::
-
-    {"ev": "span_start", "span": 3, "parent": 1, "name": "engine.normalize",
-     "ts": 12.345678, ...attrs}
-    {"ev": "span_end",   "span": 3, "name": "...", "ts": ..., "dur_us": ...}
-    {"ev": "step",       "span": 3, "rule": "[4] FRONT(ADD(q, i)) -> ...",
-     "subject": "FRONT(ADD(NEW, 'a'))", "ts": ...}
-    {"ev": "firings",    "span": 3, "counts": {"[4] ...": 17, ...}, "ts": ...}
-    {"ev": "budget_exhausted", "reason": "fuel", "subject": "...", ...}
-    {"ev": "fault",      "site": "engine.match_root", "kind": "raise", ...}
-
-``step`` events are emitted per rule firing by the interpreted backend;
-the codegen backend's generated functions count firings in flat lists, so
-it emits one aggregated ``firings`` event per evaluation with the
-per-rule deltas.  A trace leaves memory only as OTLP/JSON
-(:func:`repro.obs.otlp.to_otlp`); raw events cross only between the
-processes of one evaluation, into another tracer's buffer.
+:attr:`Tracer.spans` holds OTLP/JSON span records, the one trace
+schema: 16-hex ``spanId``/``parentSpanId``, typed ``attributes``
+sorted by key, whole-microsecond integer-nanosecond times (an open
+span ends when it starts), and ``events``.  The worker reply, the
+daemon's trace-return body, the exporter and ``repro trace`` carry the
+records unchanged; :func:`repro.obs.otlp.to_otlp` only wraps them and
+stamps a trace id.  Point events become span events of the innermost
+open span: ``step`` (``rule``, ``subject``) per firing on the
+interpreted backend, one ``firings`` (``rule``, ``count``) per rule
+and evaluation on the codegen backend, whose generated functions count
+firings in flat lists.  A point event with no open span is dropped.
 
 Sampling: the ``sample`` knob (0.0–1.0) decides, deterministically by
 running credit rather than by random draw, whether each **top-level**
@@ -34,15 +28,15 @@ unaffected by sampling (they are always on).
 
 Distributed tracing: span scopes (the open-span stack, the mute depth,
 the sampling credit) are **thread-local**, so one tracer serves every
-request thread of the ``repro serve`` daemon with correct parent links,
-while span ids stay process-unique.  A :class:`TraceContext` carries the
-W3C ``traceparent`` triple (``trace_id``/``span_id``/``sampled``) across
-process boundaries — the client sends it, the daemon honours its
-sampling decision, and shard workers ship their span batches home for
-:meth:`Tracer.merge_remote_events` to graft into the parent's tree.
-Span ids are small process-local ints in the buffer; the OTLP export
-maps them through :meth:`Tracer.span_hex` (a per-tracer random base)
-so ids from different processes never collide inside one trace.
+request thread of the ``repro serve`` daemon with correct parent links.
+A span id is a per-tracer random 64-bit base XOR a counter: unique in
+the process and collision-free (p ~ 2^-64) against the ids another
+process contributes to the same trace.  A :class:`TraceContext`
+carries the W3C ``traceparent`` triple (``trace_id``/``span_id``/
+``sampled``) across process boundaries — the client sends it, the
+daemon honours its sampling decision, and shard workers ship their
+span records home for :meth:`Tracer.merge_remote_spans` to graft into
+the parent's tree.
 """
 
 from __future__ import annotations
@@ -53,8 +47,8 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import count
-from time import monotonic, time
-from typing import Iterable, Optional
+from time import time_ns
+from typing import Optional
 
 from repro.runtime.render import summarize_term
 
@@ -66,15 +60,42 @@ __all__ = [
     "maybe_span",
     "new_span_id_hex",
     "new_trace_id",
+    "otlp_attributes",
     "rule_id",
     "tracing",
 ]
+
+_SPAN_KIND_INTERNAL = 1
 
 
 def rule_id(rule: object) -> str:
     """The canonical trace/metrics label for a rewrite rule: its full
     ``[label] lhs -> rhs`` rendering (unique per distinct rule)."""
     return str(rule)
+
+
+def _attr_value(value) -> dict:
+    if isinstance(value, bool):
+        return {"boolValue": value}
+    if isinstance(value, int):
+        return {"intValue": str(value)}  # OTLP/JSON encodes int64 as string
+    if isinstance(value, float):
+        return {"doubleValue": value}
+    return {"stringValue": str(value)}
+
+
+def otlp_attributes(mapping: dict) -> list[dict]:
+    """A mapping as an OTLP attribute list, sorted by key."""
+    return [
+        {"key": key, "value": _attr_value(value)}
+        for key, value in sorted(mapping.items())
+    ]
+
+
+def _now() -> str:
+    """The current epoch time as OTLP integer nanoseconds, whole
+    microseconds."""
+    return str(time_ns() // 1000 * 1000)
 
 
 # ----------------------------------------------------------------------
@@ -137,17 +158,17 @@ class TraceContext:
 
 
 class _Scope(threading.local):
-    """Per-thread span scope: the open-span stack, the mute depth for
+    """Per-thread span scope: the open span records, the mute depth for
     unsampled subtrees, and the deterministic sampling credit."""
 
     def __init__(self) -> None:
-        self.stack: list[int] = []
+        self.stack: list[dict] = []
         self.mute = 0
         self.credit = 0.0
 
 
 class Tracer:
-    """Records trace events in memory, in ``self.events`` (as dicts).
+    """Records OTLP span records in memory, in ``self.spans``.
 
     Parameters
     ----------
@@ -158,9 +179,10 @@ class Tracer:
         default (requests that arrive with their own ``traceparent``
         override it per subtree).  Auto-generated when omitted.
 
-    Thread-safety: span scopes are thread-local and emission holds a
-    lock, so one tracer instance serves concurrent request threads;
-    span ids come from one shared counter and stay process-unique.
+    Thread-safety: span scopes are thread-local and appending to the
+    buffer holds a lock, so one tracer instance serves concurrent
+    request threads; a span's events are appended only by the thread
+    that has it open.
     """
 
     def __init__(
@@ -172,7 +194,7 @@ class Tracer:
             raise ValueError(f"sample must be in [0, 1], got {sample}")
         self.sample = sample
         self.trace_id = trace_id if trace_id is not None else new_trace_id()
-        self.events: list[dict] = []
+        self.spans: list[dict] = []
         self._ids = count(1)
         self._scope = _Scope()
         self._emit_lock = threading.Lock()
@@ -184,16 +206,12 @@ class Tracer:
         # plain attribute test — the PR-5 disabled-overhead contract.
         self.never = sample == 0.0
         self._forced_open = 0
-        # Per-process random base for 16-hex span ids: XORing the small
-        # process-local int ids with one random 64-bit value keeps them
-        # unique in-process and collision-free (p ~ 2^-64) against the
-        # ids another process contributes to the same distributed trace.
         self._hex_base = int.from_bytes(os.urandom(8), "big") or 1
 
     # -- plumbing ------------------------------------------------------
-    def _emit(self, event: dict) -> None:
+    def _emit(self, record: dict) -> None:
         with self._emit_lock:
-            self.events.append(event)
+            self.spans.append(record)
 
     def _sampled(self, forced: Optional[bool]) -> bool:
         if forced is not None:
@@ -205,29 +223,43 @@ class Tracer:
             return True
         return False
 
-    @property
-    def active_span(self) -> Optional[int]:
-        stack = self._scope.stack
-        return stack[-1] if stack else None
+    def _open_record(self) -> Optional[dict]:
+        """The calling thread's innermost open span record, or None
+        when its events would be dropped (muted, or no open span)."""
+        if self.never:
+            return None
+        scope = self._scope
+        if scope.mute or not scope.stack:
+            return None
+        return scope.stack[-1]
 
-    def span_hex(self, span_id: int) -> str:
-        """The 16-hex OTLP form of a process-local span id."""
-        return f"{self._hex_base ^ span_id:016x}"
+    @property
+    def active_span(self) -> Optional[str]:
+        stack = self._scope.stack
+        return stack[-1]["spanId"] if stack else None
 
     def context(self, sampled: bool = True) -> TraceContext:
         """The outgoing :class:`TraceContext` for the calling thread:
         this tracer's trace id and the currently open span (or a fresh
         random span id when none is open)."""
         span = self.active_span
-        span_hex = (
-            self.span_hex(span) if span is not None else new_span_id_hex()
+        return TraceContext(
+            self.trace_id,
+            span if span is not None else new_span_id_hex(),
+            sampled=sampled,
         )
-        return TraceContext(self.trace_id, span_hex, sampled=sampled)
 
     # -- spans ---------------------------------------------------------
     @contextmanager
-    def span(self, name: str, sampled: Optional[bool] = None, **attrs):
-        """A named, timed scope.  Nested spans carry ``parent`` links —
+    def span(
+        self,
+        name: str,
+        sampled: Optional[bool] = None,
+        remote_parent: Optional[str] = None,
+        **attrs,
+    ):
+        """A named, timed scope; yields its 16-hex span id, or None when
+        it is not recorded.  Nested spans carry ``parentSpanId`` links —
         the propagated context that stitches an engine evaluation to the
         façade call to the oracle run that caused it.
 
@@ -235,6 +267,10 @@ class Tracer:
         *top-level* span: ``True`` forces recording, ``False`` forces
         muting — the hook an incoming ``traceparent`` flag uses to make
         the caller's sampling decision stick across the process hop.
+        ``remote_parent`` is that caller's 16-hex span id: a top-level
+        span links to it and is marked ``repro.parent.remote``, so
+        :func:`repro.obs.otlp.validate_otlp` knows the link leaves the
+        document on purpose.
         """
         scope = self._scope
         if (self.never and sampled is not True) or (
@@ -247,8 +283,7 @@ class Tracer:
             finally:
                 scope.mute -= 1
             return
-        span_id = next(self._ids)
-        parent = scope.stack[-1] if scope.stack else None
+        span_id = f"{self._hex_base ^ next(self._ids):016x}"
         forced_on_never = self.sample == 0.0
         if forced_on_never:
             # A forced span on a never-sampling tracer: lift the fast
@@ -256,32 +291,28 @@ class Tracer:
             with self._emit_lock:
                 self._forced_open += 1
                 self.never = False
-        start = monotonic()
-        event = {
-            "ev": "span_start",
-            "span": span_id,
+        start = _now()
+        record = {
+            "spanId": span_id,
             "name": name,
-            "ts": round(time(), 6),
+            "kind": _SPAN_KIND_INTERNAL,
+            "startTimeUnixNano": start,
+            "endTimeUnixNano": start,
         }
-        if parent is not None:
-            event["parent"] = parent
-        event.update(attrs)
-        self._emit(event)
-        scope.stack.append(span_id)
+        if scope.stack:
+            record["parentSpanId"] = scope.stack[-1]["spanId"]
+        elif remote_parent:
+            record["parentSpanId"] = remote_parent
+            attrs["repro.parent.remote"] = True
+        record["attributes"] = otlp_attributes(attrs)
+        record["events"] = []
+        self._emit(record)
+        scope.stack.append(record)
         try:
             yield span_id
         finally:
             scope.stack.pop()
-            end = monotonic()
-            self._emit(
-                {
-                    "ev": "span_end",
-                    "span": span_id,
-                    "name": name,
-                    "ts": round(time(), 6),
-                    "dur_us": round((end - start) * 1e6, 1),
-                }
-            )
+            record["endTimeUnixNano"] = _now()
             if forced_on_never:
                 with self._emit_lock:
                     self._forced_open -= 1
@@ -292,124 +323,105 @@ class Tracer:
     def step(self, rule: object, subject=None) -> None:
         """One rewrite step: the fired rule and a capped subject
         summary.  Emitted by the interpreted backend per firing."""
-        if self.never:
+        record = self._open_record()
+        if record is None:
             return
-        scope = self._scope
-        if scope.mute:
-            return
-        event: dict = {
-            "ev": "step",
-            "ts": round(time(), 6),
-            "rule": rule_id(rule),
-        }
-        stack = scope.stack
-        if stack:
-            event["span"] = stack[-1]
+        attrs = [{"key": "rule", "value": {"stringValue": rule_id(rule)}}]
         if subject is not None:
-            event["subject"] = summarize_term(subject)
-        self._emit(event)
+            attrs.append(
+                {
+                    "key": "subject",
+                    "value": {"stringValue": summarize_term(subject)},
+                }
+            )
+        record["events"].append(
+            {"name": "step", "timeUnixNano": _now(), "attributes": attrs}
+        )
 
     def firings(self, counts: dict) -> None:
         """Aggregated per-rule firing deltas for one codegen
         evaluation (generated functions count in flat lists; per-step
-        events would mean a Python call per firing on the hot path)."""
-        if self.never:
+        events would mean a Python call per firing on the hot path):
+        one ``firings`` event per rule, its count a scalar attribute."""
+        record = self._open_record()
+        if record is None or not counts:
             return
-        scope = self._scope
-        if scope.mute or not counts:
-            return
-        event: dict = {
-            "ev": "firings",
-            "ts": round(time(), 6),
-            "counts": {rule_id(rule): n for rule, n in counts.items()},
-        }
-        stack = scope.stack
-        if stack:
-            event["span"] = stack[-1]
-        self._emit(event)
+        now = _now()
+        record["events"].extend(
+            {
+                "name": "firings",
+                "timeUnixNano": now,
+                "attributes": otlp_attributes(
+                    {"rule": rule_id(rule), "count": n}
+                ),
+            }
+            for rule, n in counts.items()
+        )
 
-    def event(self, ev: str, **fields) -> None:
+    def event(self, name: str, **fields) -> None:
         """A generic point event (``budget_exhausted``, ``fault``...)."""
-        if self.never:
+        record = self._open_record()
+        if record is None:
             return
-        scope = self._scope
-        if scope.mute:
-            return
-        event: dict = {"ev": ev, "ts": round(time(), 6)}
-        stack = scope.stack
-        if stack:
-            event["span"] = stack[-1]
-        event.update(fields)
-        self._emit(event)
+        record["events"].append(
+            {
+                "name": name,
+                "timeUnixNano": _now(),
+                "attributes": otlp_attributes(fields),
+            }
+        )
 
     # -- cross-process stitching ---------------------------------------
-    def merge_remote_events(
+    def merge_remote_spans(
         self,
-        events: Iterable[dict],
-        parent: Optional[int] = None,
+        spans: list[dict],
+        parent: Optional[str] = None,
         **root_attrs,
-    ) -> dict[int, int]:
-        """Graft a span batch recorded by another process into this
+    ) -> None:
+        """Graft span records recorded by another process into this
         tracer's tree.
 
-        Remote span ids are remapped onto fresh local ids (the two
-        processes' counters both start at 1, so ids would collide);
-        remote parent links are rewritten through the same mapping; and
-        remote *root* spans — those with no parent of their own — are
-        re-parented under ``parent`` and stamped with ``root_attrs``
-        (the shard pool passes the worker pid).  Timestamps ship as-is:
-        both processes record epoch seconds, so the merged timeline is
-        coherent on one machine.  Returns the id mapping.
+        Ids are process-unique already, so records keep theirs.  A
+        record whose parent is not in the batch — the remote *root* —
+        is re-parented under ``parent`` and stamped with ``root_attrs``
+        (the shard pool passes the worker pid).  Times ship as-is: both
+        processes stamp epoch time, so the merged timeline is coherent
+        on one machine.
         """
-        mapping: dict[int, int] = {}
-        for event in events:
-            event = dict(event)
-            span = event.get("span")
-            if span is not None:
-                if event.get("ev") == "span_start" and span not in mapping:
-                    mapping[span] = next(self._ids)
-                local = mapping.get(span)
-                if local is None:
-                    # An event for a span that never started in this
-                    # batch (truncated ship); keep it parentless rather
-                    # than aliasing someone else's id.
-                    del event["span"]
-                else:
-                    event["span"] = local
-            if event.get("ev") == "span_start":
-                remote_parent = event.get("parent")
-                if remote_parent is not None and remote_parent in mapping:
-                    event["parent"] = mapping[remote_parent]
-                else:
-                    event.pop("parent", None)
-                    if parent is not None:
-                        event["parent"] = parent
-                    event.update(root_attrs)
-            self._emit(event)
-        return mapping
+        ids = {record["spanId"] for record in spans}
+        for record in spans:
+            if record.get("parentSpanId") not in ids:
+                record = dict(record)
+                record.pop("parentSpanId", None)
+                if parent is not None:
+                    record["parentSpanId"] = parent
+                if root_attrs:
+                    attrs = record.get("attributes", [])
+                    attrs = {a["key"]: a for a in attrs + otlp_attributes(root_attrs)}
+                    record["attributes"] = [attrs[key] for key in sorted(attrs)]
+            self._emit(record)
 
-    def pop_subtree(self, root_span: int) -> list[dict]:
-        """Remove and return every retained event in ``root_span``'s
-        subtree (the span's own start/end, nested spans, and their point
+    def pop_subtree(self, root_span: str) -> list[dict]:
+        """Remove and return every retained record in ``root_span``'s
+        subtree (the span itself and every span under it, with their
         events).  The ``repro serve`` daemon calls this per finished
         request: the subtree becomes the request's exported trace, and
-        the in-memory event list stays bounded by the *in-flight*
-        requests instead of growing for the daemon's lifetime."""
+        the in-memory buffer stays bounded by the *in-flight* requests
+        instead of growing for the daemon's lifetime."""
         members = {root_span}
         taken: list[dict] = []
         kept: list[dict] = []
         with self._emit_lock:
-            for event in self.events:
+            for record in self.spans:
                 if (
-                    event.get("ev") == "span_start"
-                    and event.get("parent") in members
+                    record["spanId"] in members
+                    or record.get("parentSpanId") in members
                 ):
-                    members.add(event["span"])
-                if event.get("span") in members:
-                    taken.append(event)
+                    members.add(record["spanId"])
+                    taken.append(record)
                 else:
-                    kept.append(event)
-            self.events[:] = kept
+                    kept.append(record)
+            self.spans[:] = kept
         return taken
 
 

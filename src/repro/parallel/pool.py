@@ -505,8 +505,8 @@ class ShardPool:
                     "values": wire.decode_terms(reply["values"], self._table)
                 }
             if traced and reply is not None and reply.get("spans"):
-                tracer.merge_remote_events(
-                    wire.decode_span_events(reply["spans"]),
+                tracer.merge_remote_spans(
+                    wire.decode_spans(reply["spans"]),
                     parent=batch_span,
                     pid=reply["pid"],
                 )
@@ -671,7 +671,7 @@ def _worker_init(spec_wire: dict, table, fault_injector=None) -> None:
     _WORKER_SPECS[spec_wire["key"]] = spec_wire
     _WORKER_TABLES[spec_wire["key"]] = table
     # Tracing stays parent-side: a forked copy of the parent's tracer
-    # would record events that nobody reads.
+    # would record spans that nobody reads.
     _trace.ACTIVE = None
     if fault_injector is not None:
         _faults.install(fault_injector)
@@ -716,8 +716,8 @@ def _worker_run(
     if traced:
         # The parent recorded this batch, so re-arm a share-lifetime
         # child tracer (the initializer disarmed tracing: a forked copy
-        # of the parent's tracer would record events that nobody
-        # reads).  Its events ship home in the reply; the parent
+        # of the parent's tracer would record spans that nobody
+        # reads).  Its span records ship home in the reply; the parent
         # re-parents them under its batch span.
         tracer = _trace.Tracer(sample=1.0)
         with _trace.tracing(tracer):
@@ -725,7 +725,7 @@ def _worker_run(
                 "worker.chunk", pid=os.getpid(), mode=mode, items=len(terms)
             ):
                 reply = _worker_share(engine, terms, budget, mode)
-        reply["spans"] = wire.encode_span_events(tracer.events)
+        reply["spans"] = tracer.spans
     else:
         reply = _worker_share(engine, terms, budget, mode)
     # Cumulative since worker start: the parent keeps the latest

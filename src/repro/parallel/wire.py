@@ -1,4 +1,4 @@
-"""A portable wire format for terms, outcomes, rule sets and budgets.
+"""A portable wire format for terms, outcomes, rule sets, budgets and spans.
 
 Hash-consed :class:`~repro.algebra.terms.Term` identity does not survive
 a process boundary: every worker process owns its own intern table, so
@@ -52,6 +52,7 @@ from typing import Iterable, Optional, Sequence
 from repro.algebra.signature import Operation
 from repro.algebra.sorts import Sort, SortError
 from repro.algebra.terms import App, Err, Ite, Lit, Term, Var
+from repro.obs.otlp import span_problems
 from repro.rewriting.rules import RewriteRule, RuleSet
 from repro.runtime.budget import EvaluationBudget
 from repro.runtime.outcome import STATUSES, Outcome
@@ -72,8 +73,7 @@ __all__ = [
     "decode_ruleset",
     "encode_budget",
     "decode_budget",
-    "encode_span_events",
-    "decode_span_events",
+    "decode_spans",
 ]
 
 #: Bumped when the payload layout changes incompatibly; decoders reject
@@ -559,24 +559,28 @@ def decode_ruleset(
         )
 
 
-def encode_span_events(events: Sequence[dict]) -> dict:
-    """A worker's trace-event batch, shipped home with its reply.
-
-    Span events are already wire-shaped (flat dicts of primitives, plus
-    the per-rule count dict on ``firings`` events) — the tracer builds
-    them JSON-ready — so the codec's job is the version envelope
-    and a structural check at *encode* time, in the worker, where a
-    non-portable event would be a tracer bug worth failing loudly on.
-    """
-    for event in events:
-        if not isinstance(event, dict) or "ev" not in event:
-            raise WireError(f"not a trace event: {event!r}")
-    return {"version": WIRE_VERSION, "events": list(events)}
-
-
-def decode_span_events(payload: dict) -> list[dict]:
-    _check_version(payload)
-    return payload["events"]
+def decode_spans(payload: object) -> list[dict]:
+    """A batch of OTLP span records from another process — a shard
+    worker's reply, the daemon's trace-return body — checked before it
+    reaches a tracer: every record passes
+    :func:`~repro.obs.otlp.span_problems`, ids are unique, and a parent
+    inside the batch comes before its children."""
+    if type(payload) is not list:
+        raise WireError(f"a span batch is a {type(payload).__name__}")
+    for record in payload:
+        problems = span_problems(record)
+        if problems:
+            raise WireError(f"malformed span record: {problems[0]}")
+    ids = {record["spanId"] for record in payload}
+    seen: set = set()
+    for record in payload:
+        parent = record.get("parentSpanId")
+        if record["spanId"] in seen or (parent in ids and parent not in seen):
+            raise WireError(
+                f"span {record['spanId']} repeats or precedes its parent"
+            )
+        seen.add(record["spanId"])
+    return payload
 
 
 def encode_budget(budget: Optional[EvaluationBudget]) -> Optional[dict]:

@@ -19,9 +19,11 @@ Distributed tracing: when a tracer is installed
 ``client.request`` span and carries a W3C ``traceparent`` header, so
 the daemon's spans — and, transitively, its shard workers' — join the
 client's trace.  ``trace_return=True`` additionally asks the daemon to
-ship its span subtree back in the response, which the client merges
-under the request span: one process ends up holding the whole
-client → daemon → worker tree, ready for OTLP export.
+ship its span records back in the response, which the client checks
+(:func:`repro.parallel.wire.decode_spans`; a malformed batch is a
+:class:`ServeError`) and merges under the request span: one process
+ends up holding the whole client → daemon → worker tree, ready for
+OTLP export.
 
 Terms cross in the :mod:`repro.parallel.wire` format.  A caller that
 has the specification loaded (the normal case for tests and batch
@@ -210,9 +212,7 @@ class ServeClient:
             "client.request", path=path, method=method
         ) as span:
             if span is not None:
-                context = _trace.TraceContext(
-                    tracer.trace_id, tracer.span_hex(span), sampled=True
-                )
+                context = tracer.context()
             else:
                 # Unsampled by the client's policy: still propagate the
                 # context so the daemon honours the decision instead of
@@ -222,13 +222,18 @@ class ServeClient:
             if span is not None and self.trace_return:
                 headers["x-repro-trace-return"] = "1"
             reply = self._request_attempts(method, path, body, headers)
-            if span is not None and isinstance(reply.get("trace"), dict):
+            trace = reply.get("trace")
+            if span is not None and isinstance(trace, dict):
                 # The daemon shipped its span subtree home: graft it
                 # under this request's span — the client now holds the
                 # whole client → daemon → worker tree.
-                tracer.merge_remote_events(
-                    reply["trace"].get("events", []), parent=span
-                )
+                try:
+                    spans = wire.decode_spans(trace.get("spans"))
+                except wire.WireError as exc:
+                    raise ServeError(
+                        200, "bad_trace", f"trace {trace.get('trace_id')}: {exc}"
+                    ) from None
+                tracer.merge_remote_spans(spans, parent=span)
             return reply
 
     def _request_attempts(

@@ -270,16 +270,11 @@ class ReproServer:
                 # cost a log line, not a request.
                 pass
 
-    def _export_trace(self, events: list, trace_id: str) -> None:
-        if self.exporter is None or not events:
-            return
-        assert self.tracer is not None
-        self.exporter.export(
-            events,
-            trace_id,
-            span_hex=self.tracer.span_hex,
-            resource={"service.name": "repro-serve"},
-        )
+    def _export_trace(self, spans: list, trace_id: str) -> None:
+        if self.exporter is not None:
+            self.exporter.export(
+                spans, trace_id, resource={"service.name": "repro-serve"}
+            )
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "ReproServer":
@@ -690,7 +685,7 @@ class _Handler(BaseHTTPRequestHandler):
             if incoming is not None
             else (tracer.trace_id if tracer is not None else None)
         )
-        req_span: Optional[int] = None
+        req_span: Optional[str] = None
         outcome = {
             "status": 500,
             "reason": "internal",
@@ -700,16 +695,15 @@ class _Handler(BaseHTTPRequestHandler):
             "eval_s": None,
         }
         if tracer is not None:
-            attrs = {"path": self.path, "method": "POST"}
-            if incoming is not None:
-                # The caller's span becomes the remote parent: the
-                # OTLP export keeps the dangling 16-hex link so the
-                # client's own trace can claim this subtree.
-                attrs["remote_parent"] = incoming.span_id
+            # The caller's span becomes the remote parent: the span
+            # keeps the dangling 16-hex link so the client's own trace
+            # can claim this subtree.
             span_scope = tracer.span(
                 "serve.request",
                 sampled=incoming.sampled if incoming is not None else None,
-                **attrs,
+                remote_parent=incoming.span_id if incoming is not None else None,
+                path=self.path,
+                method="POST",
             )
         else:
             span_scope = nullcontext()
@@ -729,11 +723,7 @@ class _Handler(BaseHTTPRequestHandler):
             app.c_requests.inc(self.path)
             exemplar = None
             if trace_id is not None and req_span is not None:
-                assert tracer is not None
-                exemplar = {
-                    "trace_id": trace_id,
-                    "span_id": tracer.span_hex(req_span),
-                }
+                exemplar = {"trace_id": trace_id, "span_id": req_span}
             app.h_latency.observe(elapsed, exemplar=exemplar)
             record = {
                 "ts": round(time.time(), 6),
@@ -849,10 +839,10 @@ class _Handler(BaseHTTPRequestHandler):
             # The subtree leaves the tracer's buffer whether or not an
             # exporter is configured — the daemon's memory is bounded
             # by in-flight requests, not uptime.
-            events = tracer.pop_subtree(req_span)
-            app._export_trace(events, trace_id)
+            spans = tracer.pop_subtree(req_span)
+            app._export_trace(spans, trace_id)
             self._traceparent = _trace.TraceContext(
-                trace_id, tracer.span_hex(req_span), sampled=True
+                trace_id, req_span, sampled=True
             ).to_traceparent()
             if (
                 self.headers.get("x-repro-trace-return") == "1"
@@ -861,7 +851,7 @@ class _Handler(BaseHTTPRequestHandler):
             ):
                 outcome["payload"]["trace"] = {
                     "trace_id": trace_id,
-                    "events": events,
+                    "spans": spans,
                 }
         elif trace_id is not None:
             # Tracing on but this request unsampled (or the caller

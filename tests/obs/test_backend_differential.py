@@ -17,7 +17,6 @@ import pytest
 from repro.algebra.terms import Err, app
 from repro.adt.queue import FRONT, QUEUE_SPEC, REMOVE, queue_term
 from repro.interp import facade_class
-from repro.obs.otlp import read_otlp_spans, to_otlp
 from repro.obs.profile import firing_counts
 from repro.obs.trace import Tracer, rule_id, tracing
 from repro.rewriting import RewriteEngine
@@ -101,9 +100,7 @@ def test_traces_agree_with_registries_on_all_backends():
         tracer = Tracer()
         with tracing(tracer):
             _drain(engine, 10)
-        traced = firing_counts(
-            read_otlp_spans(to_otlp(tracer.events, tracer.trace_id))
-        )
+        traced = firing_counts(tracer.spans)
         assert traced == _firings(engine)
         per_backend[backend] = traced
     for backend in BACKENDS[1:]:

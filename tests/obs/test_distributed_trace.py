@@ -4,7 +4,7 @@ sampling on a muted tracer, hex span ids, and one tracer shared by
 concurrent threads.
 
 These are the pieces the serve pipeline leans on — the shard pool
-ships worker span batches home through :meth:`merge_remote_events`,
+ships worker span records home through :meth:`merge_remote_spans`,
 the daemon exports each finished request via :meth:`pop_subtree`, and
 an incoming sampled ``traceparent`` on a ``trace_sample=0.0`` daemon
 must still record through the forced-span path.
@@ -14,32 +14,31 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.otlp import read_otlp_spans, to_otlp, validate_otlp
-from repro.obs.profile import firing_counts
+from repro.obs.otlp import to_otlp, validate_otlp
+from repro.obs.profile import attributes, firing_counts
 from repro.obs.trace import Tracer
 
 
-def _firing_counts(tracer: Tracer) -> dict[str, int]:
-    """Per-rule firing counts of the tracer's trace, read as every
-    trace analysis reads it: through its OTLP span records."""
-    return firing_counts(
-        read_otlp_spans(to_otlp(tracer.events, tracer.trace_id))
-    )
+def _first_span_id(tracer: Tracer) -> str:
+    with tracer.span("s") as span_id:
+        pass
+    return span_id
 
 
 class TestSpanHex:
     def test_sixteen_hex_and_stable(self):
         tracer = Tracer()
-        first = tracer.span_hex(1)
+        with tracer.span("first") as first:
+            assert tracer.active_span == first
         assert len(first) == 16
         int(first, 16)
-        assert tracer.span_hex(1) == first
-        assert tracer.span_hex(2) != first
+        assert tracer.spans[0]["spanId"] == first
+        assert _first_span_id(tracer) != first
 
     def test_processes_get_distinct_mappings(self):
-        # Two tracers model two processes: the same small int id must
-        # not collide once hexified, or merged traces would alias spans.
-        assert Tracer().span_hex(1) != Tracer().span_hex(1)
+        # Two tracers model two processes: their first spans must not
+        # share an id, or merged traces would alias spans.
+        assert _first_span_id(Tracer()) != _first_span_id(Tracer())
 
 
 class TestOutgoingContext:
@@ -48,7 +47,7 @@ class TestOutgoingContext:
         with tracer.span("client.request") as span:
             context = tracer.context()
         assert context.trace_id == tracer.trace_id
-        assert context.span_id == tracer.span_hex(span)
+        assert context.span_id == span
         assert context.sampled is True
 
     def test_context_outside_span_is_fresh_but_same_trace(self):
@@ -59,68 +58,51 @@ class TestOutgoingContext:
 
 
 def _remote_batch() -> list[dict]:
-    """What a shard worker ships home: its own tracer's raw events."""
+    """What a shard worker ships home: its own tracer's span records."""
     remote = Tracer()
     with remote.span("worker.chunk", items=2):
         with remote.span("engine.normalize"):
             remote.firings({"r1": 3})
-    return remote.events
+    return remote.spans
 
 
 class TestMergeRemoteEvents:
     def test_roots_reparent_and_gain_root_attrs(self):
         local = Tracer()
+        batch_spans = _remote_batch()
         with local.span("parallel.batch") as batch:
-            mapping = local.merge_remote_events(
-                _remote_batch(), parent=batch, pid=4242
-            )
-        starts = {
-            e["name"]: e for e in local.events if e["ev"] == "span_start"
-        }
-        chunk = starts["worker.chunk"]
-        assert chunk["parent"] == batch
-        assert chunk["pid"] == 4242
-        # The nested remote span keeps its own (remapped) parent link
-        # and does not get the root attrs.
-        nested = starts["engine.normalize"]
-        assert nested["parent"] == chunk["span"]
-        assert "pid" not in nested
-        assert chunk["span"] in mapping.values()
+            local.merge_remote_spans(batch_spans, parent=batch, pid=4242)
+        records = {span["name"]: span for span in local.spans}
+        chunk = records["worker.chunk"]
+        assert chunk["parentSpanId"] == batch
+        assert attributes(chunk) == {"items": 2, "pid": 4242}
+        # The nested remote span keeps its own parent link and does not
+        # get the root attrs.
+        nested = records["engine.normalize"]
+        assert nested["parentSpanId"] == chunk["spanId"]
+        assert "pid" not in attributes(nested)
+        # The batch's records keep their own ids.
+        assert [s["spanId"] for s in local.spans[1:]] == [
+            s["spanId"] for s in batch_spans
+        ]
 
-    def test_ids_remap_without_colliding(self):
+    def test_merged_ids_never_collide(self):
         local = Tracer()
         with local.span("parallel.batch") as batch:
-            local_ids = {
-                e["span"]
-                for e in local.events
-                if e.get("span") is not None
-            }
-            mapping = local.merge_remote_events(_remote_batch(), parent=batch)
-        assert set(mapping.values()).isdisjoint(local_ids)
-        # Every merged event rides a remapped id, including the point
-        # firings event inside the nested span.
-        firing = next(e for e in local.events if e["ev"] == "firings")
-        assert firing["span"] in mapping.values()
-        assert _firing_counts(local) == {"r1": 3}
-
-    def test_truncated_batch_drops_unknown_span_reference(self):
-        local = Tracer()
-        # A span_end for a span whose start never shipped: keep the
-        # event but strip the alien id rather than aliasing a local one.
-        local.merge_remote_events(
-            [{"ev": "span_end", "span": 7, "name": "worker.chunk"}]
-        )
-        (event,) = local.events
-        assert "span" not in event
+            for _ in range(3):
+                local.merge_remote_spans(_remote_batch(), parent=batch)
+        ids = [span["spanId"] for span in local.spans]
+        assert len(ids) == len(set(ids)) == 7
+        assert firing_counts(local.spans) == {"r1": 9}
 
     def test_merged_tree_exports_as_valid_otlp(self):
         local = Tracer()
         with local.span("serve.request"):
             with local.span("parallel.batch") as batch:
-                local.merge_remote_events(
+                local.merge_remote_spans(
                     _remote_batch(), parent=batch, pid=99
                 )
-        doc = to_otlp(local.events, local.trace_id, local.span_hex)
+        doc = to_otlp(local.spans, local.trace_id)
         assert validate_otlp(doc) == []
 
 
@@ -133,19 +115,13 @@ class TestPopSubtree:
         with tracer.span("serve.request", req="b") as second:
             pass
         taken = tracer.pop_subtree(first)
-        assert {e["ev"] for e in taken} == {
-            "span_start",
-            "span_end",
-            "firings",
-        }
-        assert all(
-            e.get("req") != "b" for e in taken if e["ev"] == "span_start"
-        )
-        remaining = {
-            e.get("req")
-            for e in tracer.events
-            if e["ev"] == "span_start"
-        }
+        assert [span["name"] for span in taken] == [
+            "serve.request",
+            "serve.evaluate",
+        ]
+        assert firing_counts(taken) == {"r1": 1}
+        assert all(attributes(span).get("req") != "b" for span in taken)
+        remaining = {attributes(span).get("req") for span in tracer.spans}
         assert remaining == {"b"}
         assert tracer.pop_subtree(second)  # still intact and extractable
 
@@ -154,7 +130,7 @@ class TestPopSubtree:
         with tracer.span("serve.request") as root:
             pass
         tracer.pop_subtree(root)
-        assert tracer.events == []
+        assert tracer.spans == []
 
 
 class TestForcedSamplingOnMutedTracer:
@@ -166,7 +142,7 @@ class TestForcedSamplingOnMutedTracer:
             tracer.firings({"r1": 1})
             tracer.event("queue")
             assert span is None
-        assert tracer.events == []
+        assert tracer.spans == []
 
     def test_forced_span_lifts_the_fast_mute_while_open(self):
         # An incoming sampled traceparent on a trace_sample=0.0 daemon:
@@ -180,11 +156,9 @@ class TestForcedSamplingOnMutedTracer:
                 assert child is not None
                 tracer.firings({"r1": 2})
         assert tracer.never is True
-        names = [
-            e["name"] for e in tracer.events if e["ev"] == "span_start"
-        ]
+        names = [span["name"] for span in tracer.spans]
         assert names == ["serve.request", "serve.evaluate"]
-        assert _firing_counts(tracer) == {"r1": 2}
+        assert firing_counts(tracer.spans) == {"r1": 2}
         # And the mute is really back: a plain span records nothing.
         with tracer.span("serve.request") as again:
             assert again is None
@@ -193,7 +167,7 @@ class TestForcedSamplingOnMutedTracer:
         tracer = Tracer(sample=1.0)
         with tracer.span("serve.request", sampled=False) as span:
             assert span is None
-        assert tracer.events == []
+        assert tracer.spans == []
 
 
 class TestThreadSafety:
@@ -225,13 +199,16 @@ class TestThreadSafety:
         for thread in pool:
             thread.join()
         assert errors == []
-        starts = [e for e in tracer.events if e["ev"] == "span_start"]
-        ends = [e for e in tracer.events if e["ev"] == "span_end"]
-        assert len(starts) == len(ends) == threads * 25 * 2
-        ids = [e["span"] for e in starts]
+        spans = tracer.spans
+        assert len(spans) == threads * 25 * 2
+        ids = [span["spanId"] for span in spans]
         assert len(ids) == len(set(ids))  # one shared counter, no reuse
-        by_id = {e["span"]: e for e in starts}
-        for event in starts:
-            if event["name"] == "serve.evaluate":
-                parent = by_id[event["parent"]]
+        by_id = {span["spanId"]: span for span in spans}
+        for span in spans:
+            if span["name"] == "serve.evaluate":
+                parent = by_id[span["parentSpanId"]]
                 assert parent["name"] == "serve.request"
+                # Each span closed, after the span it encloses did.
+                assert int(parent["endTimeUnixNano"]) >= int(
+                    span["endTimeUnixNano"]
+                ) >= int(span["startTimeUnixNano"])

@@ -4,7 +4,7 @@ the offline validator.
 
 The export is consumed by tooling outside this repository, so these
 tests pin the *wire* contract: attribute typing (OTLP wants intValue
-as a string), id hexification, remote-parent links, and the validator
+as a string), hex ids, remote-parent links, and the validator
 invariants the CI serve job runs against real daemon artifacts.
 """
 
@@ -67,22 +67,19 @@ class TestTraceContext:
         assert parsed.trace_id == context.trace_id
 
 
-def _sample_events() -> tuple[Tracer, list[dict]]:
+def _sample_spans() -> tuple[Tracer, list[dict]]:
     tracer = Tracer()
     with tracer.span("serve.request", path="/v1/normalize", retries=0):
         with tracer.span("serve.evaluate", items=3, ok=True):
             tracer.firings({"r1": 2, "r2": 5})
-    return tracer, tracer.events
+    return tracer, tracer.spans
 
 
 class TestToOtlp:
     def test_resource_spans_shape(self):
-        tracer, events = _sample_events()
+        tracer, spans = _sample_spans()
         doc = to_otlp(
-            events,
-            tracer.trace_id,
-            span_hex=tracer.span_hex,
-            resource={"service.name": "repro-test"},
+            spans, tracer.trace_id, resource={"service.name": "repro-test"}
         )
         resource = doc["resourceSpans"][0]
         attrs = {
@@ -96,8 +93,8 @@ class TestToOtlp:
         ]
 
     def test_ids_are_hex_and_parents_link(self):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         request, evaluate = read_otlp_spans(doc)
         for span in (request, evaluate):
             assert span["traceId"] == tracer.trace_id
@@ -107,8 +104,8 @@ class TestToOtlp:
         assert "parentSpanId" not in request
 
     def test_attribute_typing(self):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         request, evaluate = read_otlp_spans(doc)
         req_attrs = {
             a["key"]: a["value"] for a in request["attributes"]
@@ -143,15 +140,15 @@ class TestToOtlp:
         remote = TraceContext.generate()
         with tracer.span("serve.request", remote_parent=remote.span_id):
             pass
-        doc = to_otlp(tracer.events, remote.trace_id, tracer.span_hex)
+        doc = to_otlp(tracer.spans, remote.trace_id)
         (span,) = read_otlp_spans(doc)
         assert span["parentSpanId"] == remote.span_id
         attrs = {a["key"]: a["value"] for a in span["attributes"]}
         assert attrs["repro.parent.remote"] == {"boolValue": True}
 
     def test_timestamps_are_ordered_nanos(self):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         for span in read_otlp_spans(doc):
             start = int(span["startTimeUnixNano"])
             end = int(span["endTimeUnixNano"])
@@ -159,40 +156,73 @@ class TestToOtlp:
             assert end >= start
 
     def test_timestamps_keep_whole_microseconds(self):
-        # The tracer stamps microseconds; near 1.8e18 ns a double is
-        # exact only to 256 ns, so the conversion must not scale the
-        # float straight to nanoseconds.
-        events = [
-            {"ev": "span_start", "span": 1, "name": "s",
-             "ts": 1792304843.121812},
-            {"ev": "span_end", "span": 1, "name": "s",
-             "ts": 1792304843.999999},
+        # The tracer stamps whole microseconds as integer nanoseconds,
+        # spans and span events alike; the document keeps them as-is.
+        tracer, spans = _sample_spans()
+        for span in read_otlp_spans(to_otlp(spans, tracer.trace_id)):
+            times = [span["startTimeUnixNano"], span["endTimeUnixNano"]]
+            times += [event["timeUnixNano"] for event in span["events"]]
+            for time_ns in times:
+                assert time_ns.isdecimal() and int(time_ns) % 1000 == 0
+
+    def test_document_carries_the_records_with_the_trace_id(self):
+        tracer, spans = _sample_spans()
+        exported = read_otlp_spans(to_otlp(spans, tracer.trace_id))
+        assert exported == [
+            {"traceId": tracer.trace_id, **span} for span in spans
         ]
-        (span,) = read_otlp_spans(to_otlp(events, "ab" * 16))
-        assert span["startTimeUnixNano"] == "1792304843121812000"
-        assert span["endTimeUnixNano"] == "1792304843999999000"
+        assert all("traceId" not in span for span in spans)
 
 
 class TestValidate:
     def test_clean_document_validates(self):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         assert validate_otlp(doc) == []
 
     def test_dangling_parent_is_flagged(self):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         spans = read_otlp_spans(doc)
         spans[1]["parentSpanId"] = "deadbeefdeadbeef"
         problems = validate_otlp(doc)
         assert any("parent" in p for p in problems)
 
     def test_mixed_trace_ids_are_flagged(self):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         read_otlp_spans(doc)[1]["traceId"] = "ab" * 16
         problems = validate_otlp(doc)
         assert any("trace id" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "name, attrs, expected",
+        [
+            ("step", {"subject": "x"}, "step event without a string rule"),
+            ("step", {"rule": 4}, "step event without a string rule"),
+            ("firings", {"count": 2}, "firings event without a string rule"),
+            ("firings", {"rule": "r"}, "firings event without an integer count"),
+            ("firings", {"rule": "r", "count": "2"},
+             "firings event without an integer count"),
+        ],
+    )
+    def test_rule_events_name_their_rule_and_count(
+        self, name, attrs, expected
+    ):
+        # profile.firing_counts reads ``rule`` (and ``count``) off these
+        # events, so a file without them must not validate clean.
+        tracer = Tracer()
+        with tracer.span("engine.normalize"):
+            tracer.event(name, **attrs)
+        doc = to_otlp(tracer.spans, tracer.trace_id)
+        assert any(expected in p for p in validate_otlp(doc))
+
+    def test_malformed_attributes_are_flagged(self):
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
+        read_otlp_spans(doc)[0]["attributes"] = [{"key": "k", "value": {}}]
+        problems = validate_otlp(doc)
+        assert any("attributes are not scalar" in p for p in problems)
 
     def test_orphan_worker_span_is_flagged(self):
         # The nesting rule only applies to request-bearing documents: a
@@ -203,7 +233,7 @@ class TestValidate:
             pass
         with tracer.span("worker.chunk", pid=123):
             pass
-        doc = to_otlp(tracer.events, tracer.trace_id, tracer.span_hex)
+        doc = to_otlp(tracer.spans, tracer.trace_id)
         problems = validate_otlp(doc)
         assert any("worker" in p for p in problems)
 
@@ -213,7 +243,7 @@ class TestValidate:
             with tracer.span("parallel.batch"):
                 with tracer.span("worker.chunk", pid=123):
                     pass
-        doc = to_otlp(tracer.events, tracer.trace_id, tracer.span_hex)
+        doc = to_otlp(tracer.spans, tracer.trace_id)
         assert validate_otlp(doc) == []
 
 
@@ -222,10 +252,8 @@ class TestExporter:
         path = tmp_path / "traces.otlp.jsonl"
         exporter = OTLPExporter(path=str(path))
         for _ in range(2):
-            tracer, events = _sample_events()
-            exporter.export(
-                events, tracer.trace_id, span_hex=tracer.span_hex
-            )
+            tracer, spans = _sample_spans()
+            exporter.export(spans, tracer.trace_id)
         assert exporter.exported == 2 and exporter.errors == 0
         docs = read_otlp_file(str(path))
         assert len(docs) == 2
@@ -236,15 +264,15 @@ class TestExporter:
         exporter = OTLPExporter(
             endpoint="http://127.0.0.1:1/v1/traces", timeout=0.2
         )
-        tracer, events = _sample_events()
-        exporter.export(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        exporter.export(spans, tracer.trace_id)
         assert exporter.errors == 1 and exporter.exported == 0
 
 
 class TestOfflineCli:
     def test_validates_the_cli_trace_document(self, tmp_path, capsys):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         path = tmp_path / "trace.otlp.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")
         assert otlp_main([str(path)]) == 0
@@ -253,8 +281,8 @@ class TestOfflineCli:
         )
 
     def test_validate_passes_clean_and_fails_corrupt(self, tmp_path, capsys):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         clean = tmp_path / "clean.otlp.jsonl"
         clean.write_text(json.dumps(doc) + "\n")
         assert otlp_main([str(clean)]) == 0
@@ -271,23 +299,31 @@ class TestOfflineCli:
         assert "violation(s)" in out
 
     def test_non_numeric_end_time_is_a_violation(self, tmp_path, capsys):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         read_otlp_spans(doc)[0]["endTimeUnixNano"] = "soon"
         path = tmp_path / "bad-time.json"
         path.write_text(json.dumps(doc))
         self._fails_with(path, capsys, "not integer nanoseconds")
 
+    def test_step_event_without_rule_is_a_violation(self, tmp_path, capsys):
+        tracer = Tracer()
+        with tracer.span("engine.normalize"):
+            tracer.event("step", subject="FRONT(NEW)")
+        path = tmp_path / "no-rule.json"
+        path.write_text(json.dumps(to_otlp(tracer.spans, tracer.trace_id)))
+        self._fails_with(path, capsys, "step event without a string rule")
+
     def test_line_that_is_not_json_is_a_violation(self, tmp_path, capsys):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         path = tmp_path / "bad-line.otlp.jsonl"
         path.write_text(json.dumps(doc) + "\n{not json\n")
         self._fails_with(path, capsys, "line 2 is not JSON")
 
     def test_top_level_array_is_a_violation(self, tmp_path, capsys):
-        tracer, events = _sample_events()
-        doc = to_otlp(events, tracer.trace_id, span_hex=tracer.span_hex)
+        tracer, spans = _sample_spans()
+        doc = to_otlp(spans, tracer.trace_id)
         path = tmp_path / "array.json"
         path.write_text(json.dumps([doc]))
         self._fails_with(path, capsys, "not an OTLP document")

@@ -58,7 +58,7 @@ def test_no_tracer_means_no_events():
     bystander = Tracer()  # constructed but never installed
     engine = RewriteEngine.for_specification(QUEUE_SPEC, budget=DRAIN_BUDGET)
     _drain(engine)
-    assert bystander.events == []
+    assert bystander.spans == []
     # Work still happened and was still counted — metrics are always on.
     assert engine.stats.rule_firings > 0
 
@@ -68,7 +68,7 @@ def test_muted_tracer_records_nothing():
     with tracing(tracer):
         engine = RewriteEngine.for_specification(QUEUE_SPEC, budget=DRAIN_BUDGET)
         _drain(engine)
-    assert tracer.events == []
+    assert tracer.spans == []
 
 
 def test_disabled_tracing_overhead_within_budget():

@@ -11,11 +11,12 @@ from repro.algebra.terms import app
 from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
 from repro.obs import trace as trace_mod
 from repro.obs.otlp import read_otlp_file, read_otlp_spans, to_otlp
-from repro.obs.profile import firing_counts, profile_diff, rule_profile
+from repro.obs.profile import attributes, firing_counts, profile_diff, rule_profile
 from repro.obs.trace import (
     Tracer,
     install,
     maybe_span,
+    otlp_attributes,
     rule_id,
     tracing,
 )
@@ -26,48 +27,75 @@ from repro.rewriting.engine import RewriteLimitError
 from repro.runtime import EvaluationBudget
 
 
-def _spans(events: list[dict]) -> list[dict]:
-    """The OTLP span records of a tracer's events — the one input
-    every trace analysis reads."""
-    return read_otlp_spans(to_otlp(events, "ab" * 16))
+def _span(*events: tuple, end: float = None) -> list[dict]:
+    """One span record, as the tracer records it, opened at 0 s and
+    closed at ``end`` (open when None), holding ``(name, seconds,
+    attrs)`` span events — the one input every trace analysis reads."""
+    def nanos(seconds: float) -> str:
+        return str(round(seconds * 1e9))
+
+    return [
+        {
+            "spanId": "ab" * 8,
+            "name": "s",
+            "kind": 1,
+            "startTimeUnixNano": nanos(0.0),
+            "endTimeUnixNano": nanos(0.0 if end is None else end),
+            "attributes": [],
+            "events": [
+                {
+                    "name": name,
+                    "timeUnixNano": nanos(seconds),
+                    "attributes": otlp_attributes(attrs),
+                }
+                for name, seconds, attrs in events
+            ],
+        }
+    ]
+
+
+def _events(tracer: Tracer) -> list[dict]:
+    """Every span event the tracer recorded, in span order."""
+    return [event for span in tracer.spans for event in span["events"]]
 
 
 class TestSpans:
-    def test_span_start_end_pairing_and_attrs(self):
+    def test_span_record_and_attrs(self):
         tracer = Tracer()
         with tracer.span("outer", backend="interpreted") as span_id:
-            assert span_id == 1
-        start, end = tracer.events
-        assert start["ev"] == "span_start"
-        assert start["name"] == "outer"
-        assert start["backend"] == "interpreted"
-        assert "parent" not in start
-        assert end["ev"] == "span_end"
-        assert end["span"] == start["span"] == span_id
-        assert end["dur_us"] >= 0
+            (open_record,) = tracer.spans
+            assert open_record["endTimeUnixNano"] == (
+                open_record["startTimeUnixNano"]
+            )
+        (record,) = tracer.spans
+        assert record["spanId"] == span_id
+        assert len(span_id) == 16
+        int(span_id, 16)
+        assert record["name"] == "outer"
+        assert attributes(record) == {"backend": "interpreted"}
+        assert "parentSpanId" not in record
+        assert int(record["endTimeUnixNano"]) >= int(
+            record["startTimeUnixNano"]
+        )
 
     def test_nested_spans_carry_parent_links(self):
         tracer = Tracer()
         with tracer.span("outer") as outer_id:
             with tracer.span("inner") as inner_id:
                 pass
-        inner_start = next(
-            e
-            for e in tracer.events
-            if e["ev"] == "span_start" and e["name"] == "inner"
-        )
-        assert inner_start["parent"] == outer_id
-        assert inner_start["span"] == inner_id != outer_id
+        inner = next(s for s in tracer.spans if s["name"] == "inner")
+        assert inner["parentSpanId"] == outer_id
+        assert inner["spanId"] == inner_id != outer_id
 
     def test_point_events_attach_to_the_open_span(self):
         tracer = Tracer()
-        tracer.event("orphan")
-        with tracer.span("s") as span_id:
+        tracer.event("orphan")  # no open span: dropped
+        with tracer.span("s"):
             tracer.event("fault", site="x")
-        orphan, _, fault, _ = tracer.events
-        assert "span" not in orphan
-        assert fault["span"] == span_id
-        assert fault["site"] == "x"
+        (record,) = tracer.spans
+        (fault,) = record["events"]
+        assert fault["name"] == "fault"
+        assert attributes(fault) == {"site": "x"}
 
 
 class TestSampling:
@@ -76,16 +104,19 @@ class TestSampling:
         with tracer.span("top"):
             with tracer.span("nested"):
                 tracer.event("fault")
-        assert tracer.events == []
+        assert tracer.spans == []
 
     def test_sample_half_records_alternate_top_level_spans(self):
         tracer = Tracer(sample=0.5)
         for _ in range(4):
             with tracer.span("top"):
                 tracer.event("tick")
-        names = [e["ev"] for e in tracer.events]
+        records = [
+            (span["name"], [e["name"] for e in span["events"]])
+            for span in tracer.spans
+        ]
         # Credit accumulation: spans 2 and 4 are recorded.
-        assert names == ["span_start", "tick", "span_end"] * 2
+        assert records == [("top", ["tick"])] * 2
 
     def test_unsampled_span_mutes_its_subtree_only(self):
         tracer = Tracer(sample=0.5)
@@ -93,9 +124,9 @@ class TestSampling:
             tracer.event("hidden")
         with tracer.span("second"):  # credit 1.0: recorded
             tracer.event("visible")
-        events = [e for e in tracer.events if e["ev"] == "visible"]
+        events = [e for e in _events(tracer) if e["name"] == "visible"]
         assert len(events) == 1
-        assert not any(e["ev"] == "hidden" for e in tracer.events)
+        assert not any(e["name"] == "hidden" for e in _events(tracer))
 
     def test_invalid_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -128,38 +159,47 @@ class TestInstallation:
         with tracing(tracer):
             with maybe_span("scoped"):
                 pass
-        assert [e["ev"] for e in tracer.events] == ["span_start", "span_end"]
+        assert [s["name"] for s in tracer.spans] == ["scoped"]
 
 
 class TestFiringEvents:
     def test_firing_counts_folds_steps_and_aggregates(self):
-        events = [
-            {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
-            {"ev": "step", "span": 1, "rule": "r1", "ts": 0.0},
-            {"ev": "step", "span": 1, "rule": "r1", "ts": 0.1},
-            {"ev": "firings", "span": 1, "counts": {"r1": 3, "r2": 5},
-             "ts": 0.2},
-            {"ev": "span_end", "span": 1, "ts": 0.3},
+        spans = _span(
+            ("step", 0.0, {"rule": "r1"}),
+            ("step", 0.1, {"rule": "r1"}),
+            ("firings", 0.2, {"rule": "r1", "count": 3}),
+            ("firings", 0.2, {"rule": "r2", "count": 5}),
+            end=0.3,
+        )
+        assert firing_counts(spans) == {"r1": 5, "r2": 5}
+
+    def test_firings_are_one_event_per_rule(self):
+        tracer = Tracer()
+        with tracer.span("s"):
+            tracer.firings({"r1": 3, "r2": 5})
+        assert [attributes(e) for e in _events(tracer)] == [
+            {"rule": "r1", "count": 3},
+            {"rule": "r2", "count": 5},
         ]
-        assert firing_counts(_spans(events)) == {"r1": 5, "r2": 5}
 
     def test_empty_firings_not_emitted(self):
         tracer = Tracer()
-        tracer.firings({})
-        assert tracer.events == []
+        with tracer.span("s"):
+            tracer.firings({})
+        assert _events(tracer) == []
 
     def test_trace_file_reads_back_the_live_analyses(self, tmp_path):
         engine = RewriteEngine.for_specification(QUEUE_SPEC)
         tracer = Tracer()
         with tracing(tracer):
             engine.normalize(app(FRONT, queue_term(range(5))))
-        live = to_otlp(tracer.events, tracer.trace_id, tracer.span_hex)
+        live = to_otlp(tracer.spans, tracer.trace_id)
         path = tmp_path / "trace.otlp.json"
         path.write_text(json.dumps(live))
         (read_back,) = read_otlp_file(str(path))
         spans = read_otlp_spans(read_back)
-        assert firing_counts(spans) == firing_counts(read_otlp_spans(live))
-        assert rule_profile(spans) == rule_profile(read_otlp_spans(live))
+        assert firing_counts(spans) == firing_counts(tracer.spans)
+        assert rule_profile(spans) == rule_profile(tracer.spans)
 
 
 class TestEngineIntegration:
@@ -168,15 +208,16 @@ class TestEngineIntegration:
         tracer = Tracer()
         with tracing(tracer):
             engine.normalize(app(FRONT, queue_term(range(5))))
-        traced = firing_counts(_spans(tracer.events))
+        traced = firing_counts(tracer.spans)
         registry = {
             rule_id(rule): count
             for rule, count in engine.stats.firings.counts.items()
         }
         assert traced == registry
         assert sum(traced.values()) == engine.stats.rule_firings
-        step = next(e for e in tracer.events if e["ev"] == "step")
-        assert "subject" in step and "span" in step
+        (span,) = tracer.spans
+        step = next(e for e in span["events"] if e["name"] == "step")
+        assert "subject" in attributes(step)
 
     def test_compiled_firings_match_registry_family(self):
         engine = RewriteEngine.for_specification(
@@ -185,15 +226,16 @@ class TestEngineIntegration:
         tracer = Tracer()
         with tracing(tracer):
             engine.normalize(app(FRONT, queue_term(range(5))))
-        traced = firing_counts(_spans(tracer.events))
+        traced = firing_counts(tracer.spans)
         registry = {
             rule_id(rule): count
             for rule, count in engine.stats.firings.counts.items()
         }
         assert traced == registry
-        kinds = [e["ev"] for e in tracer.events]
-        assert kinds == ["span_start", "firings", "span_end"]
-        assert tracer.events[0]["backend"] == "codegen"
+        (span,) = tracer.spans
+        assert {e["name"] for e in span["events"]} == {"firings"}
+        assert len(span["events"]) == len(registry)
+        assert attributes(span)["backend"] == "codegen"
 
     @pytest.mark.parametrize("backend", ["interpreted", "codegen"])
     def test_muted_tracer_costs_no_subject_rendering(
@@ -217,7 +259,7 @@ class TestEngineIntegration:
         with tracing(tracer):
             for size in range(1, 21):
                 engine.normalize(app(FRONT, queue_term(range(size))))
-        assert tracer.events == []
+        assert tracer.spans == []
         assert calls == []
 
     def test_budget_exhaustion_emits_trace_event(self):
@@ -229,7 +271,9 @@ class TestEngineIntegration:
             with pytest.raises(RewriteLimitError):
                 engine.normalize(app(FRONT, queue_term(range(8))))
         exhaustion = [
-            e for e in tracer.events if e["ev"] == "budget_exhausted"
+            attributes(e)
+            for e in _events(tracer)
+            if e["name"] == "budget_exhausted"
         ]
         assert len(exhaustion) == 1
         assert exhaustion[0]["reason"] == "fuel"
@@ -238,14 +282,12 @@ class TestEngineIntegration:
 
 class TestRuleProfile:
     def test_exact_attribution_from_step_timestamps(self):
-        events = [
-            {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
-            {"ev": "step", "span": 1, "rule": "fast", "ts": 1.0},
-            {"ev": "step", "span": 1, "rule": "slow", "ts": 2.0},
-            {"ev": "span_end", "span": 1, "name": "s", "ts": 5.0,
-             "dur_us": 5e6},
-        ]
-        rows = rule_profile(_spans(events))
+        spans = _span(
+            ("step", 1.0, {"rule": "fast"}),
+            ("step", 2.0, {"rule": "slow"}),
+            end=5.0,
+        )
+        rows = rule_profile(spans)
         by_rule = {row["rule"]: row for row in rows}
         assert by_rule["fast"]["self_s"] == pytest.approx(1.0)
         assert by_rule["slow"]["self_s"] == pytest.approx(3.0)
@@ -254,14 +296,12 @@ class TestRuleProfile:
         assert rows[0]["rule"] == "slow"  # sorted by self time
 
     def test_proportional_attribution_is_flagged_estimated(self):
-        events = [
-            {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
-            {"ev": "firings", "span": 1, "counts": {"a": 3, "b": 1},
-             "ts": 0.5},
-            {"ev": "span_end", "span": 1, "name": "s", "ts": 4.0,
-             "dur_us": 4e6},
-        ]
-        by_rule = {row["rule"]: row for row in rule_profile(_spans(events))}
+        spans = _span(
+            ("firings", 0.5, {"rule": "a", "count": 3}),
+            ("firings", 0.5, {"rule": "b", "count": 1}),
+            end=4.0,
+        )
+        by_rule = {row["rule"]: row for row in rule_profile(spans)}
         assert by_rule["a"]["self_s"] == pytest.approx(3.0)
         assert by_rule["b"]["self_s"] == pytest.approx(1.0)
         assert by_rule["a"]["estimated"] and by_rule["b"]["estimated"]
@@ -270,36 +310,29 @@ class TestRuleProfile:
         # Several evaluations under one span (a shard worker's chunk)
         # split the span's duration between them; they do not each
         # claim all of it.
-        events = [
-            {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
-            {"ev": "firings", "span": 1, "counts": {"a": 3}, "ts": 1.0},
-            {"ev": "firings", "span": 1, "counts": {"a": 1, "b": 4},
-             "ts": 2.0},
-            {"ev": "span_end", "span": 1, "name": "s", "ts": 4.0},
-        ]
-        by_rule = {row["rule"]: row for row in rule_profile(_spans(events))}
+        spans = _span(
+            ("firings", 1.0, {"rule": "a", "count": 3}),
+            ("firings", 2.0, {"rule": "a", "count": 1}),
+            ("firings", 2.0, {"rule": "b", "count": 4}),
+            end=4.0,
+        )
+        by_rule = {row["rule"]: row for row in rule_profile(spans)}
         assert by_rule["a"]["firings"] == 4
         assert by_rule["a"]["self_s"] == pytest.approx(2.0)
         assert by_rule["b"]["self_s"] == pytest.approx(2.0)
 
     def test_unclosed_span_charges_no_interval(self):
-        events = [
-            {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
-            {"ev": "step", "span": 1, "rule": "r", "ts": 1.0},
-        ]
-        (row,) = rule_profile(_spans(events))
+        (row,) = rule_profile(_span(("step", 1.0, {"rule": "r"})))
         assert row["firings"] == 1
         assert row["self_s"] == 0.0
 
     def test_every_rule_gets_a_row_and_the_table_limits_them(self):
-        events = [
-            {"ev": "span_start", "span": 1, "name": "s", "ts": 0.0},
-            {"ev": "firings", "span": 1,
-             "counts": {f"r{i}": i + 1 for i in range(5)}, "ts": 0.5},
-            {"ev": "span_end", "span": 1, "name": "s", "ts": 1.0,
-             "dur_us": 1e6},
-        ]
-        rows = rule_profile(_spans(events))
+        spans = _span(
+            *[("firings", 0.5, {"rule": f"r{i}", "count": i + 1})
+              for i in range(5)],
+            end=1.0,
+        )
+        rows = rule_profile(spans)
         assert [row["rule"] for row in rows] == ["r4", "r3", "r2", "r1", "r0"]
         table = format_rule_profile(rows, limit=3)
         assert "r2" in table and "r1" not in table
@@ -310,16 +343,9 @@ class TestProfileDiff:
     def _trace(steps):
         """The span records of one span with a step per (rule, ts)
         pair, closed at ts 10."""
-        events = [{"ev": "span_start", "span": 1, "name": "s", "ts": 0.0}]
-        events.extend(
-            {"ev": "step", "span": 1, "rule": rule, "ts": ts}
-            for rule, ts in steps
+        return _span(
+            *[("step", ts, {"rule": rule}) for rule, ts in steps], end=10.0
         )
-        events.append(
-            {"ev": "span_end", "span": 1, "name": "s", "ts": 10.0,
-             "dur_us": 10e6}
-        )
-        return _spans(events)
 
     def test_deltas_are_b_minus_a(self):
         a = self._trace([("r", 0.0), ("r", 2.0)])

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
 from repro.algebra.terms import App
-from repro.obs.otlp import read_otlp_spans, to_otlp
-from repro.obs.profile import firing_counts
+from repro.obs.profile import attributes, firing_counts
 from repro.obs.trace import Tracer, tracing
 from repro.parallel import ShardPool
 from repro.rewriting.engine import RewriteEngine
@@ -36,17 +35,11 @@ def _subjects(count: int) -> list:
 def _firing_counts(tracer: Tracer) -> dict[str, int]:
     """Per-rule firing counts of the tracer's trace, read as every
     trace analysis reads it: through its OTLP span records."""
-    return firing_counts(
-        read_otlp_spans(to_otlp(tracer.events, tracer.trace_id))
-    )
+    return firing_counts(tracer.spans)
 
 
 def _spans(tracer: Tracer, name: str) -> list[dict]:
-    return [
-        event
-        for event in tracer.events
-        if event["ev"] == "span_start" and event["name"] == name
-    ]
+    return [span for span in tracer.spans if span["name"] == name]
 
 
 def test_traced_firings_match_metrics_and_serial():
@@ -82,14 +75,16 @@ def test_merged_worker_spans_nest_under_the_batch():
     chunks = _spans(tracer, "worker.chunk")
     assert len(chunks) == WORKERS  # one strided share per worker
     for chunk in chunks:
-        assert chunk["parent"] == batch["span"]
-        assert chunk["pid"] > 0  # stamped as a merge root attr
-    # Every started span in the merged timeline also closed.
-    starts = {
-        e["span"] for e in tracer.events if e["ev"] == "span_start"
-    }
-    ends = {e["span"] for e in tracer.events if e["ev"] == "span_end"}
-    assert starts == ends
+        assert chunk["parentSpanId"] == batch["spanId"]
+        assert attributes(chunk)["pid"] > 0  # stamped as a merge root attr
+    # Every span in the merged timeline closed, after the spans it
+    # encloses did.
+    by_id = {span["spanId"]: span for span in tracer.spans}
+    for span in tracer.spans:
+        end = int(span["endTimeUnixNano"])
+        assert end >= int(span["startTimeUnixNano"])
+        if span is not batch:
+            assert int(by_id[span["parentSpanId"]]["endTimeUnixNano"]) >= end
 
 
 def test_trace_and_metrics_agree_even_with_memoisation():

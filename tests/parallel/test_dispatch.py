@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.adt.queue import FRONT, QUEUE_SPEC, REMOVE, queue_term
 from repro.algebra.terms import App
+from repro.obs.profile import attributes
 from repro.obs.trace import Tracer, tracing
 from repro.parallel import ShardPool
 from repro.rewriting.engine import RewriteEngine, RewriteLimitError
@@ -48,11 +49,11 @@ def _busting(i: int):
     return App(FRONT, (queue_term(range(200 + i)),))
 
 
-def _share_spans(tracer: Tracer) -> list[dict]:
+def _share_attributes(tracer: Tracer) -> list[dict]:
     return [
-        event
-        for event in tracer.events
-        if event["ev"] == "span_start" and event["name"] == "worker.chunk"
+        attributes(span)
+        for span in tracer.spans
+        if span["name"] == "worker.chunk"
     ]
 
 
@@ -64,7 +65,7 @@ def test_shares_are_strided():
                 [_cheap(i) for i in range(5)]
             )
     assert all(outcome.ok for outcome in outcomes)
-    assert [span["items"] for span in _share_spans(tracer)] == [3, 2]
+    assert [attrs["items"] for attrs in _share_attributes(tracer)] == [3, 2]
 
 
 def test_single_item_batch_sends_one_share():

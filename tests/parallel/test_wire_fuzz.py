@@ -7,7 +7,9 @@ literals nested far deeper than any real one — ``decode_terms`` and
 terms decode against a closed table (as the daemon reads them) and
 outcomes against this process's open one (as shard replies are read).
 ``decode_budget`` either returns a budget within its documented ranges
-or raises ``WireError``, on any JSON value.
+or raises ``WireError``, on any JSON value.  ``decode_spans`` raises
+only ``WireError``, and a span batch it accepts merges into a tracer
+whose export passes :func:`~repro.obs.otlp.validate_otlp`.
 
 Run with ``HYPOTHESIS_PROFILE=nightly`` for a longer search.
 """
@@ -23,6 +25,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
 from repro.adt.symboltable import SYMBOLTABLE_SPEC
 from repro.algebra.terms import App, Err, Lit, Term
+from repro.obs.otlp import to_otlp, validate_otlp
+from repro.obs.trace import Tracer, tracing
 from repro.parallel import wire
 from repro.parallel.wire import WireError
 from repro.runtime import EvaluationBudget, Outcome
@@ -284,3 +288,53 @@ def test_budget_payload_decodes_or_is_a_wire_error(payload):
         type(budget.max_intern_growth) is int and budget.max_intern_growth >= 0
     )
     assert wire.decode_budget(wire.encode_budget(budget)) == budget
+
+
+def _worker_spans() -> list[dict]:
+    """A shard worker's span records, as they cross the pipe: one chunk
+    span holding an interpreted and a codegen evaluation and a point
+    event."""
+    from repro.rewriting import RewriteEngine
+
+    tracer = Tracer()
+    with tracing(tracer):
+        with tracer.span("worker.chunk", pid=1, items=2):
+            for backend in ("interpreted", "codegen"):
+                RewriteEngine.for_specification(
+                    QUEUE_SPEC, backend=backend
+                ).normalize(App(FRONT, (queue_term(["a", "b"]),)))
+            tracer.event("fallback", kind="codegen_depth")
+    return json.loads(json.dumps(tracer.spans))
+
+
+SPAN_PAYLOADS = [_worker_spans()]
+
+
+def _decodes_to_a_valid_trace(payload) -> None:
+    try:
+        spans = wire.decode_spans(payload)
+    except WireError:
+        return
+    tracer = Tracer()
+    with tracer.span("serve.request"):
+        with tracer.span("parallel.batch") as batch:
+            tracer.merge_remote_spans(spans, parent=batch, pid=7)
+    assert validate_otlp(to_otlp(tracer.spans, tracer.trace_id)) == []
+
+
+def test_worker_spans_decode_unchanged():
+    (payload,) = SPAN_PAYLOADS
+    assert wire.decode_spans(copy.deepcopy(payload)) == payload
+    _decodes_to_a_valid_trace(copy.deepcopy(payload))
+
+
+@FUZZ
+@given(mutated(SPAN_PAYLOADS))
+def test_mutated_span_batch(payload):
+    _decodes_to_a_valid_trace(payload)
+
+
+@FUZZ
+@given(JSON)
+def test_any_json_span_batch(payload):
+    _decodes_to_a_valid_trace(payload)

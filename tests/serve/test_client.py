@@ -13,6 +13,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from repro.obs.profile import firing_counts
+from repro.obs.trace import Tracer
 from repro.parallel import wire
 from repro.serve import ServeClient, ServeError, ServeUnavailable
 
@@ -205,3 +207,52 @@ class TestKeepAlive:
                 client.normalize(text=["NEW"])
         assert exc.value.status == 503
         assert len(sneaky.seen) == 2  # first try + 1 retry
+
+
+def _traced(spans: object) -> tuple[int, dict]:
+    """A 200 whose body carries a returned trace with ``spans``."""
+    return 200, {
+        "outcomes": wire.encode_outcomes([]),
+        "trace": {"trace_id": "ab" * 16, "spans": spans},
+    }
+
+
+def _daemon_spans() -> list[dict]:
+    daemon = Tracer()
+    with daemon.span("serve.request", remote_parent="cd" * 8, path="/x"):
+        with daemon.span("serve.evaluate"):
+            daemon.firings({"r1": 2})
+    return daemon.spans
+
+
+class TestTraceReturn:
+    def test_returned_spans_merge_under_the_request_span(self, scripted):
+        scripted.script = [_traced(_daemon_spans())]
+        tracer = Tracer()
+        client = _client(scripted, tracer=tracer, trace_return=True)
+        assert client.normalize(text=["NEW"]) == []
+        request, served, evaluated = tracer.spans
+        assert request["name"] == "client.request"
+        assert served["parentSpanId"] == request["spanId"]
+        assert evaluated["parentSpanId"] == served["spanId"]
+        assert firing_counts(tracer.spans) == {"r1": 2}
+
+    @pytest.mark.parametrize(
+        "spans",
+        [
+            [1],
+            [{**_daemon_spans()[0], "parentSpanId": ["ab"]}],
+            "spans",
+            None,
+        ],
+        ids=["not-a-record", "list-parent", "a-string", "missing"],
+    )
+    def test_malformed_trace_is_a_serve_error(self, scripted, spans):
+        scripted.script = [_traced(spans)]
+        tracer = Tracer()
+        client = _client(scripted, tracer=tracer, trace_return=True)
+        with pytest.raises(ServeError) as exc:
+            client.normalize(text=["NEW"])
+        assert exc.value.reason == "bad_trace"
+        assert "ab" * 16 in exc.value.detail  # names the bad trace
+        assert [span["name"] for span in tracer.spans] == ["client.request"]

@@ -66,11 +66,7 @@ def _post_keepalive(host: str, port: int, count: int) -> list:
 
 
 def _names(tracer: _trace.Tracer) -> list[str]:
-    return [
-        event["name"]
-        for event in tracer.events
-        if event["ev"] == "span_start"
-    ]
+    return [span["name"] for span in tracer.spans]
 
 
 class TestEndToEnd:
@@ -115,14 +111,36 @@ class TestEndToEnd:
             span for span in spans if span["name"] == "serve.request"
         )
         client_span = next(
-            event
-            for event in tracer.events
-            if event["ev"] == "span_start"
-            and event["name"] == "client.request"
+            span for span in tracer.spans if span["name"] == "client.request"
         )
-        assert request["parentSpanId"] == tracer.span_hex(
-            client_span["span"]
-        )
+        assert request["parentSpanId"] == client_span["spanId"]
+
+    def test_returned_subtree_is_the_exported_document(self, tmp_path):
+        # One schema end to end: the records the client merges are the
+        # records the daemon exported, id for id, minus the trace id
+        # the export stamps on each.
+        otlp = tmp_path / "daemon.otlp.jsonl"
+        tracer = _trace.Tracer()
+        with _server(
+            trace_sample=1.0, otlp_path=str(otlp), workers=2
+        ) as server:
+            host, port = server.address
+            with ServeClient(
+                host, port, timeout=30.0, retries=0, tracer=tracer,
+                trace_return=True,
+            ) as client:
+                assert all(
+                    o.ok for o in client.normalize(_subjects(4), spec="Queue")
+                )
+        (doc,) = read_otlp_file(str(otlp))
+        exported = [
+            {key: value for key, value in span.items() if key != "traceId"}
+            for span in read_otlp_spans(doc)
+        ]
+        client_span, *received = tracer.spans
+        assert client_span["name"] == "client.request"
+        assert "worker.chunk" in [span["name"] for span in received]
+        assert received == exported
 
     def test_daemon_tracer_buffer_stays_bounded(self):
         # pop_subtree per finished request: nothing may accumulate.
@@ -148,7 +166,7 @@ class TestEndToEnd:
                 finally:
                     conn.close()
             assert server.tracer is not None
-            assert server.tracer.events == []
+            assert server.tracer.spans == []
 
 
 class TestSamplingContract:
@@ -163,7 +181,7 @@ class TestSamplingContract:
             host, port = server.address
             echoed = _post_keepalive(host, port, self.REQUESTS)
             assert server.tracer is not None
-            assert server.tracer.events == []
+            assert server.tracer.spans == []
         assert not any(context.sampled for context in echoed)
         assert not otlp.exists() or read_otlp_file(str(otlp)) == []
         histogram = server.registry.snapshot()["histograms"][
@@ -260,7 +278,7 @@ class TestTraceparentNegotiation:
             finally:
                 conn.close()
             assert server.tracer is not None
-            assert server.tracer.events == []
+            assert server.tracer.spans == []
         echoed = _trace.TraceContext.parse_traceparent(header)
         assert echoed is not None and echoed.sampled is False
         assert echoed.trace_id == context.trace_id

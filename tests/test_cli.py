@@ -326,7 +326,7 @@ class TestTrace:
         ) == 0
         captured = capsys.readouterr()
         assert read_otlp_spans(json.loads(captured.out)) == []
-        assert "0 trace event(s)" in captured.err
+        assert "0 span(s)" in captured.err
 
     def test_budget_exhaustion_exits_three(self, queue_file, capsys):
         code = main(["trace", queue_file, self.TERM, "--fuel", "1"])
@@ -411,6 +411,16 @@ def _late_end(document: dict) -> str:
     """A trace document whose first span ends at a non-numeric time."""
     span = document["resourceSpans"][0]["scopeSpans"][0]["spans"][0]
     span["endTimeUnixNano"] = "later"
+    return json.dumps(document)
+
+
+def _step_without_rule(document: dict) -> str:
+    """A trace document whose first ``step`` event names no rule."""
+    span = document["resourceSpans"][0]["scopeSpans"][0]["spans"][0]
+    step = next(e for e in span["events"] if e["name"] == "step")
+    step["attributes"] = [
+        attr for attr in step["attributes"] if attr["key"] != "rule"
+    ]
     return json.dumps(document)
 
 
@@ -506,8 +516,10 @@ class TestTraceDiff:
              "line 2 is not JSON"),
             (lambda doc: json.dumps([doc]), "not an OTLP document"),
             (_late_end, "not integer nanoseconds"),
+            (_step_without_rule, "step event without a string rule"),
         ],
-        ids=["line-not-json", "top-level-array", "non-numeric-end"],
+        ids=["line-not-json", "top-level-array", "non-numeric-end",
+             "step-without-rule"],
     )
     def test_malformed_file_reports_violations(
         self, queue_file, tmp_path, capsys, corrupt, expected
